@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import hilbert
 
 from .channel import ChannelConfig, apply_channel
-from .errors import DemodulationError, SignalError
+from .errors import DemodulationError, ModwaveError, SignalError
 from .synth import (
     ANALOG_SCHEMES,
     SampledSignal,
@@ -216,7 +216,8 @@ def correlation_demodulate(
     candidate waveform (the formula or scheme synthesized with that symbol
     value held constant); the closest candidate wins.
     """
-    bank = candidate_bank(config) * bank_scale
+    bank = candidate_bank(config)
+    bank *= bank_scale
     sps = config.samples_per_symbol
     rx = _segment(np.asarray(received.samples, dtype=float), sps)
     # distances per symbol interval against each candidate row
@@ -229,19 +230,17 @@ def correlation_demodulate(
     return labels_to_bits(best, config.bits_per_symbol)
 
 
-def _bank_scale(reference: SampledSignal | None, config: SchemeConfig) -> float:
+def _bank_scale(reference: SampledSignal | None) -> float:
     """Gain mismatch between the normalized reference and raw candidates.
 
-    Re-synthesizing from the config reproduces the unnormalized waveform,
-    so the power ratio against the reference recovers the scale applied
-    before the channel.
+    The candidates are synthesized unnormalized, so they take the gain
+    that normalize_power recorded on the reference: the realized ratio
+    sqrt(normalized power / raw power). A reference that was never
+    normalized has gain 1.
     """
     if reference is None:
         return 1.0
-    raw_power = modulate(config).power
-    if raw_power <= 0:
-        return 1.0
-    return float(np.sqrt(reference.power / raw_power))
+    return reference.gain
 
 
 def _discriminator_bits(
@@ -321,7 +320,7 @@ def demodulate(
         raise DemodulationError(f"{scheme} carries no bit ground truth")
     if config.is_formula or scheme in ("fsk", "chirp"):
         return correlation_demodulate(
-            received, config, bank_scale=_bank_scale(reference, config)
+            received, config, bank_scale=_bank_scale(reference)
         )
     if scheme in ("bfsk", "msk", "gmsk"):
         return _discriminator_bits(received, config)
@@ -529,7 +528,9 @@ def compare(
     """One report row per scheme under identical channel conditions.
 
     Every row shares the bit seed, the channel seed and unit-power
-    normalization; a failing row records its error and the run continues.
+    normalization. A row that fails with a ModwaveError records its error
+    and the run continues; any other exception is a program fault and
+    propagates.
     """
     bits_seed = _seed_from(master_seed, 0)
     channel = replace(channel, seed=_seed_from(master_seed, 1))
@@ -539,7 +540,7 @@ def compare(
             rows.append(
                 run_scheme(config, channel, params, bits_seed=bits_seed).report
             )
-        except Exception as exc:  # keep the table going; record the failure
+        except ModwaveError as exc:  # keep the table going; record the failure
             rows.append(
                 MetricsReport(
                     scheme=config.scheme,

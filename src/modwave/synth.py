@@ -76,6 +76,7 @@ class SampledSignal:
     origin_symbols: np.ndarray | None = None
     symbol_rate: float | None = None
     guard_count: int = 0
+    gain: float = 1.0  # realized amplitude gain applied since synthesis
 
     @property
     def power(self) -> float:
@@ -444,17 +445,36 @@ def modulate_reference(cfg: SchemeConfig) -> SampledSignal:
 # formula-driven synthesis
 
 
-def _base_streams(cfg: SchemeConfig, labels: np.ndarray) -> dict[str, np.ndarray]:
-    sps = cfg.samples_per_symbol
+def _symbol_streams(cfg: SchemeConfig, labels: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-symbol values of the quadrature, data and frequency streams."""
     points = constellation(cfg.base_scheme)[labels]
     return {
-        "I(t)": _hold(points.real, sps),
-        "Q(t)": _hold(points.imag, sps),
-        "d(t)": _hold(labels.astype(float), sps),
-        "f(t)": _hold(
-            cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0), sps
-        ),
+        "I(t)": points.real,
+        "Q(t)": points.imag,
+        "d(t)": labels.astype(float),
+        "f(t)": cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
     }
+
+
+def _formula_bindings(
+    cfg: SchemeConfig, t: np.ndarray, streams: dict[str, np.ndarray]
+) -> EvalContext:
+    signals = dict(streams)
+    signals["m(t)"] = _message(cfg, t)
+    constants = {
+        "f_c": cfg.carrier_freq,
+        "f_m": cfg.message_freq,
+        "A": cfg.amplitude,
+        "A_c": cfg.amplitude,
+        "m": cfg.mod_index,
+        "k_f": cfg.freq_dev,
+        "k_p": cfg.phase_dev,
+        "phi": 0.0,
+        "phi_c": 0.0,
+        "phi_m": 0.0,
+        "n": 4.0,
+    }
+    return EvalContext(constants=constants, signals=signals)
 
 
 def formula_context(
@@ -474,24 +494,12 @@ def formula_context(
     else:
         labels = np.asarray(labels, dtype=np.int64)
         bits = labels_to_bits(labels, bps)
-    t = _time_grid(cfg)
-    signals = _base_streams(cfg, labels)
-    signals["m(t)"] = _message(cfg, t)
-    constants = {
-        "f_c": cfg.carrier_freq,
-        "f_m": cfg.message_freq,
-        "A": cfg.amplitude,
-        "A_c": cfg.amplitude,
-        "m": cfg.mod_index,
-        "k_f": cfg.freq_dev,
-        "k_p": cfg.phase_dev,
-        "phi": 0.0,
-        "phi_c": 0.0,
-        "phi_m": 0.0,
-        "n": 4.0,
+    sps = cfg.samples_per_symbol
+    streams = {
+        name: _hold(values, sps)
+        for name, values in _symbol_streams(cfg, labels).items()
     }
-    ctx = EvalContext(constants=constants, signals=signals)
-    return ctx, bits, labels
+    return _formula_bindings(cfg, _time_grid(cfg), streams), bits, labels
 
 
 def modulate_formula(
@@ -528,17 +536,21 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
 
     Row m holds the full-length waveform synthesized with every symbol
     fixed to label m. Valid for schemes without cross-symbol memory.
+    A formula bank is one evaluation: the label streams are bound as
+    (order, 1) columns, so label-invariant parts such as the carrier and
+    m(t) are computed once, and row m is bit-identical to evaluating the
+    formula with every symbol set to m.
     """
     if cfg.is_formula:
         expr = parse_formula(cfg.formula_text)
         order = 1 << _BITS_PER_SYMBOL[cfg.base_scheme]
         _check_bank_size(order, cfg.n_samples)
-        rows = []
-        for label in range(order):
-            labels = np.full(cfg.n_symbols, label, dtype=np.int64)
-            ctx, _, _ = formula_context(cfg, labels=labels)
-            rows.append(evaluate(expr, ctx, _time_grid(cfg)).samples)
-        return np.stack(rows)
+        columns = {
+            name: values[:, None]
+            for name, values in _symbol_streams(cfg, np.arange(order)).items()
+        }
+        t = _time_grid(cfg)
+        return evaluate(expr, _formula_bindings(cfg, t, columns), t).samples
     if cfg.scheme in ("bfsk", "msk", "gmsk"):
         raise DemodulationError(
             f"{cfg.scheme} carries phase memory; no per-symbol candidate bank"
@@ -565,14 +577,22 @@ def _check_bank_size(order: int, n_samples: int, limit: int = 200_000_000) -> No
 def normalize_power(
     signal: SampledSignal, target_power: float = 1.0
 ) -> tuple[SampledSignal, float]:
-    """Scale a signal to the target mean-square power; returns the factor."""
+    """Scale a signal to the target mean-square power; returns the factor.
+
+    The result's gain records the realized amplitude ratio
+    sqrt(scaled power / input power), compounded with the input's gain, so
+    receivers can scale noiseless candidates without synthesizing again.
+    It can differ from the returned nominal factor in the last bit.
+    """
     if target_power <= 0:
         raise SignalError("target power must be positive")
     current = signal.power
     if current <= 0:
         raise ZeroPowerError("cannot normalize a zero-power signal")
     scale = float(np.sqrt(target_power / current))
-    return replace(signal, samples=signal.samples * scale), scale
+    scaled = replace(signal, samples=signal.samples * scale)
+    gain = float(np.sqrt(scaled.power / current))
+    return replace(scaled, gain=signal.gain * gain), scale
 
 
 def write_waveform(

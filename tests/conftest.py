@@ -2,6 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# derandomized: every run draws the same examples, so Tier-1 stays deterministic
+settings.register_profile(
+    "modwave", derandomize=True, max_examples=20, deadline=None, database=None
+)
+settings.load_profile("modwave")
 
 
 def qfunc(x: float) -> float:

@@ -150,7 +150,123 @@ def test_power_operator():
     assert np.allclose(result.samples, [0.0, 1.0, 4.0])
 
 
+@pytest.mark.parametrize("exponent", [0.5, 2.0, -1.0])
+def test_power_is_pow_at_every_sample(exponent):
+    # numpy's sqrt/square/reciprocal shortcuts for a repeated exponent can
+    # differ from pow() in the last bit; the operator must not take them
+    t = grid(4000) + 0.1
+    formula = f"t ^ {exponent}" if exponent > 0 else f"t ^ (0 - {-exponent})"
+    result = evaluate(parse_formula(formula), EvalContext(), t)
+    assert np.array_equal(result.samples, np.power(t, np.full(t.size, exponent)))
+
+
 def test_result_length_matches_grid():
     t = grid(321)
     result = evaluate(parse_formula("cos(2*pi*100*t)"), EvalContext(), t)
     assert result.samples.shape == t.shape
+
+
+def held_rows(columns, n):
+    """One context per row, each signal held at that row's value over the grid."""
+    rows = next(iter(columns.values())).shape[0]
+    return [
+        {name: np.full(n, values[r, 0]) for name, values in columns.items()}
+        for r in range(rows)
+    ]
+
+
+class TestBroadcasting:
+    CONSTANTS = {"A": 0.7, "f_c": 6000.0, "k_p": 1.0, "n": 3.0}
+
+    def columns(self, rng, rows=5):
+        return {
+            "I(t)": rng.uniform(-1, 1, (rows, 1)),
+            "Q(t)": rng.uniform(-1, 1, (rows, 1)),
+            "d(t)": np.arange(rows, dtype=float)[:, None],
+        }
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)",
+            "A*cos(2*pi*f_c*t + k_p*m(t)) + integral(I(t)*m(t), t)",
+            "sum(i*Q(t), i, 1, n) / (d(t) - 2)",
+            "sin(I(t)) ^ 2 + Q(t) ^ 0.5 + (A*t) ^ (0 - 1)",
+            "A * sum(pi / 2, i, 1, n)",
+        ],
+    )
+    def test_rows_equal_separate_calls(self, rng, formula):
+        t = grid(96)
+        message = np.cos(2 * np.pi * 200.0 * t)
+        columns = self.columns(rng)
+        expr = parse_formula(formula)
+        ctx = EvalContext(constants=self.CONSTANTS, signals={**columns, "m(t)": message})
+        together = evaluate(expr, ctx, t)
+        assert together.samples.shape == (5, t.size)
+        guards = 0
+        for r, held in enumerate(held_rows(columns, t.size)):
+            alone = evaluate(
+                expr, EvalContext(constants=self.CONSTANTS, signals={**held, "m(t)": message}), t
+            )
+            assert np.array_equal(together.samples[r], alone.samples), r
+            assert np.array_equal(together.invalid_mask[r], alone.invalid_mask), r
+            guards += alone.guard_count
+        assert together.guard_count == guards
+
+    @pytest.mark.parametrize(
+        "formula", ["-m(t)", "sin(t)", "I(t) + t", "m(t) * m(t) - t", "t / I(t)", "sum(m(t), i, 1, 2)"]
+    )
+    def test_bound_inputs_are_never_written(self, rng, formula):
+        t = grid(32)
+        signals = {"m(t)": rng.normal(size=t.size), "I(t)": rng.uniform(1, 2, (3, 1))}
+        before = {name: value.copy() for name, value in signals.items()}
+        grid_before = t.copy()
+        evaluate(parse_formula(formula), EvalContext(signals=signals), t)
+        assert np.array_equal(t, grid_before)
+        for name, value in signals.items():
+            assert np.array_equal(value, before[name]), name
+
+    def test_constant_formula_fills_the_grid(self):
+        result = evaluate(parse_formula("A * pi"), EvalContext(constants={"A": 2.0}), grid(6))
+        assert result.samples.shape == (6,)
+        assert np.array_equal(result.samples, np.full(6, 2.0 * np.pi))
+        result.samples[0] = 0.0  # the caller owns a writable array
+
+    def test_label_invariant_formula_fills_every_row(self):
+        ctx = EvalContext(constants={"A": 2.0}, signals={"d(t)": np.zeros((3, 1))})
+        result = evaluate(parse_formula("A * t"), ctx, grid(4))
+        assert result.samples.shape == (3, 4)
+        assert np.array_equal(result.samples, np.tile(2.0 * grid(4), (3, 1)))
+
+    def test_guards_count_output_samples(self):
+        n = 16
+        ctx = EvalContext(constants={"A": 1.0}, signals={"d(t)": np.zeros((3, 1))})
+        assert evaluate(parse_formula("A / 0"), ctx, grid(n)).guard_count == 3 * n
+        # only the rows whose divisor vanishes are guarded, each over the whole grid
+        rows = EvalContext(signals={"d(t)": np.array([[0.0], [1.0], [0.0], [2.0]])})
+        result = evaluate(parse_formula("1 / d(t)"), rows, grid(n))
+        assert result.guard_count == 2 * n
+        assert np.array_equal(result.samples[:, 0], [0.0, 1.0, 0.0, 0.5])
+
+    def test_guards_on_the_time_axis_repeat_per_row(self):
+        t = grid(10)
+        ctx = EvalContext(signals={"I(t)": np.ones((4, 1))})
+        # t vanishes at the first sample only, once in each of the four rows
+        assert evaluate(parse_formula("I(t) / t"), ctx, t).guard_count == 4
+
+    @pytest.mark.parametrize(
+        "signal", [np.zeros(7), np.zeros((3, 8)), np.zeros((3, 2)), np.zeros((2, 1, 1))]
+    )
+    def test_bad_signal_shape_raises(self, signal):
+        with pytest.raises(EvaluationError):
+            evaluate(parse_formula("m(t)"), EvalContext(signals={"m(t)": signal}), grid(8))
+
+    def test_row_count_mismatch_raises(self):
+        ctx = EvalContext(signals={"I(t)": np.zeros((3, 1)), "Q(t)": np.zeros((4, 1))})
+        with pytest.raises(EvaluationError):
+            evaluate(parse_formula("I(t) + Q(t)"), ctx, grid(8))
+
+    def test_non_finite_sum_bound_is_classified(self):
+        ctx = EvalContext(constants={"A": 1e300})
+        with pytest.raises(EvaluationError), np.errstate(over="ignore"):
+            evaluate(parse_formula("sum(i, i, 1, A * A)"), ctx, grid(4))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.signal import welch as scipy_welch
 
+import modwave.metrics
+import modwave.synth
+
 from modwave.channel import ChannelConfig, add_awgn
 from modwave.errors import DemodulationError, SignalError
 from modwave.metrics import (
@@ -400,3 +403,38 @@ class TestCompare:
         artifacts = run_scheme(cfg, ChannelConfig(target_snr_db=15.0))
         assert artifacts.report.guard_count > 0
         assert artifacts.report.ber is not None
+
+    def test_program_fault_is_raised_not_recorded(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(modwave.metrics, "run_scheme", broken)
+        with pytest.raises(TypeError):
+            compare(
+                [SchemeConfig("bpsk", n_symbols=100), SchemeConfig("qpsk", n_symbols=100)],
+                ChannelConfig(target_snr_db=10.0),
+            )
+
+    def test_formula_row_synthesizes_once(self, monkeypatch):
+        calls = {"modulate": 0, "evaluate": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(modwave.metrics, "modulate")
+        counting(modwave.synth, "evaluate")
+        m2 = (
+            "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (A*cos(2*pi*f_c*t))"
+            " + (A*pi*d(t)*sin(2*pi*f_c*t))"
+        )
+        cfg = SchemeConfig("formula:m2", formula_text=m2, n_symbols=200)
+        report = run_scheme(cfg, ChannelConfig(target_snr_db=10.0)).report
+        assert report.ber is not None
+        # one waveform, one candidate bank; the bank scale needs no resynthesis
+        assert calls == {"modulate": 1, "evaluate": 2}

@@ -1,8 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from modwave.dsl import EvalContext, evaluate, parse_formula
+from modwave.dsl import (
+    CLASS_VALID,
+    EvalContext,
+    bundled_corpus_path,
+    bundled_generated_path,
+    evaluate,
+    load_corpus,
+    parse_formula,
+)
 from modwave.errors import NyquistError, SignalError, ZeroPowerError
+from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import (
     REFERENCE_SCHEMES,
     SampledSignal,
@@ -277,6 +290,21 @@ class TestNormalizePower:
         with pytest.raises(ZeroPowerError):
             normalize_power(SampledSignal(np.zeros(16), 48000.0), 1.0)
 
+    def test_gain_is_the_realized_amplitude_ratio(self):
+        for scheme in ("qam16", "fsk", "chirp"):
+            cfg = SchemeConfig(scheme, n_symbols=300, seed=5, amplitude=2.5)
+            raw = modulate(cfg)
+            assert raw.gain == 1.0  # never normalized
+            out, scale = normalize_power(raw, 1.0)
+            assert out.gain == float(np.sqrt(out.power / raw.power)), scheme
+            assert out.gain == pytest.approx(scale, rel=1e-12), scheme
+
+    def test_gain_compounds(self):
+        sig = SampledSignal(np.array([2.0, -2.0, 2.0, -2.0]), 48000.0)
+        once, _ = normalize_power(sig, 4.0)
+        twice, _ = normalize_power(once, 1.0)
+        assert twice.gain == pytest.approx(0.5, rel=1e-15)
+
 
 class TestWaveformDump:
     def test_csv_layout_and_sidecar(self, tmp_path):
@@ -309,3 +337,50 @@ class TestWaveformDump:
         sig = SampledSignal(np.ones(4), 48000.0)
         with pytest.raises(SignalError):
             write_waveform(sig, tmp_path / "x.bin", fmt="wav")
+
+
+def _per_label_row(cfg, expr, label):
+    """Oracle: the formula evaluated with every symbol fixed to one label."""
+    labels = np.full(cfg.n_symbols, label, dtype=np.int64)
+    ctx, _, _ = formula_context(cfg, labels=labels)
+    return evaluate(expr, ctx, np.arange(cfg.n_samples) / cfg.sample_rate).samples
+
+
+def assert_bank_matches_per_label(formula, base_scheme="qam16"):
+    cfg = SchemeConfig(
+        "formula:oracle", formula_text=formula, n_symbols=6, base_scheme=base_scheme
+    )
+    bank = candidate_bank(cfg)
+    order = 1 << cfg.bits_per_symbol
+    assert bank.shape == (order, cfg.n_samples), formula
+    expr = parse_formula(formula)
+    for label in range(order):
+        assert np.array_equal(bank[label], _per_label_row(cfg, expr, label)), (formula, label)
+
+
+def _bundled_formulas():
+    return [
+        entry.formula
+        for path in (bundled_corpus_path(), bundled_generated_path())
+        for entry in load_corpus(path)
+    ]
+
+
+class TestFormulaBank:
+    """The one-pass bank against per-label evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("formula", _bundled_formulas())
+    def test_bundled_formulas(self, formula):
+        assert_bank_matches_per_label(formula)
+
+    @pytest.mark.parametrize("base", ["bpsk", "qpsk", "qam64"])
+    def test_other_base_schemes(self, base):
+        for formula in _bundled_formulas()[-3:]:  # the m1-m3 fixtures
+            assert_bank_matches_per_label(formula, base)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grammar_sampled_formulas(self, seed):
+        batch = generate_batch(4, replace(load_grammar(temperature=0.8), seed=seed))
+        for item in batch.items:
+            if item.classification == CLASS_VALID:
+                assert_bank_matches_per_label(item.formula)
