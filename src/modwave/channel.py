@@ -98,6 +98,12 @@ def _derive(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))
 
 
+def derive_seed(master: int, stream: int) -> int:
+    """A 63-bit integer seed for one stream, fixed by the master seed."""
+    seq = np.random.SeedSequence([int(master), int(stream)])
+    return int(seq.generate_state(1, np.uint64)[0] % (2**63))
+
+
 def add_awgn(
     signal: SampledSignal,
     target_snr_db: float,
@@ -163,13 +169,19 @@ def apply_fading(
 
 
 def measure_snr(clean: SampledSignal, received: SampledSignal) -> float:
-    """Realized SNR in dB: 10*log10(P_clean / P_noise), +inf for zero noise."""
+    """Realized SNR in dB: 10*log10(P_clean / P_noise), +inf for zero noise.
+
+    A zero-power clean signal has no defined SNR and raises ZeroPowerError.
+    """
     if len(clean) != len(received):
         raise SignalError("clean and received signals must have equal length")
+    clean_power = clean.power
+    if clean_power == 0.0:
+        raise ZeroPowerError("cannot measure SNR against a zero-power signal")
     noise_power = float(np.mean(np.abs(received.samples - clean.samples) ** 2))
     if noise_power == 0.0:
         return math.inf
-    return 10.0 * math.log10(clean.power / noise_power)
+    return 10.0 * math.log10(clean_power / noise_power)
 
 
 def apply_channel(

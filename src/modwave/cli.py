@@ -12,8 +12,6 @@ overrides the configured generation endpoint.
 """
 
 import argparse
-import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -35,28 +33,12 @@ from .metrics import (
     write_comparison_csv,
     write_comparison_json,
 )
+from .synth import write_json as _write_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_EXTERNAL = 3
-
-
-def _write_json(payload, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _json_safe(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 def _points_csv(points: np.ndarray, path: Path) -> None:
@@ -145,7 +127,7 @@ def cmd_eval(args) -> int:
     report = artifacts.report
     stem = report.scheme.replace(":", "_")
     payload = {
-        "report": _json_safe(report.to_dict()),
+        "report": report.to_dict(),
         "master_seed": config.master_seed,
         "channel": config.channel.to_dict(),
     }
@@ -223,7 +205,7 @@ def cmd_generate(args) -> int:
         )
         batch = genlab.generate_batch(args.n, grammar)
 
-    _write_json(_json_safe(batch.to_dict()), out_dir / "generation_report.json")
+    _write_json(batch.to_dict(), out_dir / "generation_report.json")
     valid_entries = [
         CorpusEntry(f"g{item.index}", f"G{item.index}", item.formula)
         for item in batch.items

@@ -6,7 +6,7 @@ config alone.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -118,23 +118,7 @@ CONFIG_SCHEMA = {
     },
 }
 
-_SCHEME_FIELDS = {
-    "carrier_freq",
-    "symbol_rate",
-    "samples_per_symbol",
-    "amplitude",
-    "n_symbols",
-    "seed",
-    "mod_index",
-    "freq_dev",
-    "phase_dev",
-    "message_freq",
-    "gmsk_bt",
-    "pulse",
-    "rrc_rolloff",
-    "formula_text",
-    "base_scheme",
-}
+_SCHEME_FIELDS = {f.name for f in fields(SchemeConfig)} - {"scheme"}
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ a small HTTP client; its output feeds the same validation pipeline.
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, derive_seed
 from .dsl.corpus import CorpusEntry, load_corpus
 from .dsl.symbols import SymbolTable, default_symbol_table
 from .dsl.validation import CLASSES, CLASS_VALID, ValidationReport, classify, validate
@@ -209,20 +210,41 @@ class GenerationBatchReport:
         }
 
 
-def _tally(items: list[GeneratedItem]) -> tuple[dict[str, int], int, int]:
+def _batch_report(
+    n: int,
+    text_at: Callable[[int], str],
+    table: SymbolTable | None,
+    temperature: float | None = None,
+    seed: int | None = None,
+) -> GenerationBatchReport:
+    """Validate and classify text_at(index) for each of n items.
+
+    A GenerationSourceError from text_at is recorded on its item, and the
+    batch goes on.
+    """
+    table = table or default_symbol_table()
+    items = []
+    for index in range(n):
+        try:
+            text = text_at(index)
+        except GenerationSourceError as exc:
+            items.append(GeneratedItem(index, None, None, source_error=str(exc)))
+            continue
+        report = validate(text, table)
+        items.append(GeneratedItem(index, text, classify(report), report))
     counts = {name: 0 for name in CLASSES}
-    errors = 0
     for item in items:
         if item.classification is not None:
             counts[item.classification] += 1
-        if item.source_error is not None:
-            errors += 1
-    return counts, counts[CLASS_VALID], errors
-
-
-def _derive_seed(master: int, index: int) -> int:
-    seq = np.random.SeedSequence([int(master), int(index)])
-    return int(seq.generate_state(1, np.uint64)[0] % (2**63))
+    return GenerationBatchReport(
+        total=n,
+        valid=counts[CLASS_VALID],
+        class_counts=counts,
+        items=items,
+        temperature=temperature,
+        seed=seed,
+        source_errors=sum(item.source_error is not None for item in items),
+    )
 
 
 def generate_batch(
@@ -231,30 +253,12 @@ def generate_batch(
     """Sample, validate and classify n formulas from the grammar."""
     if n < 0:
         raise ConfigError("batch size must be non-negative")
-    table = table or default_symbol_table()
-    items = []
-    for index in range(n):
-        rng = np.random.default_rng(_derive_seed(config.seed, index))
-        text = sample_formula(config, rng=rng)
-        report = validate(text, table)
-        items.append(
-            GeneratedItem(
-                index=index,
-                formula=text,
-                classification=classify(report),
-                report=report,
-            )
-        )
-    counts, valid, errors = _tally(items)
-    return GenerationBatchReport(
-        total=n,
-        valid=valid,
-        class_counts=counts,
-        items=items,
-        temperature=config.temperature,
-        seed=config.seed,
-        source_errors=errors,
-    )
+
+    def sample(index: int) -> str:
+        rng = np.random.default_rng(derive_seed(config.seed, index))
+        return sample_formula(config, rng=rng)
+
+    return _batch_report(n, sample, table, config.temperature, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -326,78 +330,22 @@ def generate_batch_external(
     """
     if not prompts:
         raise ConfigError("external generation needs at least one prompt")
-    table = table or default_symbol_table()
-    items = []
-    for index in range(n):
-        prompt = prompts[index % len(prompts)]
-        try:
-            text = external_generate(
-                endpoint,
-                prompt,
-                temperature=temperature,
-                max_tokens=max_tokens,
-                timeout=timeout,
-                session=session,
-            )
-        except GenerationSourceError as exc:
-            items.append(
-                GeneratedItem(
-                    index=index,
-                    formula=None,
-                    classification=None,
-                    source_error=str(exc),
-                )
-            )
-            continue
-        report = validate(text, table)
-        items.append(
-            GeneratedItem(
-                index=index,
-                formula=text,
-                classification=classify(report),
-                report=report,
-            )
+
+    def fetch(index: int) -> str:
+        return external_generate(
+            endpoint,
+            prompts[index % len(prompts)],
+            temperature=temperature,
+            max_tokens=max_tokens,
+            timeout=timeout,
+            session=session,
         )
-    counts, valid, errors = _tally(items)
-    return GenerationBatchReport(
-        total=n,
-        valid=valid,
-        class_counts=counts,
-        items=items,
-        temperature=temperature,
-        seed=None,
-        source_errors=errors,
-    )
+
+    return _batch_report(n, fetch, table, temperature)
 
 
 # ---------------------------------------------------------------------------
 # generate -> validate -> evaluate pipeline
-
-
-def _fixture_report(
-    entries: list[CorpusEntry], table: SymbolTable
-) -> GenerationBatchReport:
-    items = []
-    for index, entry in enumerate(entries):
-        report = validate(entry.formula, table)
-        items.append(
-            GeneratedItem(
-                index=index,
-                formula=entry.formula,
-                classification=classify(report),
-                report=report,
-            )
-        )
-    counts, valid, errors = _tally(items)
-    return GenerationBatchReport(
-        total=len(entries),
-        valid=valid,
-        class_counts=counts,
-        items=items,
-        temperature=None,
-        seed=None,
-        source_errors=errors,
-    )
 
 
 def pipeline_run(
@@ -426,7 +374,7 @@ def pipeline_run(
         ]
     else:
         entries = source if isinstance(source, list) else load_corpus(source)
-        batch = _fixture_report(entries, table)
+        batch = _batch_report(len(entries), lambda i: entries[i].formula, table)
         named = [
             (entries[item.index].id, item.formula)
             for item in batch.items

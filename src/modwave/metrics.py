@@ -10,7 +10,6 @@ trimming half the excluded power from each spectral tail.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,18 +17,18 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import hilbert
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, apply_channel, derive_seed, measure_snr
 from .errors import DemodulationError, ModwaveError, SignalError
 from .synth import (
-    ANALOG_SCHEMES,
+    SCHEMES,
     SampledSignal,
     SchemeConfig,
-    _gray_inverse,
     candidate_bank,
-    constellation,
+    demap_symbols,
     labels_to_bits,
     modulate,
     normalize_power,
+    write_json,
 )
 
 _WINDOWS = {
@@ -195,14 +194,13 @@ def extract_constellation(
     average out exactly when the carrier completes whole cycles per
     symbol, which the default geometry guarantees).
     """
-    sps = config.samples_per_symbol
-    n_sym = len(signal) // sps
     t = np.arange(len(signal)) / signal.sample_rate
     mixed = 2.0 * signal.samples * np.exp(-2j * np.pi * config.carrier_freq * t)
-    return mixed[: n_sym * sps].reshape(n_sym, sps).mean(axis=1)
+    return _segment(mixed, config.samples_per_symbol).mean(axis=1)
 
 
 def _segment(samples: np.ndarray, sps: int) -> np.ndarray:
+    """Whole symbol intervals as rows; a trailing partial symbol is dropped."""
     n_sym = samples.size // sps
     return samples[: n_sym * sps].reshape(n_sym, sps)
 
@@ -230,21 +228,26 @@ def correlation_demodulate(
     return labels_to_bits(best, config.bits_per_symbol)
 
 
-def _bank_scale(reference: SampledSignal | None) -> float:
-    """Gain mismatch between the normalized reference and raw candidates.
+# Receivers, by the name a scheme's table row gives. Each takes the
+# received signal, the config and the optional noiseless reference.
+
+
+def _correlation_bits(
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
+) -> np.ndarray:
+    """Correlation receiver with the candidates at the reference's gain.
 
     The candidates are synthesized unnormalized, so they take the gain
     that normalize_power recorded on the reference: the realized ratio
     sqrt(normalized power / raw power). A reference that was never
     normalized has gain 1.
     """
-    if reference is None:
-        return 1.0
-    return reference.gain
+    scale = 1.0 if reference is None else reference.gain
+    return correlation_demodulate(received, config, bank_scale=scale)
 
 
 def _discriminator_bits(
-    received: SampledSignal, config: SchemeConfig
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
 ) -> np.ndarray:
     """Limiter-discriminator for the continuous-phase schemes.
 
@@ -259,8 +262,7 @@ def _discriminator_bits(
     z = hilbert(np.asarray(received.samples, dtype=float)) * np.exp(
         -2j * np.pi * config.carrier_freq * t
     )
-    deviation = {"bfsk": 0.5, "msk": 0.25, "gmsk": 0.25}[config.scheme]
-    cutoff = (deviation + 1.0) * config.symbol_rate
+    cutoff = (SCHEMES[config.scheme].h / 2 + 1.0) * config.symbol_rate
     spectrum = np.fft.fft(z)
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
     spectrum[np.abs(freqs) > cutoff] = 0.0
@@ -294,11 +296,39 @@ def _envelope_bits(
     return (envelope[centers] > threshold).astype(np.uint8)
 
 
-def _nearest_bits(points: np.ndarray, scheme: str) -> np.ndarray:
-    alphabet = constellation(scheme)
-    labels = np.argmin(np.abs(points[:, None] - alphabet[None, :]), axis=1)
-    bits_per = int(np.log2(alphabet.size))
-    return labels_to_bits(labels, bits_per)
+def _sign_bits(
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
+) -> np.ndarray:
+    return (extract_constellation(received, config).real < 0).astype(np.uint8)
+
+
+def _quadrant_bits(
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
+) -> np.ndarray:
+    points = extract_constellation(received, config)
+    position = np.round(np.angle(points) / (np.pi / 2)).astype(np.int64) % 4
+    return labels_to_bits(position ^ (position >> 1), 2)  # back to Gray labels
+
+
+def _nearest_point_bits(
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
+) -> np.ndarray:
+    points = extract_constellation(received, config)
+    # blind gain normalization against the unit-energy alphabet
+    gain = float(np.sqrt(np.mean(np.abs(points) ** 2)))
+    if gain <= 0:
+        raise DemodulationError("received constellation has no energy")
+    return demap_symbols(points / gain, config.scheme)
+
+
+_RECEIVERS = {
+    "correlation": _correlation_bits,
+    "discriminator": _discriminator_bits,
+    "envelope": _envelope_bits,
+    "sign": _sign_bits,
+    "quadrant": _quadrant_bits,
+    "nearest": _nearest_point_bits,
+}
 
 
 def demodulate(
@@ -315,32 +345,10 @@ def demodulate(
     reference (the noiseless transmitted waveform) calibrates scale where
     a receiver needs it.
     """
-    scheme = config.scheme
-    if scheme in ANALOG_SCHEMES:
-        raise DemodulationError(f"{scheme} carries no bit ground truth")
-    if config.is_formula or scheme in ("fsk", "chirp"):
-        return correlation_demodulate(
-            received, config, bank_scale=_bank_scale(reference)
-        )
-    if scheme in ("bfsk", "msk", "gmsk"):
-        return _discriminator_bits(received, config)
-    if scheme == "ook":
-        return _envelope_bits(received, config, reference)
-
-    points = extract_constellation(received, config)
-    if scheme == "bpsk":
-        return (points.real < 0).astype(np.uint8)
-    if scheme == "qpsk":
-        position = np.round(np.angle(points) / (np.pi / 2)).astype(np.int64) % 4
-        labels = position ^ (position >> 1)  # back to Gray labels
-        return labels_to_bits(labels, 2)
-    if scheme.startswith("qam"):
-        # blind gain normalization against the unit-energy alphabet
-        gain = float(np.sqrt(np.mean(np.abs(points) ** 2)))
-        if gain <= 0:
-            raise DemodulationError("received constellation has no energy")
-        return _nearest_bits(points / gain, scheme)
-    raise DemodulationError(f"no demodulator for scheme {scheme!r}")
+    receiver = "correlation" if config.is_formula else SCHEMES[config.scheme].receiver
+    if receiver is None:
+        raise DemodulationError(f"{config.scheme} carries no bit ground truth")
+    return _RECEIVERS[receiver](received, config, reference)
 
 
 def ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
@@ -439,17 +447,7 @@ def write_comparison_csv(rows: list[MetricsReport], path: str | Path) -> None:
 
 
 def write_comparison_json(rows: list[MetricsReport], path: str | Path) -> None:
-    def scrub(value):
-        if isinstance(value, float) and math.isinf(value):
-            return "inf"
-        if isinstance(value, dict):
-            return {k: scrub(v) for k, v in value.items()}
-        return value
-
-    payload = {"rows": [scrub(r.to_dict()) for r in rows]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json({"rows": [r.to_dict() for r in rows]}, path)
 
 
 @dataclass
@@ -482,16 +480,7 @@ def run_scheme(
     report.guard_count = clean.guard_count
 
     received, pre_noise, _details = apply_channel(clean, channel)
-    snr = (
-        math.inf
-        if channel.target_snr_db is None
-        else 10.0
-        * math.log10(
-            pre_noise.power
-            / max(np.mean(np.abs(received.samples - pre_noise.samples) ** 2), 1e-300)
-        )
-    )
-    report.snr_db = snr
+    report.snr_db = measure_snr(pre_noise, received)
 
     psd = welch_psd(
         clean,
@@ -514,7 +503,7 @@ def run_scheme(
         artifacts.spectro = spectrogram(
             clean, fft_length=params.spectrogram_fft, hop=params.spectrogram_hop
         )
-        if config.is_formula or config.scheme not in ANALOG_SCHEMES:
+        if config.bits_per_symbol:
             artifacts.points = extract_constellation(received, config)
     return artifacts
 
@@ -532,8 +521,8 @@ def compare(
     and the run continues; any other exception is a program fault and
     propagates.
     """
-    bits_seed = _seed_from(master_seed, 0)
-    channel = replace(channel, seed=_seed_from(master_seed, 1))
+    bits_seed = derive_seed(master_seed, 0)
+    channel = replace(channel, seed=derive_seed(master_seed, 1))
     rows = []
     for config in configs:
         try:
@@ -549,8 +538,3 @@ def compare(
                 )
             )
     return rows
-
-
-def _seed_from(master: int, stream: int) -> int:
-    seq = np.random.SeedSequence([int(master), int(stream)])
-    return int(seq.generate_state(1, np.uint64)[0] % (2**63))

@@ -7,10 +7,16 @@ symbol_rate * samples_per_symbol. Rectangular pulse shaping is the
 default; root-raised-cosine shaping is available for the quadrature
 schemes behind a config flag for bandwidth studies (the round-trip
 demodulators assume rectangular pulses).
+
+Each reference scheme is one row of SCHEMES (see Scheme).
 """
 
+import csv
+import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -18,41 +24,6 @@ from .dsl.ast import Expr
 from .dsl.evaluation import EvalContext, evaluate
 from .dsl.parser import parse_formula
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
-
-REFERENCE_SCHEMES = (
-    "am",
-    "fm",
-    "pm",
-    "ook",
-    "bpsk",
-    "qpsk",
-    "bfsk",
-    "fsk",
-    "msk",
-    "gmsk",
-    "chirp",
-    "qam16",
-    "qam64",
-    "qam128",
-    "qam256",
-)
-
-ANALOG_SCHEMES = ("am", "fm", "pm")
-
-_BITS_PER_SYMBOL = {
-    "ook": 1,
-    "bpsk": 1,
-    "bfsk": 1,
-    "fsk": 1,
-    "msk": 1,
-    "gmsk": 1,
-    "chirp": 1,
-    "qpsk": 2,
-    "qam16": 4,
-    "qam64": 6,
-    "qam128": 7,
-    "qam256": 8,
-}
 
 
 def normalize_scheme_id(scheme: str) -> str:
@@ -125,9 +96,9 @@ class SchemeConfig:
             raise SignalError("n_symbols must be at least 1")
         if self.pulse not in ("rect", "rrc"):
             raise SignalError(f"unknown pulse shape {self.pulse!r}")
-        if not self.is_formula and self.scheme not in REFERENCE_SCHEMES:
+        if not self.is_formula and self.scheme not in SCHEMES:
             raise SignalError(f"unknown scheme {self.scheme!r}")
-        if self.is_formula and self.base_scheme not in _BITS_PER_SYMBOL:
+        if self.is_formula and not self.bits_per_symbol:
             raise SignalError(f"base scheme {self.base_scheme!r} carries no bits")
         # main lobe of the widest scheme must clear the Nyquist frequency
         if self.carrier_freq + 2.0 * self.symbol_rate >= self.sample_rate / 2:
@@ -146,8 +117,7 @@ class SchemeConfig:
 
     @property
     def bits_per_symbol(self) -> int:
-        key = self.base_scheme if self.is_formula else self.scheme
-        return _BITS_PER_SYMBOL.get(key, 0)
+        return _bits_per_symbol(self.base_scheme if self.is_formula else self.scheme)
 
     @property
     def n_samples(self) -> int:
@@ -179,8 +149,7 @@ def _gray_inverse(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _square_qam_points(order: int) -> tuple:
+def _square_qam_points(order: int) -> np.ndarray:
     side_bits = int(np.log2(order)) // 2
     side = 1 << side_bits
     labels = np.arange(order)
@@ -189,12 +158,10 @@ def _square_qam_points(order: int) -> tuple:
     i_level = 2 * _gray_inverse(i_code) - (side - 1)
     q_level = 2 * _gray_inverse(q_code) - (side - 1)
     points = i_level + 1j * q_level
-    points = points / np.sqrt(np.mean(np.abs(points) ** 2))
-    return tuple(points)
+    return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
-@lru_cache(maxsize=None)
-def _cross_qam128_points() -> tuple:
+def _cross_qam128_points() -> np.ndarray:
     """128-point cross constellation with a fold-based quasi-Gray labeling.
 
     Labels lay out a Gray-coded 16x8 rectangle (4 in-phase bits, 3
@@ -213,30 +180,29 @@ def _cross_qam128_points() -> tuple:
     x = np.where(fold, new_x, x)
     y = np.where(fold, new_y, y)
     points = x + 1j * y
-    points = points / np.sqrt(np.mean(np.abs(points) ** 2))
-    return tuple(points)
+    return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
-@lru_cache(maxsize=None)
+def _qpsk_points() -> np.ndarray:
+    points = np.empty(4, dtype=complex)
+    positions = np.arange(4)
+    gray = positions ^ (positions >> 1)
+    points[gray] = np.exp(1j * (np.pi / 4 + positions * np.pi / 2))
+    return points
+
+
+def _bits_per_symbol(scheme: str) -> int:
+    """Bits per symbol of a reference scheme; 0 for analog or unknown ids."""
+    return SCHEMES[scheme].bits_per_symbol if scheme in SCHEMES else 0
+
+
 def constellation(scheme: str) -> np.ndarray:
     """Unit-average-energy constellation indexed by integer symbol label."""
     scheme = normalize_scheme_id(scheme)
-    if scheme == "bpsk":
-        return np.array([1.0 + 0j, -1.0 + 0j])
-    if scheme == "ook":
-        # average energy 1 with equiprobable on/off symbols
-        return np.array([0.0 + 0j, np.sqrt(2.0) + 0j])
-    if scheme == "qpsk":
-        points = np.empty(4, dtype=complex)
-        positions = np.arange(4)
-        gray = positions ^ (positions >> 1)
-        points[gray] = np.exp(1j * (np.pi / 4 + positions * np.pi / 2))
-        return points
-    if scheme in ("qam16", "qam64", "qam256"):
-        return np.array(_square_qam_points(int(scheme[3:])))
-    if scheme == "qam128":
-        return np.array(_cross_qam128_points())
-    raise SignalError(f"scheme {scheme!r} has no symbol constellation")
+    alphabet = SCHEMES[scheme].alphabet if scheme in SCHEMES else None
+    if alphabet is None:
+        raise SignalError(f"scheme {scheme!r} has no symbol constellation")
+    return alphabet
 
 
 def bits_to_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
@@ -259,8 +225,8 @@ def labels_to_bits(labels: np.ndarray, bits_per_symbol: int) -> np.ndarray:
 def map_symbols(bits: np.ndarray, scheme: str) -> np.ndarray:
     """Map a bit stream onto the scheme's complex symbol alphabet."""
     scheme = normalize_scheme_id(scheme)
-    bps = _BITS_PER_SYMBOL.get(scheme)
-    if bps is None:
+    bps = _bits_per_symbol(scheme)
+    if not bps:
         raise SignalError(f"scheme {scheme!r} has no symbol mapping")
     points = constellation(scheme)
     return points[bits_to_labels(bits, bps)]
@@ -269,8 +235,8 @@ def map_symbols(bits: np.ndarray, scheme: str) -> np.ndarray:
 def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
     """Minimum-distance decisions back to bits."""
     scheme = normalize_scheme_id(scheme)
-    bps = _BITS_PER_SYMBOL[scheme]
     points = constellation(scheme)
+    bps = _bits_per_symbol(scheme)
     labels = np.argmin(
         np.abs(points_rx[:, None] - points[None, :]), axis=1
     )
@@ -320,10 +286,13 @@ def _baseband_iq(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     return shaped[delay : delay + up.size]
 
 
+def _carrier_phase(cfg: SchemeConfig) -> np.ndarray:
+    return 2 * np.pi * cfg.carrier_freq * _time_grid(cfg)
+
+
 def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    t = _time_grid(cfg)
     baseband = _baseband_iq(cfg, symbols)
-    theta = 2 * np.pi * cfg.carrier_freq * t
+    theta = _carrier_phase(cfg)
     return cfg.amplitude * (
         baseband.real * np.cos(theta) - baseband.imag * np.sin(theta)
     )
@@ -348,95 +317,168 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
     return np.cos(2 * np.pi * cfg.message_freq * t)
 
 
+# Waveform builders take (cfg, labels); the analog ones ignore the labels.
+
+
+def _am_wave(cfg: SchemeConfig, labels) -> np.ndarray:
+    msg = _message(cfg, _time_grid(cfg))
+    return cfg.amplitude * (1 + cfg.mod_index * msg) * np.cos(_carrier_phase(cfg))
+
+
+def _fm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
+    msg = _message(cfg, _time_grid(cfg))
+    dt = 1.0 / cfg.sample_rate
+    running = np.concatenate(([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) * dt))
+    return cfg.amplitude * np.cos(_carrier_phase(cfg) + cfg.freq_dev * running)
+
+
+def _pm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
+    msg = _message(cfg, _time_grid(cfg))
+    return cfg.amplitude * np.cos(_carrier_phase(cfg) + cfg.phase_dev * msg)
+
+
+def _ook_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    on = _hold(labels.astype(float), cfg.samples_per_symbol)
+    return cfg.amplitude * on * np.cos(_carrier_phase(cfg))
+
+
+def _bpsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    flips = np.pi * _hold(labels, cfg.samples_per_symbol)
+    return cfg.amplitude * np.cos(_carrier_phase(cfg) + flips)
+
+
+def _qpsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    # two Gray-coded bits select the phase quadrant directly
+    positions = _gray_inverse(labels.astype(np.int64))
+    steps = (np.pi / 2) * _hold(positions, cfg.samples_per_symbol)
+    return cfg.amplitude * np.cos(_carrier_phase(cfg) + steps)
+
+
+def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    return _quadrature_passband(cfg, constellation(cfg.scheme)[labels])
+
+
+def _fsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    # literal instantaneous-frequency form with absolute time
+    tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
+    t = _time_grid(cfg)
+    return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, cfg.samples_per_symbol) * t)
+
+
+def _cpfsk(cfg: SchemeConfig, drive: np.ndarray) -> np.ndarray:
+    """Continuous-phase carrier deviating h*Rs/2 per unit of drive."""
+    deviation = SCHEMES[cfg.scheme].h * cfg.symbol_rate / 2
+    inst = cfg.carrier_freq + deviation * drive
+    return cfg.amplitude * np.cos(_phase_from_freq(cfg, inst))
+
+
+def _cpfsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    return _cpfsk(cfg, _hold(2.0 * labels - 1.0, cfg.samples_per_symbol))
+
+
+def _gmsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    nrz = _hold(2.0 * labels - 1.0, cfg.samples_per_symbol)
+    return _cpfsk(cfg, np.convolve(nrz, _gaussian_freq_pulse(cfg), mode="same"))
+
+
+def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    # binary up/down linear sweeps over +-symbol_rate, phase reset per symbol
+    tau = np.arange(cfg.samples_per_symbol) / cfg.sample_rate
+    direction = (2.0 * labels - 1.0)[:, None]
+    sweep = cfg.symbol_rate * (2 * tau * cfg.symbol_rate - 1)
+    inst = cfg.carrier_freq + direction * sweep[None, :]
+    phase = 2 * np.pi * np.cumsum(inst, axis=1) / cfg.sample_rate
+    return cfg.amplitude * np.cos(phase).reshape(-1)
+
+
+# Per-symbol transmitted baseband phasors. QPSK and OOK transmit other
+# points than their constellation(): exp(j*pi/2*position) against the
+# pi/4-rotated set, and amplitudes 0/1 against 0/sqrt(2).
+
+
+def _point_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    return constellation(cfg.scheme)[labels]
+
+
+def _qpsk_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    return np.exp(1j * (np.pi / 2) * _gray_inverse(labels.astype(np.int64)))
+
+
+def _ook_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    return labels.astype(complex)
+
+
+@dataclass(frozen=True, eq=False)
+class Scheme:
+    """Every fact about one reference scheme.
+
+    bits_per_symbol is 0 for an analog scheme. alphabet is the
+    unit-average-energy constellation indexed by label, where there is
+    one. waveform(cfg, labels) builds the passband samples; phasors(cfg,
+    labels) gives the transmitted baseband per symbol where it is well
+    defined. receiver names the bit decision rule in metrics. h is the
+    continuous-phase FSK index: tones deviate h*Rs/2 and the discriminator
+    passes (h/2 + 1)*Rs. memory marks a waveform that depends on earlier
+    symbols, which rules out a per-symbol candidate bank.
+    """
+
+    bits_per_symbol: int
+    waveform: Callable[[SchemeConfig, np.ndarray | None], np.ndarray]
+    alphabet: np.ndarray | None = None
+    phasors: Callable[[SchemeConfig, np.ndarray], np.ndarray] | None = None
+    receiver: str | None = None
+    h: float | None = None
+    memory: bool = False
+
+
+SCHEMES: dict[str, Scheme] = {
+    "am": Scheme(0, _am_wave),
+    "fm": Scheme(0, _fm_wave),
+    "pm": Scheme(0, _pm_wave),
+    "ook": Scheme(  # average energy 1 with equiprobable on/off symbols
+        1, _ook_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, _ook_phasors, "envelope"
+    ),
+    "bpsk": Scheme(1, _bpsk_wave, np.array([1.0, -1.0]) + 0j, _point_phasors, "sign"),
+    "qpsk": Scheme(2, _qpsk_wave, _qpsk_points(), _qpsk_phasors, "quadrant"),
+    "bfsk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=1.0, memory=True),
+    "fsk": Scheme(1, _fsk_wave, receiver="correlation"),
+    "msk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=0.5, memory=True),
+    "gmsk": Scheme(1, _gmsk_wave, receiver="discriminator", h=0.5, memory=True),
+    "chirp": Scheme(1, _chirp_wave, receiver="correlation"),
+    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), _point_phasors, "nearest"),
+    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), _point_phasors, "nearest"),
+    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), _point_phasors, "nearest"),
+    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), _point_phasors, "nearest"),
+}
+
+REFERENCE_SCHEMES = tuple(SCHEMES)
+
+ANALOG_SCHEMES = tuple(name for name, s in SCHEMES.items() if not s.bits_per_symbol)
+
+
 def _waveform_from_labels(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     """Passband waveform for a digital scheme given per-symbol labels."""
-    sps = cfg.samples_per_symbol
-    t = _time_grid(cfg)
-    theta = 2 * np.pi * cfg.carrier_freq * t
-    scheme = cfg.scheme
-
-    if scheme == "bpsk":
-        return cfg.amplitude * np.cos(theta + np.pi * _hold(labels, sps))
-    if scheme == "qpsk":
-        # two Gray-coded bits select the phase quadrant directly
-        positions = _gray_inverse(labels.astype(np.int64))
-        return cfg.amplitude * np.cos(theta + (np.pi / 2) * _hold(positions, sps))
-    if scheme == "ook":
-        return cfg.amplitude * _hold(labels.astype(float), sps) * np.cos(theta)
-    if scheme in ("qam16", "qam64", "qam128", "qam256"):
-        return _quadrature_passband(cfg, constellation(scheme)[labels])
-    if scheme == "fsk":
-        # literal instantaneous-frequency form with absolute time
-        tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
-        return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, sps) * t)
-    if scheme in ("bfsk", "msk"):
-        h = 1.0 if scheme == "bfsk" else 0.5
-        dev = h * cfg.symbol_rate / 2
-        inst = cfg.carrier_freq + dev * _hold(2.0 * labels - 1.0, sps)
-        return cfg.amplitude * np.cos(_phase_from_freq(cfg, inst))
-    if scheme == "gmsk":
-        pulse = _gaussian_freq_pulse(cfg)
-        nrz = _hold(2.0 * labels - 1.0, sps)
-        smooth = np.convolve(nrz, pulse, mode="same")
-        inst = cfg.carrier_freq + (cfg.symbol_rate / 4) * smooth
-        return cfg.amplitude * np.cos(_phase_from_freq(cfg, inst))
-    if scheme == "chirp":
-        # binary up/down linear sweeps over +-symbol_rate, phase reset per symbol
-        tau = np.arange(sps) / cfg.sample_rate
-        direction = (2.0 * labels - 1.0)[:, None]
-        sweep = cfg.symbol_rate * (2 * tau * cfg.symbol_rate - 1)
-        inst = cfg.carrier_freq + direction * sweep[None, :]
-        phase = 2 * np.pi * np.cumsum(inst, axis=1) / cfg.sample_rate
-        return cfg.amplitude * np.cos(phase).reshape(-1)
-    raise SignalError(f"scheme {scheme!r} is not label-driven")
-
-
-def _baseband_symbols(scheme: str, labels: np.ndarray) -> np.ndarray | None:
-    """Per-symbol transmitted baseband phasors where they are well defined."""
-    if scheme in ("bpsk", "qam16", "qam64", "qam128", "qam256"):
-        return constellation(scheme)[labels]
-    if scheme == "qpsk":
-        return np.exp(1j * (np.pi / 2) * _gray_inverse(labels.astype(np.int64)))
-    if scheme == "ook":
-        return labels.astype(complex)
-    return None
-
-
-def _analog_waveform(cfg: SchemeConfig) -> np.ndarray:
-    t = _time_grid(cfg)
-    theta = 2 * np.pi * cfg.carrier_freq * t
-    msg = _message(cfg, t)
-    if cfg.scheme == "am":
-        return cfg.amplitude * (1 + cfg.mod_index * msg) * np.cos(theta)
-    if cfg.scheme == "fm":
-        dt = 1.0 / cfg.sample_rate
-        running = np.concatenate(
-            ([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) * dt)
-        )
-        return cfg.amplitude * np.cos(theta + cfg.freq_dev * running)
-    return cfg.amplitude * np.cos(theta + cfg.phase_dev * msg)
+    return SCHEMES[cfg.scheme].waveform(cfg, labels)
 
 
 def modulate_reference(cfg: SchemeConfig) -> SampledSignal:
     """Reference waveform for one of the standard schemes."""
     if cfg.is_formula:
         raise SignalError("use modulate_formula for formula schemes")
-    if cfg.scheme in ANALOG_SCHEMES:
+    scheme = SCHEMES[cfg.scheme]
+    if not scheme.bits_per_symbol:
         return SampledSignal(
-            samples=_analog_waveform(cfg),
+            samples=scheme.waveform(cfg, None),
             sample_rate=cfg.sample_rate,
             symbol_rate=cfg.symbol_rate,
         )
-    bps = cfg.bits_per_symbol
-    bits = gen_bits(cfg.n_symbols * bps, cfg.seed)
-    labels = bits_to_labels(bits, bps)
-    samples = _waveform_from_labels(cfg, labels)
-    symbols = _baseband_symbols(cfg.scheme, labels)
+    bits = gen_bits(cfg.n_symbols * scheme.bits_per_symbol, cfg.seed)
+    labels = bits_to_labels(bits, scheme.bits_per_symbol)
     return SampledSignal(
-        samples=samples,
+        samples=_waveform_from_labels(cfg, labels),
         sample_rate=cfg.sample_rate,
         origin_bits=bits,
-        origin_symbols=symbols,
+        origin_symbols=None if scheme.phasors is None else scheme.phasors(cfg, labels),
         symbol_rate=cfg.symbol_rate,
     )
 
@@ -487,7 +529,7 @@ def formula_context(
     context plus the bits and labels used, so error rates stay computable
     downstream.
     """
-    bps = _BITS_PER_SYMBOL[cfg.base_scheme]
+    bps = cfg.bits_per_symbol
     if labels is None:
         bits = gen_bits(cfg.n_symbols * bps, cfg.seed)
         labels = bits_to_labels(bits, bps)
@@ -541,9 +583,9 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     m(t) are computed once, and row m is bit-identical to evaluating the
     formula with every symbol set to m.
     """
+    order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
         expr = parse_formula(cfg.formula_text)
-        order = 1 << _BITS_PER_SYMBOL[cfg.base_scheme]
         _check_bank_size(order, cfg.n_samples)
         columns = {
             name: values[:, None]
@@ -551,19 +593,18 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
         }
         t = _time_grid(cfg)
         return evaluate(expr, _formula_bindings(cfg, t, columns), t).samples
-    if cfg.scheme in ("bfsk", "msk", "gmsk"):
+    scheme = SCHEMES[cfg.scheme]
+    if scheme.memory:
         raise DemodulationError(
             f"{cfg.scheme} carries phase memory; no per-symbol candidate bank"
         )
-    if cfg.scheme in ANALOG_SCHEMES:
+    if not scheme.bits_per_symbol:
         raise DemodulationError("analog schemes have no symbol candidates")
-    order = 1 << cfg.bits_per_symbol
     _check_bank_size(order, cfg.n_samples)
-    rows = []
-    for label in range(order):
-        labels = np.full(cfg.n_symbols, label, dtype=np.int64)
-        rows.append(_waveform_from_labels(cfg, labels))
-    return np.stack(rows)
+    return np.stack([
+        _waveform_from_labels(cfg, np.full(cfg.n_symbols, label, dtype=np.int64))
+        for label in range(order)
+    ])
 
 
 def _check_bank_size(order: int, n_samples: int, limit: int = 200_000_000) -> None:
@@ -595,6 +636,29 @@ def normalize_power(
     return replace(scaled, gain=signal.gain * gain), scale
 
 
+def write_json(payload, path) -> None:
+    """Write a JSON output: sorted keys, two-space indent, final newline.
+
+    Infinities (an SNR with no noise, an overflowing latency) are written
+    as the string "inf", so every file stays standard JSON.
+    """
+
+    def scrub(value):
+        if isinstance(value, float) and math.isinf(value):
+            return "inf"
+        if isinstance(value, dict):
+            return {k: scrub(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [scrub(v) for v in value]
+        return value
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(scrub(payload), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def write_waveform(
     signal: SampledSignal,
     path,
@@ -607,16 +671,12 @@ def write_waveform(
     Both formats get a JSON sidecar (<path>.json) recording the sample
     rate, format and provenance so the dump is self-describing.
     """
-    import csv as _csv
-    import json as _json
-    from pathlib import Path as _Path
-
-    path = _Path(path)
+    path = Path(path)
     z = np.asarray(signal.samples)
     i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["index", "i", "q"])
             for k in range(z.size):
                 writer.writerow([k, f"{i[k]:.8g}", f"{q[k]:.8g}"])
@@ -634,9 +694,7 @@ def write_waveform(
         "scheme": scheme,
         "seed": seed,
     }
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as handle:
-        _json.dump(sidecar, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(sidecar, path.with_suffix(path.suffix + ".json"))
 
 
 def read_waveform_f32(path) -> np.ndarray:

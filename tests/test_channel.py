@@ -175,6 +175,13 @@ class TestMeasureSnr:
         with pytest.raises(SignalError):
             measure_snr(unit_noise(10, seed=1), unit_noise(11, seed=1))
 
+    def test_zero_power_clean_signal_raises(self):
+        silent = SampledSignal(np.zeros(100), 48000.0)
+        with pytest.raises(ZeroPowerError):
+            measure_snr(silent, unit_noise(100, seed=2))
+        with pytest.raises(ZeroPowerError):
+            measure_snr(silent, silent)
+
 
 class TestChannelConfig:
     def test_roundtrip_dict(self):

@@ -102,6 +102,13 @@ class TestEvalCommand:
         second = (tmp_path / "out" / "bpsk_report.json").read_bytes()
         assert first == second
 
+    def test_zero_gain_channel_fails_the_run(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            channel={"target_snr_db": 10, "taps": [{"delay_samples": 0, "gain": 0}]},
+        )
+        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["eval", "--config", str(config), "--scheme", "warble"]) == 2
@@ -214,6 +221,20 @@ class TestCostCommand:
         entries = {e.id: e for e in load_corpus(bundled_generated_path())}
         expected = op_count(parse_formula(entries["m2"].formula)) * 2000 * 48
         assert payload["inputs"]["n_ops"] == expected
+
+    def test_overflowing_latency_is_standard_json(self, tmp_path):
+        config = write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["cost"].update(n_ops=1e308, f_cpu=1e-10)
+        config.write_text(json.dumps(raw))
+        assert main(["cost", "--config", str(config)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "out" / "cost.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["latency"]["total_s"] == "inf"
 
     def test_missing_cost_section(self, tmp_path):
         config = write_config(tmp_path, cost=None)

@@ -7,8 +7,8 @@ from scipy.signal import welch as scipy_welch
 import modwave.metrics
 import modwave.synth
 
-from modwave.channel import ChannelConfig, add_awgn
-from modwave.errors import DemodulationError, SignalError
+from modwave.channel import ChannelConfig, Tap, add_awgn
+from modwave.errors import DemodulationError, SignalError, ZeroPowerError
 from modwave.metrics import (
     MetricsParams,
     PsdEstimate,
@@ -393,6 +393,15 @@ class TestCompare:
         rows = compare([good, bad], ChannelConfig(target_snr_db=10.0), master_seed=3)
         assert rows[0].error is None
         assert rows[1].error is not None
+
+    def test_zero_gain_channel_is_an_error_row(self):
+        silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 0.0),))
+        with pytest.raises(ZeroPowerError):
+            run_scheme(SchemeConfig("bpsk", n_symbols=100), silent)
+        rows = compare(
+            [SchemeConfig(s, n_symbols=100) for s in ("bpsk", "qam16")], silent
+        )
+        assert [row.error.split(":")[0] for row in rows] == ["ZeroPowerError"] * 2
 
     def test_run_scheme_reports_guards_for_m3(self):
         m3 = (

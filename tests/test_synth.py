@@ -14,10 +14,11 @@ from modwave.dsl import (
     load_corpus,
     parse_formula,
 )
-from modwave.errors import NyquistError, SignalError, ZeroPowerError
+from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import (
     REFERENCE_SCHEMES,
+    SCHEMES,
     SampledSignal,
     SchemeConfig,
     candidate_bank,
@@ -260,6 +261,35 @@ class TestFormulaSynthesis:
 
         labels = np.full(20, 2, dtype=np.int64)
         assert np.array_equal(bank[2], _waveform_from_labels(cfg, labels))
+
+
+class TestSchemeTable:
+    def test_alphabet_size_matches_bits_per_symbol(self):
+        for name, scheme in SCHEMES.items():
+            if scheme.alphabet is not None:
+                assert scheme.bits_per_symbol > 0, name
+                assert scheme.alphabet.shape == (2**scheme.bits_per_symbol,), name
+
+    @pytest.mark.parametrize("name", REFERENCE_SCHEMES)
+    def test_candidate_bank_only_for_memoryless_digital(self, name):
+        from modwave.synth import _waveform_from_labels
+
+        scheme = SCHEMES[name]
+        cfg = SchemeConfig(name, n_symbols=5, seed=1)
+        if scheme.bits_per_symbol:
+            # memory: the last symbol's samples change with the first label
+            sps = cfg.samples_per_symbol
+            tails = [
+                _waveform_from_labels(cfg, np.array([first, 0, 0, 0, 1]))[-sps:]
+                for first in (0, 1)
+            ]
+            assert (not np.array_equal(*tails)) == scheme.memory
+        if scheme.memory or not scheme.bits_per_symbol:
+            with pytest.raises(DemodulationError):
+                candidate_bank(cfg)
+        else:
+            bank = candidate_bank(cfg)
+            assert bank.shape == (2**scheme.bits_per_symbol, cfg.n_samples)
 
 
 class TestNormalizePower:
