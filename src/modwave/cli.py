@@ -56,10 +56,7 @@ def cmd_validate(args) -> int:
     corpus_path = Path(args.corpus) if args.corpus else bundled_corpus_path()
     try:
         entries = load_corpus(corpus_path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CorpusError as exc:
+    except (FileNotFoundError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -139,9 +136,8 @@ def cmd_eval(args) -> int:
     if artifacts.points is not None:
         _points_csv(artifacts.points, out_dir / f"{stem}_constellation.csv")
 
-    snr = "inf" if report.snr_db is None else f"{report.snr_db:.2f}"
     ber_s = "n/a" if report.ber is None else f"{report.ber:.6f}"
-    print(f"{report.scheme}: snr {snr} dB, ber {ber_s}")
+    print(f"{report.scheme}: snr {report.snr_db:.2f} dB, ber {ber_s}")
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 

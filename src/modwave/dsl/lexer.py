@@ -21,6 +21,7 @@ FUNCTION_ARITY = {"sin": 1, "cos": 1, "integral": 2, "sum": 4}
 MAX_FORMULA_CHARS = 512
 MAX_FORMULA_TOKENS = 128
 
+# the token kinds other than FUNC are the scanner's group names
 NUMBER = "number"
 IDENT = "ident"
 FUNC = "func"
@@ -71,21 +72,11 @@ def tokenize(text: str) -> list[Token]:
         match = _SCANNER.match(text, pos)
         if match is None:
             raise LexicalError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            lexeme = match.group()
-            if match.lastgroup == "number":
-                raw.append(Token(NUMBER, lexeme, pos, value=float(lexeme)))
-            elif match.lastgroup == "ident":
-                kind = FUNC if lexeme in FUNCTION_ARITY else IDENT
-                raw.append(Token(kind, lexeme, pos))
-            elif match.lastgroup == "op":
-                raw.append(Token(OP, lexeme, pos))
-            elif match.lastgroup == "lparen":
-                raw.append(Token(LPAREN, lexeme, pos))
-            elif match.lastgroup == "rparen":
-                raw.append(Token(RPAREN, lexeme, pos))
-            else:
-                raw.append(Token(COMMA, lexeme, pos))
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == NUMBER:
+            raw.append(Token(NUMBER, lexeme, pos, value=float(lexeme)))
+        elif kind != "ws":
+            raw.append(Token(FUNC if lexeme in FUNCTION_ARITY else kind, lexeme, pos))
         pos = match.end()
 
     if not raw:

@@ -17,7 +17,6 @@ from .symbols import SymbolTable, default_symbol_table
 UNDEFINED_SYMBOL = "undefined-symbol"
 ZERO_LITERAL_DIVISOR = "zero-literal-divisor"
 MISSING_QUADRATURE = "missing-quadrature-component"
-ARITY_FLAG = "arity-error"
 
 # batch classification buckets (exactly one per formula)
 CLASS_VALID = "valid"
@@ -54,9 +53,7 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         """Parseable with every symbol defined; warnings do not disqualify."""
-        return self.syntactic_ok and not (
-            self.has_flag(UNDEFINED_SYMBOL) or self.has_flag(ARITY_FLAG)
-        )
+        return self.syntactic_ok and not self.has_flag(UNDEFINED_SYMBOL)
 
     def to_dict(self) -> dict:
         return {
@@ -194,6 +191,4 @@ def classify(report: ValidationReport) -> str:
         return CLASS_OTHER
     if report.has_flag(UNDEFINED_SYMBOL):
         return CLASS_UNDEFINED
-    if report.has_flag(ARITY_FLAG):
-        return CLASS_ARITY
     return CLASS_VALID

@@ -271,19 +271,17 @@ def external_generate(
     temperature: float = 0.8,
     max_tokens: int = 128,
     timeout: float = 5.0,
-    session=None,
 ) -> str:
     """POST {prompt, temperature, max_tokens}, expect {"text": ...}.
 
     One retry on transport errors or 5xx replies; every failure surfaces
     as GenerationSourceError so batch runs can isolate it.
     """
-    poster = session or requests
     payload = {"prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
     last: Exception | None = None
     for _attempt in range(2):
         try:
-            response = poster.post(endpoint, json=payload, timeout=timeout)
+            response = requests.post(endpoint, json=payload, timeout=timeout)
         except requests.RequestException as exc:
             last = exc
             continue
@@ -321,7 +319,6 @@ def generate_batch_external(
     max_tokens: int = 128,
     timeout: float = 5.0,
     table: SymbolTable | None = None,
-    session=None,
 ) -> GenerationBatchReport:
     """Batch generation through the HTTP client.
 
@@ -338,7 +335,6 @@ def generate_batch_external(
             temperature=temperature,
             max_tokens=max_tokens,
             timeout=timeout,
-            session=session,
         )
 
     return _batch_report(n, fetch, table, temperature)

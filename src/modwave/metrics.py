@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import hilbert
 
 from .channel import ChannelConfig, apply_channel, derive_seed, measure_snr
@@ -37,6 +38,26 @@ _WINDOWS = {
     "blackman": np.blackman,
     "boxcar": np.ones,
 }
+
+# samples transformed per block of frames: bounds the working set of Welch
+# and the spectrogram whatever the signal or frame length
+_BLOCK_SAMPLES = 1 << 18
+
+
+def _frames(samples: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Frames of `length` samples starting every `hop` samples, as the rows
+    of a view; a trailing partial frame is dropped."""
+    if samples.size < length:
+        return samples[:0].reshape(0, length)
+    return sliding_window_view(samples, length)[::hop]
+
+
+def _frame_power(frames: np.ndarray, taps: np.ndarray, transform):
+    """Yield (first frame index, |transform(frame * taps)|^2 per frame row),
+    a block of at most _BLOCK_SAMPLES samples at a time."""
+    step = max(1, _BLOCK_SAMPLES // frames.shape[1])
+    for start in range(0, frames.shape[0], step):
+        yield start, np.abs(transform(frames[start : start + step] * taps)) ** 2
 
 
 @dataclass(frozen=True)
@@ -89,23 +110,21 @@ def welch_psd(
     taps = _WINDOWS[window](segment_length)
     compensation = float(np.sum(taps**2))  # window power correction
     hop = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
-    n_segments = 1 + (n - segment_length) // hop
+    frames = _frames(x, segment_length, hop)
 
     is_complex = np.iscomplexobj(x)
+    transform = np.fft.fft if is_complex else np.fft.rfft
+    accum = np.zeros(segment_length if is_complex else segment_length // 2 + 1)
+    for _, power in _frame_power(frames, taps, transform):
+        # the running total joins the first frame and accumulate adds row
+        # after row, so the sum is the frame-by-frame loop's, bit for bit
+        power[0] += accum
+        accum = np.add.accumulate(power, axis=0)[-1]
+    density = accum / (len(frames) * fs * compensation)
     if is_complex:
-        accum = np.zeros(segment_length)
-        for k in range(n_segments):
-            seg = x[k * hop : k * hop + segment_length] * taps
-            accum += np.abs(np.fft.fft(seg)) ** 2
-        density = np.fft.fftshift(accum) / (n_segments * fs * compensation)
+        density = np.fft.fftshift(density)
         freqs = np.fft.fftshift(np.fft.fftfreq(segment_length, d=1.0 / fs))
     else:
-        n_bins = segment_length // 2 + 1
-        accum = np.zeros(n_bins)
-        for k in range(n_segments):
-            seg = x[k * hop : k * hop + segment_length] * taps
-            accum += np.abs(np.fft.rfft(seg)) ** 2
-        density = accum / (n_segments * fs * compensation)
         # fold negative frequencies into the interior bins
         if segment_length % 2 == 0:
             density[1:-1] *= 2.0
@@ -170,13 +189,12 @@ def spectrogram(
         raise SignalError("hop must be at least 1")
     fs = signal.sample_rate
     taps = np.hanning(fft_length)
-    n_frames = 1 + (x.size - fft_length) // hop
-    power = np.empty((fft_length // 2 + 1, n_frames))
-    for k in range(n_frames):
-        seg = x[k * hop : k * hop + fft_length] * taps
-        power[:, k] = np.abs(np.fft.rfft(seg)) ** 2
+    frames = _frames(x, fft_length, hop)
+    power = np.empty((fft_length // 2 + 1, len(frames)))
+    for start, block in _frame_power(frames, taps, np.fft.rfft):
+        power[:, start : start + block.shape[0]] = block.T
     freqs = np.fft.rfftfreq(fft_length, d=1.0 / fs)
-    times = (np.arange(n_frames) * hop + fft_length / 2) / fs
+    times = (np.arange(len(frames)) * hop + fft_length / 2) / fs
     return Spectrogram(frequencies=freqs, frame_times=times, power=power)
 
 
@@ -196,13 +214,8 @@ def extract_constellation(
     """
     t = np.arange(len(signal)) / signal.sample_rate
     mixed = 2.0 * signal.samples * np.exp(-2j * np.pi * config.carrier_freq * t)
-    return _segment(mixed, config.samples_per_symbol).mean(axis=1)
-
-
-def _segment(samples: np.ndarray, sps: int) -> np.ndarray:
-    """Whole symbol intervals as rows; a trailing partial symbol is dropped."""
-    n_sym = samples.size // sps
-    return samples[: n_sym * sps].reshape(n_sym, sps)
+    sps = config.samples_per_symbol
+    return _frames(mixed, sps, sps).mean(axis=1)
 
 
 def correlation_demodulate(
@@ -217,12 +230,12 @@ def correlation_demodulate(
     bank = candidate_bank(config)
     bank *= bank_scale
     sps = config.samples_per_symbol
-    rx = _segment(np.asarray(received.samples, dtype=float), sps)
+    rx = _frames(np.asarray(received.samples, dtype=float), sps, sps)
     # distances per symbol interval against each candidate row
     best = np.empty(rx.shape[0], dtype=np.int64)
     dist = np.empty((bank.shape[0], rx.shape[0]))
     for m in range(bank.shape[0]):
-        diff = rx - _segment(bank[m], sps)
+        diff = rx - _frames(bank[m], sps, sps)
         dist[m] = np.einsum("ij,ij->i", diff, diff)
     np.argmin(dist, axis=0, out=best)
     return labels_to_bits(best, config.bits_per_symbol)
@@ -272,7 +285,7 @@ def _discriminator_bits(
     steps = np.diff(phase) * fs / (2 * np.pi)
     inst_freq = np.concatenate((steps[:1], steps))  # keep one value per sample
     sps = config.samples_per_symbol
-    frames = _segment(inst_freq, sps)
+    frames = _frames(inst_freq, sps, sps)
     lo, hi = sps // 4, sps - sps // 4  # central window avoids transitions
     centers = frames[:, lo:hi].mean(axis=1)
     return (centers > 0.0).astype(np.uint8)

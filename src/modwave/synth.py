@@ -607,8 +607,12 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     ])
 
 
-def _check_bank_size(order: int, n_samples: int, limit: int = 200_000_000) -> None:
-    if order * n_samples > limit:
+# the most samples a candidate bank may hold, over all its rows
+_MAX_BANK_SAMPLES = 200_000_000
+
+
+def _check_bank_size(order: int, n_samples: int) -> None:
+    if order * n_samples > _MAX_BANK_SAMPLES:
         raise DemodulationError(
             f"candidate bank of {order} x {n_samples} samples is too large; "
             "use a dedicated demodulator or shorter runs"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,111 @@ class TestSpectrogram:
             spectrogram(tone(1000.0, 100), fft_length=256)
         with pytest.raises(SignalError):
             spectrogram(tone(1000.0, 1000), fft_length=256, hop=0)
+
+
+def loop_welch_density(x, segment_length, overlap_fraction, window, fs=FS):
+    """Welch density with one FFT per frame, accumulated frame by frame."""
+    taps = modwave.metrics._WINDOWS[window](segment_length)
+    compensation = float(np.sum(taps**2))
+    hop = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
+    n_frames = 1 + (x.size - segment_length) // hop
+    if np.iscomplexobj(x):
+        accum = np.zeros(segment_length)
+        for k in range(n_frames):
+            seg = x[k * hop : k * hop + segment_length] * taps
+            accum += np.abs(np.fft.fft(seg)) ** 2
+        return np.fft.fftshift(accum) / (n_frames * fs * compensation)
+    accum = np.zeros(segment_length // 2 + 1)
+    for k in range(n_frames):
+        seg = x[k * hop : k * hop + segment_length] * taps
+        accum += np.abs(np.fft.rfft(seg)) ** 2
+    density = accum / (n_frames * fs * compensation)
+    if segment_length % 2 == 0:
+        density[1:-1] *= 2.0
+    else:
+        density[1:] *= 2.0
+    return density
+
+
+def loop_spectrogram_power(x, fft_length, hop):
+    """Spectrogram power with one FFT per frame, written column by column."""
+    taps = np.hanning(fft_length)
+    n_frames = 1 + (x.size - fft_length) // hop
+    power = np.empty((fft_length // 2 + 1, n_frames))
+    for k in range(n_frames):
+        seg = x[k * hop : k * hop + fft_length] * taps
+        power[:, k] = np.abs(np.fft.rfft(seg)) ** 2
+    return power
+
+
+class TestFraming:
+    """Welch and the spectrogram transform blocks of frames at once; the
+    per-frame loops above are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("block_samples", [modwave.metrics._BLOCK_SAMPLES, 1000])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("window", ["hann", "hamming", "blackman", "boxcar"])
+    @pytest.mark.parametrize("length", [256, 255])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_welch_equals_frame_loop(
+        self, monkeypatch, is_complex, length, window, overlap, block_samples
+    ):
+        monkeypatch.setattr(modwave.metrics, "_BLOCK_SAMPLES", block_samples)
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=10_007)
+        if is_complex:
+            x = x + 1j * rng.normal(size=x.size)
+        psd = welch_psd(SampledSignal(x, FS), length, overlap, window)
+        assert np.array_equal(psd.density, loop_welch_density(x, length, overlap, window))
+
+    @pytest.mark.parametrize("block_samples", [modwave.metrics._BLOCK_SAMPLES, 1000])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("length", [256, 255])
+    def test_spectrogram_equals_frame_loop(
+        self, monkeypatch, length, overlap, block_samples
+    ):
+        monkeypatch.setattr(modwave.metrics, "_BLOCK_SAMPLES", block_samples)
+        x = np.random.default_rng(length).normal(size=10_007)
+        hop = max(1, int(round(length * (1.0 - overlap))))
+        spec = spectrogram(SampledSignal(x, FS), fft_length=length, hop=hop)
+        assert spec.power.shape == (length // 2 + 1, 1 + (x.size - length) // hop)
+        assert np.array_equal(spec.power, loop_spectrogram_power(x, length, hop))
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_several_blocks_at_default_size(self, is_complex):
+        # about 7800 frames: eight blocks, and past the 1024 frames where a
+        # one-step sum over a block starts to reorder the additions
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=1_000_003)
+        if is_complex:
+            x = x + 1j * rng.normal(size=x.size)
+        psd = welch_psd(SampledSignal(x, FS), 256, 0.5, "hann")
+        assert np.array_equal(psd.density, loop_welch_density(x, 256, 0.5, "hann"))
+        if not is_complex:
+            spec = spectrogram(SampledSignal(x, FS), fft_length=256, hop=128)
+            assert np.array_equal(spec.power, loop_spectrogram_power(x, 256, 128))
+
+    @pytest.mark.parametrize("n", [3, 47, 48, 49, 480])
+    def test_symbol_frames_are_whole_intervals(self, n):
+        x = np.arange(n, dtype=float)
+        frames = modwave.metrics._frames(x, 48, 48)
+        assert np.array_equal(frames, x[: n // 48 * 48].reshape(n // 48, 48))
+
+    def test_working_set_is_bounded(self):
+        x = SampledSignal(np.random.default_rng(8).normal(size=4_800_000), FS)
+        budget = 16 * 2**20
+        tracemalloc.start()
+        try:
+            for length in (256, 4096):
+                tracemalloc.reset_peak()
+                welch_psd(x, segment_length=length)
+                assert tracemalloc.get_traced_memory()[1] < budget, length
+            tracemalloc.reset_peak()
+            spec = spectrogram(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.power.nbytes + budget
 
 
 class TestConstellation:
