@@ -24,7 +24,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ..errors import EvaluationError
 from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol
@@ -184,7 +183,10 @@ class _Evaluator:
                 )
             body = self.eval(expr.args[0], local)
             body = np.broadcast_to(body, np.broadcast_shapes(np.shape(body), (self.n,)))
-            return cumulative_trapezoid(body, self.grid, axis=-1, initial=0.0)
+            steps = np.diff(self.grid) * (body[..., 1:] + body[..., :-1]) / 2.0
+            out = np.zeros(body.shape, dtype=steps.dtype)
+            np.cumsum(steps, axis=-1, out=out[..., 1:])
+            return out
         # finite sum with the index substituted over its inclusive bounds
         body_expr, index = expr.args[0], expr.args[1]
         low = self._scalar(expr.args[2], local, "sum lower bound")

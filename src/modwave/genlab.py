@@ -13,15 +13,18 @@ An external text-generation service can stand in for the grammar through
 a small HTTP client; its output feeds the same validation pipeline.
 """
 
+import http.client
 import json
 import re
+import urllib.error
+import urllib.parse
+import urllib.request
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .channel import ChannelConfig, derive_seed
 from .dsl.corpus import CorpusEntry, load_corpus
@@ -265,6 +268,24 @@ def generate_batch(
 # external generation service
 
 
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
+class _HttpRedirects(urllib.request.HTTPRedirectHandler):
+    """Follow redirects to http(s) URLs only; urllib would also open ftp:."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if not _is_http_url(newurl):
+            fp.close()
+            raise urllib.error.URLError(f"redirect to {newurl!r} refused")
+        return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+
 def external_generate(
     endpoint: str,
     prompt: str,
@@ -275,27 +296,40 @@ def external_generate(
     """POST {prompt, temperature, max_tokens}, expect {"text": ...}.
 
     One retry on transport errors or 5xx replies; every failure surfaces
-    as GenerationSourceError so batch runs can isolate it.
+    as GenerationSourceError so batch runs can isolate it. Only http and
+    https URLs are opened: any other endpoint, such as a file: URL, is a
+    network error and is never read, and so is a redirect to one.
     """
+    if not _is_http_url(endpoint):
+        raise GenerationSourceError(
+            "network", f"endpoint is not an http(s) URL with a host: {endpoint!r}"
+        )
     payload = {"prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
+    request = urllib.request.Request(
+        endpoint,
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    opener = urllib.request.build_opener(_HttpRedirects)
     last: Exception | None = None
     for _attempt in range(2):
         try:
-            response = requests.post(endpoint, json=payload, timeout=timeout)
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=timeout) as response:
+                status, content = response.status, response.read()
+        except urllib.error.HTTPError as exc:  # a reply; also an OSError, so caught first
+            status, content = exc.code, b""
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:
             last = exc
             continue
-        if 500 <= response.status_code < 600:
-            last = GenerationSourceError(
-                "status", f"server returned {response.status_code}"
-            )
+        if 500 <= status < 600:
+            last = GenerationSourceError("status", f"server returned {status}")
             continue
-        if response.status_code != 200:
-            raise GenerationSourceError(
-                "status", f"server returned {response.status_code}"
-            )
+        if status != 200:
+            raise GenerationSourceError("status", f"server returned {status}")
         try:
-            body = response.json()
+            body = json.loads(content)
         except ValueError as exc:
             raise GenerationSourceError(
                 "malformed-response", f"reply is not JSON: {exc}"

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import hilbert
 
 from .channel import ChannelConfig, apply_channel, derive_seed, measure_snr
 from .errors import DemodulationError, ModwaveError, SignalError
@@ -181,7 +180,13 @@ class Spectrogram:
 def spectrogram(
     signal: SampledSignal, fft_length: int = 256, hop: int = 128
 ) -> Spectrogram:
-    """Magnitude-squared short-time Fourier transform with a Hann window."""
+    """Magnitude-squared short-time Fourier transform with a Hann window.
+
+    The one-sided frequency axis only holds for real samples, so complex
+    samples raise SignalError.
+    """
+    if np.iscomplexobj(signal.samples):
+        raise SignalError("spectrogram needs real samples; got complex")
     x = np.asarray(signal.samples, dtype=float)
     if fft_length > x.size:
         raise SignalError("fft length exceeds signal length")
@@ -213,7 +218,10 @@ def extract_constellation(
     symbol, which the default geometry guarantees).
     """
     t = np.arange(len(signal)) / signal.sample_rate
-    mixed = 2.0 * signal.samples * np.exp(-2j * np.pi * config.carrier_freq * t)
+    # one complex buffer instead of three full-length temporaries
+    mixed = -2j * np.pi * config.carrier_freq * t
+    np.exp(mixed, out=mixed)
+    mixed *= 2.0 * signal.samples
     sps = config.samples_per_symbol
     return _frames(mixed, sps, sps).mean(axis=1)
 
@@ -259,6 +267,20 @@ def _correlation_bits(
     return correlation_demodulate(received, config, bank_scale=scale)
 
 
+def _analytic(samples: np.ndarray) -> np.ndarray:
+    """Discrete analytic signal of real samples (Marple 1999,
+    doi:10.1109/78.782222).
+
+    The one-sided spectrum keeps DC (and Nyquist for even lengths) and
+    doubles the other positive-frequency bins; ifft zero-pads it to the
+    full length, so the negative half is zero.
+    """
+    x = np.asarray(samples, dtype=float)
+    spectrum = np.fft.rfft(x)
+    spectrum[1 : (x.size + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum, x.size)
+
+
 def _discriminator_bits(
     received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
 ) -> np.ndarray:
@@ -272,9 +294,8 @@ def _discriminator_bits(
     fs = received.sample_rate
     n = len(received)
     t = np.arange(n) / fs
-    z = hilbert(np.asarray(received.samples, dtype=float)) * np.exp(
-        -2j * np.pi * config.carrier_freq * t
-    )
+    z = _analytic(received.samples)
+    z *= np.exp(-2j * np.pi * config.carrier_freq * t)
     cutoff = (SCHEMES[config.scheme].h / 2 + 1.0) * config.symbol_rate
     spectrum = np.fft.fft(z)
     freqs = np.fft.fftfreq(n, d=1.0 / fs)
@@ -298,10 +319,10 @@ def _envelope_bits(
     against a fixed threshold at half the on-level envelope."""
     sps = config.samples_per_symbol
     centers = np.arange(len(received) // sps) * sps + sps // 2
-    envelope = np.abs(hilbert(np.asarray(received.samples, dtype=float)))
+    envelope = np.abs(_analytic(received.samples))
     threshold = config.amplitude / 2.0
     if reference is not None and reference.origin_bits is not None:
-        ref_env = np.abs(hilbert(np.asarray(reference.samples, dtype=float)))
+        ref_env = np.abs(_analytic(reference.samples))
         ref_centers = ref_env[centers[: reference.origin_bits.size]]
         on = reference.origin_bits[: ref_centers.size] == 1
         if on.any():

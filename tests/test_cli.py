@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modwave
 from modwave.cli import main
 from modwave.dsl import bundled_generated_path, op_count, parse_formula, load_corpus
 
@@ -262,3 +267,18 @@ class TestConfigHandling:
     def test_unknown_preset(self, tmp_path):
         config = write_config(tmp_path, channel={"preset": "volcano"})
         assert main(["compare", "--config", str(config)]) == 2
+
+
+def test_runtime_imports_neither_scipy_nor_requests():
+    # the runtime needs numpy and jsonschema only; scipy is a test oracle
+    src = str(Path(modwave.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = (
+        "import sys, modwave, modwave.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from modwave.dsl import EvalContext, evaluate, parse_formula
 from modwave.errors import EvaluationError
@@ -43,6 +44,30 @@ def test_integral_against_closed_form():
     result = evaluate(parse_formula("integral(m(t), t)"), ctx, t)
     oracle = np.sin(2 * np.pi * f_m * t) / (2 * np.pi * f_m)
     assert np.max(np.abs(result.samples - oracle)) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "body, signals",
+    [
+        ("m(t)", {"m(t)": np.random.default_rng(1).normal(size=960)}),
+        (
+            "I(t) * m(t) + t",
+            {
+                "m(t)": np.random.default_rng(2).normal(size=960),
+                "I(t)": np.random.default_rng(3).uniform(-1, 1, (16, 1)),
+            },
+        ),
+        ("A", {}),
+    ],
+    ids=["samples", "bank", "constant"],
+)
+def test_integral_bits_equal_cumulative_trapezoid(body, signals):
+    t = grid(960)
+    ctx = EvalContext(constants={"A": 0.7}, signals=signals)
+    integrand = evaluate(parse_formula(body), ctx, t).samples
+    got = evaluate(parse_formula(f"integral({body}, t)"), ctx, t).samples
+    assert got.shape == integrand.shape
+    assert np.array_equal(got, cumulative_trapezoid(integrand, t, axis=-1, initial=0.0))
 
 
 def test_integral_error_shrinks_with_step():

@@ -123,9 +123,21 @@ class TestBatches:
 
 class _EchoHandler(BaseHTTPRequestHandler):
     behavior = "echo"
+    reply: tuple[int, bytes] | None = None  # sent verbatim to every POST when set
+    location: str | None = None  # sent with the reply when set
 
     def do_POST(self):
+        self.server.posts += 1
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.reply is not None:
+            status, content = self.reply
+            self.send_response(status)
+            if self.location is not None:
+                self.send_header("Location", self.location)
+            self.send_header("Content-Length", str(len(content)))
+            self.end_headers()
+            self.wfile.write(content)
+            return
         if self.behavior == "flaky" and not getattr(self.server, "warmed", False):
             self.server.warmed = True
             self.send_response(503)
@@ -146,12 +158,20 @@ class _EchoHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def echo_server():
+def echo_http():
     server = HTTPServer(("127.0.0.1", 0), _EchoHandler)
+    server.posts = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
+    yield server
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture()
+def echo_server(echo_http):
+    return f"http://127.0.0.1:{echo_http.server_port}/"
 
 
 class TestExternalSource:
@@ -181,6 +201,53 @@ class TestExternalSource:
             assert err.value.kind == "malformed-response"
         finally:
             _EchoHandler.behavior = "echo"
+
+    def test_client_error_is_not_retried(self, echo_server, echo_http, monkeypatch):
+        monkeypatch.setattr(_EchoHandler, "reply", (404, b"missing"))
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(echo_server, "x")
+        assert err.value.kind == "status"
+        assert echo_http.posts == 1
+
+    def test_server_error_is_retried_once(self, echo_server, echo_http, monkeypatch):
+        monkeypatch.setattr(_EchoHandler, "reply", (503, b"busy"))
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(echo_server, "x")
+        assert err.value.kind == "status"
+        assert echo_http.posts == 2
+
+    @pytest.mark.parametrize("content", [b'{"foo": 1}', b"[1]", b'{"text": 3}'])
+    def test_reply_without_text_is_malformed(
+        self, echo_server, echo_http, monkeypatch, content
+    ):
+        monkeypatch.setattr(_EchoHandler, "reply", (200, content))
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(echo_server, "x")
+        assert err.value.kind == "malformed-response"
+        assert echo_http.posts == 1
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:1", "not a url", "ftp://127.0.0.1/", "http://", "http://127.0.0.1:99999/"],
+    )
+    def test_unusable_endpoint_is_a_network_error(self, endpoint):
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(endpoint, "x", timeout=0.3)
+        assert err.value.kind == "network"
+
+    def test_redirect_off_http_is_a_network_error(self, echo_server, monkeypatch):
+        monkeypatch.setattr(_EchoHandler, "reply", (302, b""))
+        monkeypatch.setattr(_EchoHandler, "location", "ftp://127.0.0.1:1/")
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(echo_server, "x", timeout=0.3)
+        assert err.value.kind == "network"
+
+    def test_file_url_is_never_read(self, tmp_path):
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps({"text": "A_c * cos(2*pi*f_c*t)"}))
+        with pytest.raises(GenerationSourceError) as err:
+            external_generate(reply.as_uri(), "x")
+        assert err.value.kind == "network"
 
     def test_unreachable_endpoint_isolated(self):
         batch = generate_batch_external(

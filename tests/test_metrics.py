@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
 
 import modwave.metrics
@@ -200,6 +201,22 @@ class TestSpectrogram:
         with pytest.raises(SignalError):
             spectrogram(tone(1000.0, 1000), fft_length=256, hop=0)
 
+    def test_complex_samples_raise(self):
+        # a one-sided axis would fold this -6 kHz tone onto +6 kHz
+        t = np.arange(4096) / FS
+        sig = SampledSignal(np.exp(-2j * np.pi * 6000.0 * t), FS)
+        psd = welch_psd(sig, segment_length=512)
+        assert psd.frequencies[psd.density.argmax()] == pytest.approx(-6000.0, abs=FS / 512)
+        with pytest.raises(SignalError):
+            spectrogram(sig, fft_length=512)
+
+
+class TestAnalytic:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 480_000])
+    def test_bits_equal_scipy_hilbert(self, rng, n):
+        x = rng.normal(size=n)
+        assert np.array_equal(modwave.metrics._analytic(x), scipy_hilbert(x))
+
 
 def loop_welch_density(x, segment_length, overlap_fraction, window, fs=FS):
     """Welch density with one FFT per frame, accumulated frame by frame."""
@@ -347,6 +364,18 @@ class TestConstellation:
             points = extract_constellation(received, cfg)
             spreads.append(np.std(points - ideal))
         assert spreads[1] / spreads[0] == pytest.approx(math.sqrt(10.0), rel=0.10)
+
+    @pytest.mark.parametrize(
+        "geometry", [{}, {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10}]
+    )
+    def test_bits_equal_mix_then_average(self, geometry):
+        cfg = SchemeConfig("qam16", n_symbols=3000, seed=2, **geometry)
+        sig = add_awgn(modulate(cfg), 5.0, seed=3)
+        t = np.arange(len(sig)) / sig.sample_rate
+        mixed = 2.0 * sig.samples * np.exp(-2j * np.pi * cfg.carrier_freq * t)
+        sps = cfg.samples_per_symbol
+        expected = mixed.reshape(-1, sps).mean(axis=1)
+        assert np.array_equal(extract_constellation(sig, cfg), expected)
 
 
 class TestDemodulation:
