@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import genlab
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .costmodel import CostInputs, latency, ops_for_waveform, power
 from .dsl.corpus import bundled_corpus_path, load_corpus, write_corpus, CorpusEntry
 from .dsl.parser import parse_formula
 from .dsl.validation import CLASS_VALID, validate
-from .dsl.corpus import bundled_generated_path
 from .errors import ConfigError, CorpusError, GenerationSourceError, ModwaveError
 from .metrics import (
     compare,
@@ -89,31 +88,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all_syntactic else EXIT_VALIDATION
 
 
-def _lookup_formula(config: ExperimentConfig, ident: str) -> str:
-    """Find a formula by id in the configured corpus, falling back to the
-    bundled machine-generated fixture."""
-    entries = {e.id.lower(): e for e in load_corpus(config.corpus)}
-    for e in load_corpus(bundled_generated_path()):
-        entries.setdefault(e.id.lower(), e)
-    key = ident.lower()
-    if key not in entries:
-        raise ConfigError(f"formula id {ident!r} not found in any corpus")
-    return entries[key].formula
-
-
-def _resolve_scheme(config: ExperimentConfig, scheme_id: str):
-    """Map a CLI scheme id, including formula:<corpus id>, onto a config."""
-    if scheme_id.startswith("formula:"):
-        ident = scheme_id.split(":", 1)[1]
-        return config.scheme_config(
-            {"scheme": scheme_id, "formula_text": _lookup_formula(config, ident)}
-        )
-    return config.scheme_config(scheme_id)
-
-
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    scheme_cfg = _resolve_scheme(config, args.scheme)
+    scheme_cfg = config.scheme_config(args.scheme)
     scheme_cfg = replace(scheme_cfg, seed=config.master_seed)
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,7 +197,8 @@ def cmd_generate(args) -> int:
             valid_entries,
             len(valid_entries),
             config.channel,
-            config.scheme_config({"scheme": "formula:pending"}),
+            # pipeline_run fills in each formula's id and text
+            config.scheme_config({"scheme": "formula:pending", "formula_text": None}),
             params=config.metrics,
             master_seed=config.master_seed,
         )
@@ -242,10 +220,8 @@ def cmd_cost(args) -> int:
 
     derived = None
     if args.formula:
-        expr = parse_formula(_lookup_formula(config, args.formula))
-        scheme_cfg = config.scheme_config(
-            {"scheme": f"formula:{args.formula}"}
-        )
+        scheme_cfg = config.scheme_config(f"formula:{args.formula}")
+        expr = parse_formula(scheme_cfg.formula_text)
         fields["n_ops"] = float(ops_for_waveform(expr, scheme_cfg.n_samples))
         derived = {
             "formula": args.formula,

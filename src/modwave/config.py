@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 
 from .channel import CHANNEL_PRESETS, ChannelConfig
-from .dsl.corpus import bundled_corpus_path
+from .dsl.corpus import bundled_corpus_path, bundled_generated_path, load_corpus
 from .errors import ConfigError, SignalError
 from .metrics import MetricsParams
 from .synth import SchemeConfig, normalize_scheme_id
@@ -132,6 +132,18 @@ class GeneratorSettings:
     timeout_s: float = 5.0
 
 
+def _lookup_formula(corpus: Path, ident: str) -> str:
+    """Find a formula by id in the corpus, falling back to the bundled
+    machine-generated fixture."""
+    entries = {e.id.lower(): e for e in load_corpus(corpus)}
+    for e in load_corpus(bundled_generated_path()):
+        entries.setdefault(e.id.lower(), e)
+    key = ident.lower()
+    if key not in entries:
+        raise ConfigError(f"formula id {ident!r} not found in any corpus")
+    return entries[key].formula
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int
@@ -146,7 +158,11 @@ class ExperimentConfig:
     cost: dict | None = None
 
     def scheme_config(self, scheme: str | dict, **extra) -> SchemeConfig:
-        """Build one SchemeConfig from defaults plus per-scheme overrides."""
+        """Build one SchemeConfig from defaults plus per-scheme overrides.
+
+        A "formula:<id>" scheme given without formula_text takes the text
+        of that id from the corpus.
+        """
         fields = dict(self.scheme_defaults)
         if isinstance(scheme, dict):
             fields.update(scheme)
@@ -158,6 +174,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown scheme fields: {sorted(unknown)}")
         fields.setdefault("base_scheme", self.base_scheme)
+        if name.startswith("formula:") and "formula_text" not in fields:
+            fields["formula_text"] = _lookup_formula(self.corpus, name.split(":", 1)[1])
         try:
             return SchemeConfig(scheme=name, **fields)
         except SignalError as exc:

@@ -320,7 +320,8 @@ def _envelope_bits(
     sps = config.samples_per_symbol
     centers = np.arange(len(received) // sps) * sps + sps // 2
     envelope = np.abs(_analytic(received.samples))
-    threshold = config.amplitude / 2.0
+    on_level = config.amplitude * np.abs(SCHEMES[config.scheme].alphabet).max()
+    threshold = on_level / 2.0
     if reference is not None and reference.origin_bits is not None:
         ref_env = np.abs(_analytic(reference.samples))
         ref_centers = ref_env[centers[: reference.origin_bits.size]]
@@ -328,20 +329,6 @@ def _envelope_bits(
         if on.any():
             threshold = float(ref_centers[on].mean() / 2.0)
     return (envelope[centers] > threshold).astype(np.uint8)
-
-
-def _sign_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
-    return (extract_constellation(received, config).real < 0).astype(np.uint8)
-
-
-def _quadrant_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
-    points = extract_constellation(received, config)
-    position = np.round(np.angle(points) / (np.pi / 2)).astype(np.int64) % 4
-    return labels_to_bits(position ^ (position >> 1), 2)  # back to Gray labels
 
 
 def _nearest_point_bits(
@@ -359,8 +346,6 @@ _RECEIVERS = {
     "correlation": _correlation_bits,
     "discriminator": _discriminator_bits,
     "envelope": _envelope_bits,
-    "sign": _sign_bits,
-    "quadrant": _quadrant_bits,
     "nearest": _nearest_point_bits,
 }
 
@@ -377,11 +362,17 @@ def demodulate(
     on-off keying uses the classic envelope detector, and formula-driven
     schemes fall back to the per-symbol correlation receiver. The
     reference (the noiseless transmitted waveform) calibrates scale where
-    a receiver needs it.
+    a receiver needs it. The receivers of schemes with an alphabet assume
+    rectangular pulses, so any other pulse raises DemodulationError.
     """
-    receiver = "correlation" if config.is_formula else SCHEMES[config.scheme].receiver
+    scheme = None if config.is_formula else SCHEMES[config.scheme]
+    receiver = "correlation" if scheme is None else scheme.receiver
     if receiver is None:
         raise DemodulationError(f"{config.scheme} carries no bit ground truth")
+    if config.pulse != "rect" and scheme is not None and scheme.alphabet is not None:
+        raise DemodulationError(
+            f"{config.scheme} has no receiver for pulse {config.pulse!r}"
+        )
     return _RECEIVERS[receiver](received, config, reference)
 
 

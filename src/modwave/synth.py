@@ -3,12 +3,12 @@ for the standard scheme set, formula-driven waveforms and power
 normalization.
 
 All waveforms are real passband signals sampled at
-symbol_rate * samples_per_symbol. Rectangular pulse shaping is the
-default; root-raised-cosine shaping is available for the quadrature
-schemes behind a config flag for bandwidth studies (the round-trip
-demodulators assume rectangular pulses).
-
-Each reference scheme is one row of SCHEMES (see Scheme).
+symbol_rate * samples_per_symbol. Each reference scheme is one row of
+SCHEMES (see Scheme); a row with an alphabet sends exactly the points
+constellation() returns through one quadrature builder. Rectangular
+pulse shaping is the default; root-raised-cosine shaping is available
+for those rows behind a config flag for bandwidth studies, but their
+receivers assume rectangular pulses, so demodulating an rrc run raises.
 """
 
 import csv
@@ -44,7 +44,6 @@ class SampledSignal:
     samples: np.ndarray
     sample_rate: float
     origin_bits: np.ndarray | None = None
-    origin_symbols: np.ndarray | None = None
     symbol_rate: float | None = None
     guard_count: int = 0
     gain: float = 1.0  # realized amplitude gain applied since synthesis
@@ -78,7 +77,7 @@ class SchemeConfig:
     phase_dev: float = 1.0         # PM rad per message unit
     message_freq: float = 200.0    # analog message tone, Hz
     gmsk_bt: float = 0.3
-    pulse: str = "rect"            # "rect" or "rrc" (quadrature schemes only)
+    pulse: str = "rect"            # "rect" or "rrc" (schemes with an alphabet)
     rrc_rolloff: float = 0.35
     formula_text: str | None = None
     base_scheme: str = "qam16"     # symbol source for formula waveforms
@@ -96,6 +95,8 @@ class SchemeConfig:
             raise SignalError("n_symbols must be at least 1")
         if self.pulse not in ("rect", "rrc"):
             raise SignalError(f"unknown pulse shape {self.pulse!r}")
+        if not 0.0 < self.rrc_rolloff <= 1.0:
+            raise SignalError(f"rrc_rolloff {self.rrc_rolloff} is outside (0, 1]")
         if not self.is_formula and self.scheme not in SCHEMES:
             raise SignalError(f"unknown scheme {self.scheme!r}")
         if self.is_formula and not self.bits_per_symbol:
@@ -105,6 +106,12 @@ class SchemeConfig:
             raise NyquistError(
                 f"carrier {self.carrier_freq} Hz plus occupied band exceeds "
                 f"half the sample rate {self.sample_rate} Hz"
+            )
+        # ... and must stay above 0 Hz, or the band folds over on itself
+        if self.carrier_freq - 2.0 * self.symbol_rate <= 0:
+            raise SignalError(
+                f"carrier {self.carrier_freq} Hz minus occupied band is not "
+                "above 0 Hz"
             )
 
     @property
@@ -183,11 +190,12 @@ def _cross_qam128_points() -> np.ndarray:
     return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
-def _qpsk_points() -> np.ndarray:
-    points = np.empty(4, dtype=complex)
-    positions = np.arange(4)
+def _psk_points(order: int) -> np.ndarray:
+    """Gray-labeled unit circle, offset half a step from the real axis."""
+    points = np.empty(order, dtype=complex)
+    positions = np.arange(order)
     gray = positions ^ (positions >> 1)
-    points[gray] = np.exp(1j * (np.pi / 4 + positions * np.pi / 2))
+    points[gray] = np.exp(1j * (np.pi / order + positions * (2 * np.pi / order)))
     return points
 
 
@@ -293,9 +301,15 @@ def _carrier_phase(cfg: SchemeConfig) -> np.ndarray:
 def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     baseband = _baseband_iq(cfg, symbols)
     theta = _carrier_phase(cfg)
-    return cfg.amplitude * (
-        baseband.real * np.cos(theta) - baseband.imag * np.sin(theta)
-    )
+    # amplitude * (I cos - Q sin) in place, to hold fewer full-length
+    # temporaries per row; the products are the same bit for bit
+    wave = np.cos(theta)
+    wave *= baseband.real
+    quadrature = np.sin(theta, out=theta)
+    quadrature *= baseband.imag
+    wave -= quadrature
+    wave *= cfg.amplitude
+    return wave
 
 
 def _phase_from_freq(cfg: SchemeConfig, inst_freq: np.ndarray) -> np.ndarray:
@@ -337,23 +351,6 @@ def _pm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
     return cfg.amplitude * np.cos(_carrier_phase(cfg) + cfg.phase_dev * msg)
 
 
-def _ook_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    on = _hold(labels.astype(float), cfg.samples_per_symbol)
-    return cfg.amplitude * on * np.cos(_carrier_phase(cfg))
-
-
-def _bpsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    flips = np.pi * _hold(labels, cfg.samples_per_symbol)
-    return cfg.amplitude * np.cos(_carrier_phase(cfg) + flips)
-
-
-def _qpsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    # two Gray-coded bits select the phase quadrant directly
-    positions = _gray_inverse(labels.astype(np.int64))
-    steps = (np.pi / 2) * _hold(positions, cfg.samples_per_symbol)
-    return cfg.amplitude * np.cos(_carrier_phase(cfg) + steps)
-
-
 def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     return _quadrature_passband(cfg, constellation(cfg.scheme)[labels])
 
@@ -391,41 +388,23 @@ def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     return cfg.amplitude * np.cos(phase).reshape(-1)
 
 
-# Per-symbol transmitted baseband phasors. QPSK and OOK transmit other
-# points than their constellation(): exp(j*pi/2*position) against the
-# pi/4-rotated set, and amplitudes 0/1 against 0/sqrt(2).
-
-
-def _point_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    return constellation(cfg.scheme)[labels]
-
-
-def _qpsk_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    return np.exp(1j * (np.pi / 2) * _gray_inverse(labels.astype(np.int64)))
-
-
-def _ook_phasors(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    return labels.astype(complex)
-
-
 @dataclass(frozen=True, eq=False)
 class Scheme:
     """Every fact about one reference scheme.
 
     bits_per_symbol is 0 for an analog scheme. alphabet is the
     unit-average-energy constellation indexed by label, where there is
-    one. waveform(cfg, labels) builds the passband samples; phasors(cfg,
-    labels) gives the transmitted baseband per symbol where it is well
-    defined. receiver names the bit decision rule in metrics. h is the
-    continuous-phase FSK index: tones deviate h*Rs/2 and the discriminator
-    passes (h/2 + 1)*Rs. memory marks a waveform that depends on earlier
-    symbols, which rules out a per-symbol candidate bank.
+    one; such a row sends alphabet[labels] with _qam_wave. waveform(cfg,
+    labels) builds the passband samples. receiver names the bit decision
+    rule in metrics. h is the continuous-phase FSK index: tones deviate
+    h*Rs/2 and the discriminator passes (h/2 + 1)*Rs. memory marks a
+    waveform that depends on earlier symbols, which rules out a
+    per-symbol candidate bank.
     """
 
     bits_per_symbol: int
     waveform: Callable[[SchemeConfig, np.ndarray | None], np.ndarray]
     alphabet: np.ndarray | None = None
-    phasors: Callable[[SchemeConfig, np.ndarray], np.ndarray] | None = None
     receiver: str | None = None
     h: float | None = None
     memory: bool = False
@@ -435,20 +414,20 @@ SCHEMES: dict[str, Scheme] = {
     "am": Scheme(0, _am_wave),
     "fm": Scheme(0, _fm_wave),
     "pm": Scheme(0, _pm_wave),
-    "ook": Scheme(  # average energy 1 with equiprobable on/off symbols
-        1, _ook_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, _ook_phasors, "envelope"
-    ),
-    "bpsk": Scheme(1, _bpsk_wave, np.array([1.0, -1.0]) + 0j, _point_phasors, "sign"),
-    "qpsk": Scheme(2, _qpsk_wave, _qpsk_points(), _qpsk_phasors, "quadrant"),
+    # average energy 1 with equiprobable on/off symbols
+    "ook": Scheme(1, _qam_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, "envelope"),
+    "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, "nearest"),
+    "qpsk": Scheme(2, _qam_wave, _psk_points(4), "nearest"),
+    "psk8": Scheme(3, _qam_wave, _psk_points(8), "nearest"),
     "bfsk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=1.0, memory=True),
     "fsk": Scheme(1, _fsk_wave, receiver="correlation"),
     "msk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=0.5, memory=True),
     "gmsk": Scheme(1, _gmsk_wave, receiver="discriminator", h=0.5, memory=True),
     "chirp": Scheme(1, _chirp_wave, receiver="correlation"),
-    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), _point_phasors, "nearest"),
-    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), _point_phasors, "nearest"),
-    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), _point_phasors, "nearest"),
-    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), _point_phasors, "nearest"),
+    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), "nearest"),
+    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), "nearest"),
+    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), "nearest"),
+    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), "nearest"),
 }
 
 REFERENCE_SCHEMES = tuple(SCHEMES)
@@ -478,7 +457,6 @@ def modulate_reference(cfg: SchemeConfig) -> SampledSignal:
         samples=_waveform_from_labels(cfg, labels),
         sample_rate=cfg.sample_rate,
         origin_bits=bits,
-        origin_symbols=None if scheme.phasors is None else scheme.phasors(cfg, labels),
         symbol_rate=cfg.symbol_rate,
     )
 
@@ -547,7 +525,6 @@ def formula_context(
 def modulate_formula(
     expr: Expr, ctx: EvalContext, cfg: SchemeConfig,
     origin_bits: np.ndarray | None = None,
-    origin_symbols: np.ndarray | None = None,
 ) -> SampledSignal:
     """Evaluate a formula over the config's grid as a waveform."""
     result = evaluate(expr, ctx, _time_grid(cfg))
@@ -555,7 +532,6 @@ def modulate_formula(
         samples=result.samples,
         sample_rate=cfg.sample_rate,
         origin_bits=origin_bits,
-        origin_symbols=origin_symbols,
         symbol_rate=cfg.symbol_rate,
         guard_count=result.guard_count,
     )
@@ -568,9 +544,8 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     if not cfg.formula_text:
         raise SignalError("formula scheme configured without formula_text")
     expr = parse_formula(cfg.formula_text)
-    ctx, bits, labels = formula_context(cfg)
-    symbols = constellation(cfg.base_scheme)[labels]
-    return modulate_formula(expr, ctx, cfg, origin_bits=bits, origin_symbols=symbols)
+    ctx, bits, _labels = formula_context(cfg)
+    return modulate_formula(expr, ctx, cfg, origin_bits=bits)
 
 
 def candidate_bank(cfg: SchemeConfig) -> np.ndarray:

@@ -152,6 +152,21 @@ class TestCompareCommand:
         assert rows[-1][0] == "formula:m1"
         assert all(row[2] != "" for row in rows[1:])  # every row carries a BER
 
+    def test_formula_id_resolves_from_the_corpus(self, tmp_path):
+        config = write_config(
+            tmp_path, schemes=["ook", "msk", "formula:fm"],
+            scheme_defaults={"n_symbols": 500},
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
+        assert rows[2]["modulation"] == "formula:fm"
+        assert rows[2]["error"] is None
+        assert 0.0 <= rows[2]["ber"] <= 1.0
+
+    def test_unknown_formula_id_is_config_error(self, tmp_path):
+        config = write_config(tmp_path, schemes=["ook", "formula:nosuch"])
+        assert main(["compare", "--config", str(config)]) == 2
+
     def test_seed_override_changes_output(self, tmp_path):
         config = write_config(tmp_path, schemes=["bpsk", "qpsk"],
                               channel={"target_snr_db": -5.0})

@@ -27,8 +27,11 @@ from modwave.metrics import (
     welch_psd,
 )
 from modwave.synth import (
+    SCHEMES,
     SampledSignal,
     SchemeConfig,
+    bits_to_labels,
+    constellation,
     gen_bits,
     map_symbols,
     modulate,
@@ -333,26 +336,24 @@ class TestConstellation:
         symbols = map_symbols(bits, "qpsk")
         sig = SampledSignal(
             _quadrature_passband(cfg, symbols), cfg.sample_rate,
-            origin_symbols=symbols, symbol_rate=cfg.symbol_rate,
+            symbol_rate=cfg.symbol_rate,
         )
         points = extract_constellation(sig, cfg) / cfg.amplitude
         assert np.max(np.abs(points - symbols)) <= 1e-6
         unique = np.unique(np.round(points, 6))
         assert unique.size == 4
 
-    def test_reference_phase_qpsk_sits_on_axes(self):
-        cfg = SchemeConfig("qpsk", n_symbols=200, seed=6)
+    @pytest.mark.parametrize(
+        "scheme", [name for name, s in SCHEMES.items() if s.alphabet is not None]
+    )
+    def test_noiseless_points_are_the_alphabet(self, scheme):
+        # the point a row sends is the point constellation() returns
+        cfg = SchemeConfig(scheme, n_symbols=40 * 2**SCHEMES[scheme].bits_per_symbol, seed=7)
         sig = modulate(cfg)
+        sent = constellation(scheme)[bits_to_labels(sig.origin_bits, cfg.bits_per_symbol)]
         points = extract_constellation(sig, cfg) / cfg.amplitude
-        assert np.max(np.abs(points - sig.origin_symbols)) <= 1e-6
-
-    def test_noiseless_qam_clusters_sit_on_ideal_points(self):
-        for scheme, order in (("qam16", 16), ("qam64", 64), ("qam128", 128), ("qam256", 256)):
-            cfg = SchemeConfig(scheme, n_symbols=40 * order, seed=7)
-            sig = modulate(cfg)
-            points = extract_constellation(sig, cfg) / cfg.amplitude
-            assert np.unique(np.round(points, 6)).size == order, scheme
-            assert np.max(np.abs(points - sig.origin_symbols)) <= 1e-6, scheme
+        assert np.unique(np.round(points, 6)).size == SCHEMES[scheme].alphabet.size
+        assert np.max(np.abs(points - sent)) <= 1e-6
 
     def test_cluster_spread_scales_with_noise(self):
         cfg = SchemeConfig("qam16", n_symbols=20_000, seed=4)
@@ -380,10 +381,7 @@ class TestConstellation:
 
 class TestDemodulation:
     def test_noiseless_loopback_every_digital_scheme(self):
-        for scheme in (
-            "ook", "bpsk", "qpsk", "bfsk", "fsk", "msk", "gmsk",
-            "chirp", "qam16", "qam64", "qam128", "qam256",
-        ):
+        for scheme in (name for name, s in SCHEMES.items() if s.bits_per_symbol):
             cfg = SchemeConfig(scheme, n_symbols=300, seed=3)
             sig = modulate(cfg)
             decided = demodulate(sig, cfg, reference=sig)
@@ -414,6 +412,22 @@ class TestDemodulation:
             rate_b = ber(clean.origin_bits, generic)
             assert rate_a > 0
             assert abs(rate_a - rate_b) <= binomial_3sigma(rate_a, clean.origin_bits.size)
+
+    def test_ook_threshold_without_reference_is_half_the_on_level(self):
+        cfg = SchemeConfig("ook", n_symbols=20_000, seed=8)
+        clean = modulate(cfg)
+        received = add_awgn(clean, 0.0, seed=17)
+        calibrated = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
+        blind = ber(clean.origin_bits, demodulate(received, cfg))
+        assert calibrated > 0
+        assert abs(blind - calibrated) <= binomial_3sigma(calibrated, 20_000)
+
+    def test_rrc_pulse_has_no_receiver(self):
+        configs = [SchemeConfig(s, n_symbols=500, pulse="rrc") for s in ("qam16", "qpsk")]
+        rows = compare(configs, ChannelConfig(target_snr_db=None), master_seed=1)
+        for row in rows:
+            assert row.ber is None, row.scheme
+            assert row.error.startswith("DemodulationError"), row.scheme
 
     def test_analog_schemes_have_no_bits(self):
         cfg = SchemeConfig("am", n_symbols=50)

@@ -70,6 +70,22 @@ class TestSymbolMaps:
             got = map_symbols(np.array(bits), "qpsk")[0]
             assert got == pytest.approx(point, abs=1e-12), bits
 
+    def test_qpsk_is_the_pi_over_4_set_bit_for_bit(self):
+        pos = np.arange(4)
+        qpsk = np.empty(4, dtype=complex)
+        qpsk[pos ^ (pos >> 1)] = np.exp(1j * (np.pi / 4 + pos * np.pi / 2))
+        assert np.array_equal(constellation("qpsk"), qpsk)
+
+    def test_psk8_gray_ring(self):
+        # unit circle at odd multiples of pi/8; neighbors differ in one bit
+        points = constellation("psk8")
+        assert np.allclose(np.abs(points), 1.0)
+        steps = np.round(np.angle(points) / (np.pi / 8)).astype(int) % 16
+        assert sorted(steps) == [1, 3, 5, 7, 9, 11, 13, 15]
+        ring = np.argsort(steps)
+        for a, b in zip(ring, np.roll(ring, -1)):
+            assert bin(a ^ b).count("1") == 1
+
     def test_qam256_all_zero_bits_hit_the_corner(self):
         # label 0 decodes to the lowest level on both axes: (-15 - 15j)
         # scaled by the square-grid average energy 2(M-1)/3 = 170
@@ -124,6 +140,16 @@ class TestSchemeConfig:
     def test_nyquist_guard(self):
         with pytest.raises(NyquistError):
             SchemeConfig("bpsk", carrier_freq=23_500.0)
+
+    @pytest.mark.parametrize("carrier", [1e-300, 317.0, 2000.0])
+    def test_carrier_below_the_occupied_band(self, carrier):
+        with pytest.raises(SignalError):
+            SchemeConfig("msk", carrier_freq=carrier, symbol_rate=1000.0)
+
+    @pytest.mark.parametrize("rolloff", [0.0, -0.1, 1.01, 5.0])
+    def test_rrc_rolloff_outside_unit_interval(self, rolloff):
+        with pytest.raises(SignalError):
+            SchemeConfig("qam16", pulse="rrc", rrc_rolloff=rolloff)
 
     def test_scheme_id_normalization(self):
         assert normalize_scheme_id("16-QAM") == "qam16"
