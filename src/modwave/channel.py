@@ -58,41 +58,6 @@ class ChannelConfig:
             raise SignalError("channel needs at least one tap")
         object.__setattr__(self, "taps", tuple(self.taps))
 
-    def to_dict(self) -> dict:
-        return {
-            "target_snr_db": self.target_snr_db,
-            "taps": [
-                {"delay_samples": t.delay_samples, "gain": t.gain, "phase": t.phase}
-                for t in self.taps
-            ],
-            "fading": None
-            if self.fading is None
-            else {
-                "block_length_samples": self.fading.block_length_samples,
-                "sigma": self.fading.sigma,
-            },
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ChannelConfig":
-        taps = tuple(
-            Tap(int(t["delay_samples"]), float(t["gain"]), float(t.get("phase", 0.0)))
-            for t in data.get("taps", [{"delay_samples": 0, "gain": 1.0}])
-        )
-        fading = data.get("fading")
-        if fading:
-            fading = FadingConfig(
-                int(fading["block_length_samples"]), float(fading["sigma"])
-            )
-        snr = data.get("target_snr_db", 10.0)
-        return ChannelConfig(
-            target_snr_db=None if snr is None else float(snr),
-            taps=taps,
-            fading=fading or None,
-            seed=int(data.get("seed", 0)),
-        )
-
 
 def _derive(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))

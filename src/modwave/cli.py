@@ -14,7 +14,7 @@ overrides the configured generation endpoint.
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +103,7 @@ def cmd_eval(args) -> int:
     payload = {
         "report": report.to_dict(),
         "master_seed": config.master_seed,
-        "channel": config.channel.to_dict(),
+        "channel": asdict(config.channel),
     }
     _write_json(payload, out_dir / f"{stem}_report.json")
     if artifacts.psd is not None:
@@ -156,9 +156,6 @@ def cmd_generate(args) -> int:
     if settings.kind == "external" or (
         endpoint and os.environ.get("MODWAVE_GEN_ENDPOINT")
     ):
-        if not endpoint:
-            print("error: no generation endpoint configured", file=sys.stderr)
-            return EXIT_CONFIG
         prompts = [e.formula for e in load_corpus(config.corpus)]
         batch = genlab.generate_batch_external(
             args.n,
@@ -236,8 +233,8 @@ def cmd_cost(args) -> int:
     lat, pwr = latency(inputs), power(inputs)
     payload = {
         "inputs": {k: getattr(inputs, k) for k in fields},
-        "latency": lat.to_dict(),
-        "power": pwr.to_dict(),
+        "latency": asdict(lat),
+        "power": asdict(pwr),
     }
     if derived:
         payload["derived"] = derived

@@ -53,14 +53,6 @@ class LatencyBreakdown:
     queuing_s: float
     total_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "processing_s": self.processing_s,
-            "transmission_s": self.transmission_s,
-            "queuing_s": self.queuing_s,
-            "total_s": self.total_s,
-        }
-
 
 @dataclass(frozen=True)
 class PowerBreakdown:
@@ -68,14 +60,6 @@ class PowerBreakdown:
     transmit_w: float
     idle_w: float
     total_w: float
-
-    def to_dict(self) -> dict:
-        return {
-            "processing_w": self.processing_w,
-            "transmit_w": self.transmit_w,
-            "idle_w": self.idle_w,
-            "total_w": self.total_w,
-        }
 
 
 def latency(inputs: CostInputs) -> LatencyBreakdown:

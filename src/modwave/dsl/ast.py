@@ -8,7 +8,7 @@ compare structurally equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 Span = tuple[int, int]
 
@@ -87,6 +87,39 @@ def op_count(expr: Expr) -> int:
     """
     own = 0 if isinstance(expr, (Const, Symbol)) else 1
     return own + sum(op_count(k) for k in children(expr))
+
+
+def reads(
+    expr: Expr, resolve: Callable[[str], str | None]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The symbols a tree reads, and those read inside integral bodies.
+
+    Each name is reported as resolve(name), or as written where that is
+    None, so a symbol table's resolve maps a bare d to d(t). A sum's index
+    variable is bound in the sum's body and is not reported there.
+    """
+    names: set[str] = set()
+    integrated: set[str] = set()
+
+    def walk(node: Expr, bound: frozenset[str], in_integral: bool) -> None:
+        if isinstance(node, Symbol):
+            if node.name not in bound:
+                name = resolve(node.name) or node.name
+                names.add(name)
+                if in_integral:
+                    integrated.add(name)
+            return
+        if isinstance(node, Call) and node.func == "sum":
+            walk(node.args[0], bound | {node.args[1].name}, in_integral)
+            for bound_expr in node.args[2:]:
+                walk(bound_expr, bound, in_integral)
+            return
+        body_in_integral = isinstance(node, Call) and node.func == "integral"
+        for i, kid in enumerate(children(node)):
+            walk(kid, bound, in_integral or (body_in_integral and i == 0))
+
+    walk(expr, frozenset(), False)
+    return frozenset(names), frozenset(integrated)
 
 
 _PREC_ADD = 1

@@ -35,13 +35,6 @@ class SymbolTable:
             return alias
         return None
 
-    def is_signal(self, name: str) -> bool:
-        resolved = self.resolve(name)
-        return resolved is not None and self.roles[resolved] == SIGNAL
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.roles)
-
 
 def default_symbol_table() -> SymbolTable:
     """Symbols used by the bundled corpus and the formula generator."""

@@ -9,7 +9,7 @@ rejecting it, since guarded evaluation can still run it end to end.
 from dataclasses import dataclass, field
 
 from ..errors import LexicalError, ParseError
-from .ast import BinOp, Call, Const, Expr, Neg, Span, Symbol, children
+from .ast import BinOp, Call, Const, Expr, Neg, Span, Symbol, children, reads
 from .lexer import tokenize
 from .parser import DEFAULT_MAX_DEPTH, parse
 from .symbols import SymbolTable, default_symbol_table
@@ -83,20 +83,16 @@ def _walk_semantics(
     table: SymbolTable,
     bound: frozenset[str],
     flags: list[ValidationFlag],
-    used_signals: set[str],
 ) -> None:
     if isinstance(expr, Symbol):
         if expr.name in bound:
             return
-        resolved = table.resolve(expr.name)
-        if resolved is None:
+        if table.resolve(expr.name) is None:
             flags.append(
                 ValidationFlag(
                     UNDEFINED_SYMBOL, f"undefined symbol {expr.name!r}", expr.span
                 )
             )
-        else:
-            used_signals.add(resolved)
         return
     if isinstance(expr, BinOp) and expr.op == "/" and _literal_zero(expr.right):
         flags.append(
@@ -109,15 +105,15 @@ def _walk_semantics(
     if isinstance(expr, Call) and expr.func == "sum":
         index = expr.args[1]
         inner = bound | {index.name}
-        _walk_semantics(expr.args[0], table, inner, flags, used_signals)
+        _walk_semantics(expr.args[0], table, inner, flags)
         for arg in expr.args[2:]:
-            _walk_semantics(arg, table, bound, flags, used_signals)
+            _walk_semantics(arg, table, bound, flags)
         return
     if isinstance(expr, Call) and expr.func == "integral":
-        _walk_semantics(expr.args[0], table, bound | {"t"}, flags, used_signals)
+        _walk_semantics(expr.args[0], table, bound | {"t"}, flags)
         return
     for kid in children(expr):
-        _walk_semantics(kid, table, bound, flags, used_signals)
+        _walk_semantics(kid, table, bound, flags)
 
 
 def validate(
@@ -159,11 +155,11 @@ def validate(
         expr = formula
 
     flags: list[ValidationFlag] = []
-    used: set[str] = set()
-    _walk_semantics(expr, table, frozenset(), flags, used)
+    _walk_semantics(expr, table, frozenset(), flags)
 
     if require_quadrature_pair:
-        has_i, has_q = "I(t)" in used, "Q(t)" in used
+        names, _ = reads(expr, table.resolve)
+        has_i, has_q = "I(t)" in names, "Q(t)" in names
         if has_i != has_q:
             present = "I(t)" if has_i else "Q(t)"
             flags.append(

@@ -416,6 +416,18 @@ class MetricsParams:
     spectrogram_fft: int = 256
     spectrogram_hop: int = 128
 
+    def __post_init__(self):
+        if self.welch_segment < 8 or self.spectrogram_fft < 8:
+            raise SignalError("welch_segment and spectrogram_fft must be at least 8")
+        if self.spectrogram_hop < 1:
+            raise SignalError("spectrogram_hop must be at least 1")
+        if not 0.0 <= self.welch_overlap <= 0.9:
+            raise SignalError("welch_overlap must lie in [0, 0.9]")
+        if not 0.0 < self.obw_fraction < 1.0:
+            raise SignalError("obw_fraction must lie strictly between 0 and 1")
+        if self.welch_window not in _WINDOWS:
+            raise SignalError(f"unknown welch_window {self.welch_window!r}")
+
 
 @dataclass
 class MetricsReport:

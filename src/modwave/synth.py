@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsl.ast import Expr
+from .dsl.ast import Expr, reads
 from .dsl.evaluation import EvalContext, evaluate
 from .dsl.parser import parse_formula
+from .dsl.symbols import default_symbol_table
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 
 
@@ -476,11 +477,19 @@ def _symbol_streams(cfg: SchemeConfig, labels: np.ndarray) -> dict[str, np.ndarr
     }
 
 
+# resolves bare names as the evaluator does with these bindings: d is d(t),
+# and m is the modulation index
+_SYMBOLS = default_symbol_table()
+
+
 def _formula_bindings(
-    cfg: SchemeConfig, t: np.ndarray, streams: dict[str, np.ndarray]
+    cfg: SchemeConfig, t: np.ndarray, streams: dict[str, np.ndarray],
+    names: frozenset[str],
 ) -> EvalContext:
+    """The streams and the config's scalars; m(t) only when names has it."""
     signals = dict(streams)
-    signals["m(t)"] = _message(cfg, t)
+    if "m(t)" in names:
+        signals["m(t)"] = _message(cfg, t)
     constants = {
         "f_c": cfg.carrier_freq,
         "f_m": cfg.message_freq,
@@ -498,14 +507,14 @@ def _formula_bindings(
 
 
 def formula_context(
-    cfg: SchemeConfig, labels: np.ndarray | None = None
+    expr: Expr, cfg: SchemeConfig, labels: np.ndarray | None = None
 ) -> tuple[EvalContext, np.ndarray, np.ndarray]:
-    """Evaluation context for a formula scheme.
+    """Evaluation context for a formula scheme's expr.
 
     The quadrature, data and frequency streams come from the base scheme's
-    Gray-labeled symbols; scalars come from the config. Returns the
-    context plus the bits and labels used, so error rates stay computable
-    downstream.
+    Gray-labeled symbols; scalars come from the config; m(t) is bound
+    only when expr reads it. Returns the context plus the bits and labels
+    used, so error rates stay computable downstream.
     """
     bps = cfg.bits_per_symbol
     if labels is None:
@@ -519,7 +528,8 @@ def formula_context(
         name: _hold(values, sps)
         for name, values in _symbol_streams(cfg, labels).items()
     }
-    return _formula_bindings(cfg, _time_grid(cfg), streams), bits, labels
+    names, _ = reads(expr, _SYMBOLS.resolve)
+    return _formula_bindings(cfg, _time_grid(cfg), streams, names), bits, labels
 
 
 def modulate_formula(
@@ -544,7 +554,7 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     if not cfg.formula_text:
         raise SignalError("formula scheme configured without formula_text")
     expr = parse_formula(cfg.formula_text)
-    ctx, bits, _labels = formula_context(cfg)
+    ctx, bits, _labels = formula_context(expr, cfg)
     return modulate_formula(expr, ctx, cfg, origin_bits=bits)
 
 
@@ -552,7 +562,8 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     """Noiseless per-label waveforms for correlation demodulation.
 
     Row m holds the full-length waveform synthesized with every symbol
-    fixed to label m. Valid for schemes without cross-symbol memory.
+    fixed to label m. Valid for schemes without cross-symbol memory, so
+    a formula that integrates a label stream raises DemodulationError.
     A formula bank is one evaluation: the label streams are bound as
     (order, 1) columns, so label-invariant parts such as the carrier and
     m(t) are computed once, and row m is bit-identical to evaluating the
@@ -561,13 +572,20 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
         expr = parse_formula(cfg.formula_text)
-        _check_bank_size(order, cfg.n_samples)
+        names, integrated = reads(expr, _SYMBOLS.resolve)
         columns = {
             name: values[:, None]
             for name, values in _symbol_streams(cfg, np.arange(order)).items()
         }
+        memory = integrated & columns.keys()
+        if memory:
+            raise DemodulationError(
+                f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "
+                "have memory; no per-symbol candidate bank"
+            )
+        _check_bank_size(order, cfg.n_samples)
         t = _time_grid(cfg)
-        return evaluate(expr, _formula_bindings(cfg, t, columns), t).samples
+        return evaluate(expr, _formula_bindings(cfg, t, columns, names), t).samples
     scheme = SCHEMES[cfg.scheme]
     if scheme.memory:
         raise DemodulationError(

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from modwave.channel import (
     apply_multipath,
     measure_snr,
 )
+from modwave.config import load_config
 from modwave.errors import SignalError, ZeroPowerError
 from modwave.metrics import welch_psd
 from modwave.synth import SampledSignal
@@ -184,14 +187,18 @@ class TestMeasureSnr:
 
 
 class TestChannelConfig:
-    def test_roundtrip_dict(self):
+    def test_roundtrip_dict(self, tmp_path):
+        # asdict gives the config file's channel section, and the loader
+        # builds the same channel back from it
         cfg = ChannelConfig(
             target_snr_db=12.5,
             taps=(Tap(0, 1.0, 0.0), Tap(4, 0.3, 0.7)),
             fading=FadingConfig(256, 0.8),
             seed=9,
         )
-        assert ChannelConfig.from_dict(cfg.to_dict()) == cfg
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"master_seed": 1, "channel": asdict(cfg)}))
+        assert load_config(path).channel == cfg
 
     def test_noiseless_channel(self):
         sig = unit_noise(1_000, seed=11)

@@ -3,13 +3,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import modwave
+from modwave.channel import ChannelConfig, FadingConfig, Tap
 from modwave.cli import main
+from modwave.config import CONFIG_SCHEMA, GeneratorSettings, load_config
+from modwave.costmodel import CostInputs
 from modwave.dsl import bundled_generated_path, op_count, parse_formula, load_corpus
+from modwave.errors import ModwaveError
+from modwave.metrics import MetricsParams
+from modwave.synth import SchemeConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -282,6 +290,91 @@ class TestConfigHandling:
     def test_unknown_preset(self, tmp_path):
         config = write_config(tmp_path, channel={"preset": "volcano"})
         assert main(["compare", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scheme_defaults": {"n_symbols": "10"}},
+            {"scheme_defaults": {"samples_per_symbol": 48.5}},
+            {"scheme_defaults": {"amplitude": None}},
+            {"scheme_defaults": {"seed": 1.5}},
+            {"schemes": [{"scheme": "qam16", "carrier_freq": "6k"}, "bpsk"]},
+            {"channel": {"fading": {"sigma": 1.0}}},
+            {"metrics": {"welch_window": "bogus"}},
+        ],
+    )
+    def test_mistyped_or_invalid_values_are_config_errors(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, **overrides)
+        assert main(["compare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [
+            (MetricsParams, {"welch_segment": 4}),
+            (MetricsParams, {"spectrogram_fft": 7}),
+            (MetricsParams, {"spectrogram_hop": 0}),
+            (MetricsParams, {"welch_overlap": 0.95}),
+            (MetricsParams, {"obw_fraction": 1.0}),
+            (MetricsParams, {"welch_window": "bogus"}),
+            (GeneratorSettings, {"kind": "gpt"}),
+            (GeneratorSettings, {"temperature": 0.0}),
+            (GeneratorSettings, {"timeout_s": 0.0}),
+            (GeneratorSettings, {"max_tokens": 7}),
+            (GeneratorSettings, {"max_depth": 0}),
+        ],
+    )
+    def test_constructors_check_ranges(self, cls, values):
+        with pytest.raises(ModwaveError):
+            cls(**values)
+
+    def test_cost_without_its_required_fields(self, tmp_path, capsys):
+        config = write_config(tmp_path, cost={"n_ops": 1000})
+        assert main(["cost", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_integral_samples_per_symbol_runs_as_int(self, tmp_path):
+        config = write_config(
+            tmp_path, scheme_defaults={"n_symbols": 500, "samples_per_symbol": 48.0}
+        )
+        sps = load_config(config).scheme_configs()[0].samples_per_symbol
+        assert sps == 48 and isinstance(sps, int)
+        assert main(["compare", "--config", str(config)]) == 0
+
+    def test_keys_beside_a_preset_override_it(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            schemes=["bpsk", "qam16"],
+            channel={
+                "preset": "table_operating_point",
+                "taps": [{"delay_samples": 0, "gain": 0.0}],
+            },
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
+        assert [row["error"].split(":")[0] for row in rows] == ["ZeroPowerError"] * 2
+
+    def test_schema_is_a_valid_schema(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_sections_are_their_dataclass_fields(self):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        props = CONFIG_SCHEMA["properties"]
+        channel = props["channel"]["properties"]
+        sections = {
+            "schemes": (props["schemes"]["items"]["oneOf"][1], names(SchemeConfig)),
+            "scheme_defaults": (props["scheme_defaults"], names(SchemeConfig) - {"scheme"}),
+            "channel": (props["channel"], names(ChannelConfig) | {"preset"}),
+            "taps": (channel["taps"]["items"], names(Tap)),
+            "fading": (channel["fading"], names(FadingConfig)),
+            "metrics": (props["metrics"], names(MetricsParams)),
+            "generator": (props["generator"], names(GeneratorSettings)),
+            "cost": (props["cost"], names(CostInputs)),
+        }
+        for section, (schema, expected) in sections.items():
+            assert set(schema["properties"]) == expected, section
 
 
 def test_runtime_imports_neither_scipy_nor_requests():

@@ -429,6 +429,24 @@ class TestDemodulation:
             assert row.ber is None, row.scheme
             assert row.error.startswith("DemodulationError"), row.scheme
 
+    def test_formula_with_memory_is_an_error_row(self):
+        # integrating a label stream makes continuous-phase symbols, which
+        # the per-symbol bank cannot decode (noiseless BER 0.378 otherwise)
+        formulas = {
+            "formula:cp": "A_c*cos(2*pi*f_c*t + k_f*integral(d(t) - 1.5, t))",
+            "formula:cpbare": "A_c*cos(2*pi*f_c*t + k_f*integral(d - 1.5, t))",
+            "formula:fm": "A_c * cos(2*pi*f_c*t + k_f * integral(m(t), t) + phi_c)",
+        }
+        configs = [
+            SchemeConfig(name, formula_text=text, n_symbols=2_000)
+            for name, text in formulas.items()
+        ]
+        rows = compare(configs, ChannelConfig(target_snr_db=None), master_seed=1)
+        for row in rows[:2]:
+            assert row.ber is None, row.scheme
+            assert row.error.startswith("DemodulationError"), row.scheme
+        assert rows[2].error is None and rows[2].ber is not None
+
     def test_analog_schemes_have_no_bits(self):
         cfg = SchemeConfig("am", n_symbols=50)
         sig = modulate(cfg)
@@ -561,6 +579,24 @@ class TestCompare:
         artifacts = run_scheme(cfg, ChannelConfig(target_snr_db=15.0))
         assert artifacts.report.guard_count > 0
         assert artifacts.report.ber is not None
+
+    @pytest.mark.parametrize(
+        "formula, calls",
+        [
+            ("A_c*cos(2*pi*f_c*t + pi*d(t)) + m*A_c", 0),
+            ("A_c * cos(2*pi*f_c*t + k_p * m(t) + pi*d(t))", 2),
+        ],
+    )
+    def test_message_bound_only_when_read(self, monkeypatch, formula, calls):
+        counted = []
+        original = modwave.synth._message
+        monkeypatch.setattr(
+            modwave.synth, "_message", lambda *a: counted.append(1) or original(*a)
+        )
+        cfg = SchemeConfig("formula:x", formula_text=formula, n_symbols=200)
+        assert run_scheme(cfg, ChannelConfig(target_snr_db=10.0)).report.ber is not None
+        # m(t) for the waveform and for the candidate bank, or not at all
+        assert len(counted) == calls
 
     def test_program_fault_is_raised_not_recorded(self, monkeypatch):
         def broken(*args, **kwargs):

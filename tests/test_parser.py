@@ -19,6 +19,7 @@ from modwave.dsl import (
     to_text,
     tokenize,
 )
+from modwave.dsl.ast import reads
 from modwave.dsl.parser import parse
 from modwave.errors import LexicalError, ParseError
 
@@ -173,6 +174,22 @@ def test_op_count_examples():
     right = parse_formula("k_p * m(t)")
     combined = parse_formula("A_c * cos(x) + k_p * m(t)")
     assert op_count(combined) == op_count(left) + op_count(right) + 1
+
+
+def test_reads_names_and_integrated_names():
+    names, integrated = reads(
+        parse_formula("A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t))"), {}.get
+    )
+    assert names == {"A_c", "pi", "f_c", "t", "k_f", "m(t)"}
+    assert integrated == {"m(t)"}
+    # resolve maps bare names; a sum index is local to the sum's body
+    names, integrated = reads(
+        parse_formula("integral(d - 1.5, t) + sum(2*d, d, 1, n)"), {"d": "d(t)"}.get
+    )
+    assert names == {"d(t)", "t", "n"}
+    assert integrated == {"d(t)"}
+    names, integrated = reads(parse_formula("sum(integral(d, t), d, 1, n)"), {}.get)
+    assert names == {"t", "n"} and integrated == set()
 
 
 def test_depth_helper():

@@ -229,12 +229,12 @@ class TestFormulaSynthesis:
     def test_m2_with_silent_quadrature_reduces(self):
         # independent oracle: compose the reduced expression by hand
         cfg = SchemeConfig("formula:m2", formula_text=self.M2, n_symbols=200, seed=4)
-        ctx, bits, labels = formula_context(cfg)
+        expr = parse_formula(self.M2)
+        ctx, bits, labels = formula_context(expr, cfg)
         silent = EvalContext(
             constants=dict(ctx.constants),
             signals={**dict(ctx.signals), "Q(t)": np.zeros(cfg.n_samples)},
         )
-        expr = parse_formula(self.M2)
         t = np.arange(cfg.n_samples) / cfg.sample_rate
         full = evaluate(expr, silent, t)
         reduced = evaluate(
@@ -254,7 +254,7 @@ class TestFormulaSynthesis:
             " + (A*sum(m, i, 1, n))"
         )
         cfg = SchemeConfig("formula:m1", formula_text=m1, n_symbols=100, seed=4, amplitude=1.0)
-        ctx, _, _ = formula_context(cfg)
+        ctx, _, _ = formula_context(parse_formula(m1), cfg)
         zeroed = EvalContext(
             constants={**dict(ctx.constants), "A": 0.0, "m": 0.0},
             signals=dict(ctx.signals),
@@ -398,7 +398,7 @@ class TestWaveformDump:
 def _per_label_row(cfg, expr, label):
     """Oracle: the formula evaluated with every symbol fixed to one label."""
     labels = np.full(cfg.n_symbols, label, dtype=np.int64)
-    ctx, _, _ = formula_context(cfg, labels=labels)
+    ctx, _, _ = formula_context(expr, cfg, labels=labels)
     return evaluate(expr, ctx, np.arange(cfg.n_samples) / cfg.sample_rate).samples
 
 
