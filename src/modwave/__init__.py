@@ -8,6 +8,9 @@ sampler with a temperature knob generates candidate formulas, and simple
 closed-form models estimate processing latency and power draw.
 """
 
+import ctypes
+import sys
+
 from . import dsl
 from .channel import (
     CHANNEL_PRESETS,
@@ -102,3 +105,12 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
+
+# A row allocates and frees many arrays of 4-16 MB. glibc's default thresholds follow the
+# largest block freed so far, so these were recycled or mapped afresh by the order of frees,
+# and peak memory varied by 30 MB between equal runs. Fixed ones keep them on the heap.
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD: free heap above this goes back

@@ -468,19 +468,11 @@ def _fmt(value) -> str:
 
 
 def write_comparison_csv(rows: list[MetricsReport], path: str | Path) -> None:
+    columns = ["modulation", "snr_db", "ber", "spectral_eff", "bandwidth_hz"]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["modulation", "snr_db", "ber", "spectral_eff", "bandwidth_hz"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scheme,
-                    _fmt(row.snr_db),
-                    _fmt(row.ber),
-                    _fmt(row.spectral_efficiency),
-                    _fmt(row.occupied_bandwidth_hz),
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.to_dict()[c]) for c in columns] for row in rows)
 
 
 def write_comparison_json(rows: list[MetricsReport], path: str | Path) -> None:

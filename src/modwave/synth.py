@@ -242,14 +242,15 @@ def map_symbols(bits: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
-    """Minimum-distance decisions back to bits."""
+    """Minimum-distance decisions back to bits, a block of points at a time."""
     scheme = normalize_scheme_id(scheme)
     points = constellation(scheme)
-    bps = _bits_per_symbol(scheme)
-    labels = np.argmin(
-        np.abs(points_rx[:, None] - points[None, :]), axis=1
-    )
-    return labels_to_bits(labels, bps)
+    labels = np.empty(points_rx.size, dtype=np.int64)
+    step = max(1, (1 << 16) // points.size)
+    for start in range(0, points_rx.size, step):
+        block = points_rx[start : start + step, None]
+        labels[start : start + step] = np.argmin(np.abs(block - points), axis=1)
+    return labels_to_bits(labels, _bits_per_symbol(scheme))
 
 
 # ---------------------------------------------------------------------------

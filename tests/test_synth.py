@@ -127,6 +127,19 @@ class TestSymbolMaps:
             symbols = map_symbols(bits, scheme)
             assert np.array_equal(demap_symbols(symbols, scheme), bits), scheme
 
+    @pytest.mark.parametrize("scheme", ["psk8", "qam128", "qam256"])
+    def test_blocked_demap_decides_as_the_full_distance_table(self, scheme):
+        # noisy points spanning many blocks and a partial last one
+        rng = np.random.default_rng(5)
+        points = constellation(scheme)
+        rx = points[rng.integers(0, points.size, 3001)]
+        rx = rx + 0.2 * (rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size))
+        labels = np.argmin(np.abs(rx[:, None] - points[None, :]), axis=1)
+        bps = points.size.bit_length() - 1
+        expected = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
+        assert np.array_equal(demap_symbols(rx, scheme), expected)
+        assert demap_symbols(rx[:0], scheme).size == 0
+
     def test_indivisible_bit_count_rejected(self):
         with pytest.raises(SignalError):
             map_symbols(np.zeros(5, dtype=np.uint8), "qam16")
