@@ -32,7 +32,7 @@ from .metrics import (
     write_comparison_csv,
     write_comparison_json,
 )
-from .synth import write_json as _write_json
+from .synth import write_json as _write_json, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,10 +41,8 @@ EXIT_EXTERNAL = 3
 
 
 def _points_csv(points: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("i,q\n")
-        for z in points:
-            handle.write(f"{z.real:.10g},{z.imag:.10g}\n")
+    rows = zip(points.real.tolist(), points.imag.tolist())
+    write_table(path, "i,q", "%.10g,%.10g", rows, newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +97,9 @@ def cmd_eval(args) -> int:
         scheme_cfg, config.channel, config.metrics, collect=True
     )
     report = artifacts.report
+    if report.error:  # a DemodulationError: the same line and exit as a raise
+        print(f"error: {report.error.partition(': ')[2]}", file=sys.stderr)
+        return EXIT_VALIDATION
     stem = report.scheme.replace(":", "_")
     payload = {
         "report": report.to_dict(),
@@ -106,10 +107,8 @@ def cmd_eval(args) -> int:
         "channel": asdict(config.channel),
     }
     _write_json(payload, out_dir / f"{stem}_report.json")
-    if artifacts.psd is not None:
-        artifacts.psd.write_csv(out_dir / f"{stem}_psd.csv")
-    if artifacts.spectro is not None:
-        artifacts.spectro.write_csv(out_dir / f"{stem}_spectrogram.csv")
+    artifacts.psd.write_csv(out_dir / f"{stem}_psd.csv")
+    artifacts.spectro.write_csv(out_dir / f"{stem}_spectrogram.csv")
     if artifacts.points is not None:
         _points_csv(artifacts.points, out_dir / f"{stem}_constellation.csv")
 

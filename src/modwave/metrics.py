@@ -29,6 +29,7 @@ from .synth import (
     modulate,
     normalize_power,
     write_json,
+    write_table,
 )
 
 _WINDOWS = {
@@ -76,11 +77,8 @@ class PsdEstimate:
         return float(np.sum(self.density) * self.resolution)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["freq_hz", "power_density"])
-            for f, p in zip(self.frequencies, self.density):
-                writer.writerow([f"{f:.10g}", f"{p:.10g}"])
+        rows = zip(self.frequencies.tolist(), self.density.tolist())
+        write_table(path, "freq_hz,power_density", "%.10g,%.10g", rows)
 
 
 def welch_psd(
@@ -168,13 +166,10 @@ class Spectrogram:
     power: np.ndarray  # rows: frequency bins, columns: frames
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["freq_hz"] + [f"{t:.10g}" for t in self.frame_times]
-            )
-            for f, row in zip(self.frequencies, self.power):
-                writer.writerow([f"{f:.10g}"] + [f"{v:.10g}" for v in row])
+        cells = ",%.10g" * len(self.frame_times)
+        header = "freq_hz" + cells % tuple(self.frame_times.tolist())
+        rows = np.column_stack((self.frequencies, self.power)).tolist()
+        write_table(path, header, "%.10g" + cells, rows)
 
 
 def spectrogram(
@@ -520,7 +515,11 @@ def run_scheme(
     report.occupied_bandwidth_hz = occupied_bandwidth(psd, params.obw_fraction)
 
     if clean.origin_bits is not None:
-        decided = demodulate(received, config, reference=clean)
+        try:
+            decided = demodulate(received, config, reference=clean)
+        except DemodulationError as exc:  # the SNR and PSD above still hold
+            report.error = f"{type(exc).__name__}: {exc}"
+            return artifacts
         report.ber = ber(clean.origin_bits, decided)
         bit_rate = config.bits_per_symbol * config.symbol_rate
         report.spectral_efficiency = spectral_efficiency_measured(
@@ -546,24 +545,17 @@ def compare(
     """One report row per scheme under identical channel conditions.
 
     Every row shares the bit seed, the channel seed and unit-power
-    normalization. A row that fails with a ModwaveError records its error
-    and the run continues; any other exception is a program fault and
-    propagates.
+    normalization. A ModwaveError becomes the row's error (a receiver's
+    after the SNR and bandwidth) and the run continues; any other
+    exception is a program fault and propagates.
     """
     bits_seed = derive_seed(master_seed, 0)
     channel = replace(channel, seed=derive_seed(master_seed, 1))
     rows = []
     for config in configs:
         try:
-            rows.append(
-                run_scheme(config, channel, params, bits_seed=bits_seed).report
-            )
+            rows.append(run_scheme(config, channel, params, bits_seed=bits_seed).report)
         except ModwaveError as exc:  # keep the table going; record the failure
-            rows.append(
-                MetricsReport(
-                    scheme=config.scheme,
-                    target_snr_db=channel.target_snr_db,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append(MetricsReport(config.scheme, channel.target_snr_db, error=error))
     return rows

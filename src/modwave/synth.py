@@ -11,7 +11,6 @@ for those rows behind a config flag for bandwidth studies, but their
 receivers assume rectangular pulses, so demodulating an rrc run raises.
 """
 
-import csv
 import json
 import math
 from collections.abc import Callable
@@ -657,6 +656,18 @@ def write_json(payload, path) -> None:
         handle.write("\n")
 
 
+def write_table(path, header: str, row_format: str, rows, newline: str = "\r\n") -> None:
+    """Write a text table: the header line, then `row_format % row` per row.
+
+    Rows of Python numbers (`ndarray.tolist()`) format fastest, as bytes:
+    `b'%.10g' % x` spells `f"{x:.10g}"`, so CRLF tables match `csv.writer`.
+    """
+    line = (row_format + newline).encode()
+    with open(path, "wb") as handle:
+        handle.write((header + newline).encode())
+        handle.writelines(line % tuple(row) for row in rows)
+
+
 def write_waveform(
     signal: SampledSignal,
     path,
@@ -673,11 +684,8 @@ def write_waveform(
     z = np.asarray(signal.samples)
     i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "i", "q"])
-            for k in range(z.size):
-                writer.writerow([k, f"{i[k]:.8g}", f"{q[k]:.8g}"])
+        rows = zip(range(z.size), i.tolist(), q.tolist())
+        write_table(path, "index,i,q", "%d,%.8g,%.8g", rows)
     elif fmt == "f32":
         interleaved = np.empty(2 * z.size, dtype="<f4")
         interleaved[0::2], interleaved[1::2] = i, q

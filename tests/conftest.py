@@ -11,6 +11,18 @@ settings.register_profile(
 settings.load_profile("modwave")
 
 
+# values a number formatter must spell right: signed zeros, infinities,
+# nan, the extremes of float64, whole numbers stored as floats
+SPECIAL = np.array(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, 1e-12,
+     3.0, -42.0, 2.0**53, 1.0 / 3.0, 12345.678901234]
+)
+# values that float32 rounds, and its own extremes
+SPECIAL_F32 = np.array(
+    [0.1, 1.0 / 3.0, 3.4e38, 1e-45, 1e-40, -2.5, 16777217.0, 0.0], dtype=np.float32
+)
+
+
 def qfunc(x: float) -> float:
     """Gaussian tail probability, the textbook detection oracle."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))

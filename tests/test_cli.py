@@ -126,6 +126,14 @@ class TestEvalCommand:
         config = write_config(tmp_path)
         assert main(["eval", "--config", str(config), "--scheme", "warble"]) == 2
 
+    def test_receiver_failure_fails_the_run(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, scheme_defaults={"n_symbols": 500, "pulse": "rrc"}
+        )
+        assert main(["eval", "--config", str(config), "--scheme", "qpsk"]) == 1
+        assert capsys.readouterr().err == "error: qpsk has no receiver for pulse 'rrc'\n"
+        assert list((tmp_path / "out").iterdir()) == []  # no report, no artifacts
+
 
 class TestCompareCommand:
     def test_table_columns_and_rows(self, tmp_path):

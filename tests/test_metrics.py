@@ -1,5 +1,8 @@
+import csv
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +13,13 @@ import modwave.metrics
 import modwave.synth
 
 from modwave.channel import ChannelConfig, Tap, add_awgn
+from modwave.cli import _points_csv, main
+from modwave.config import load_config
 from modwave.errors import DemodulationError, SignalError, ZeroPowerError
 from modwave.metrics import (
     MetricsParams,
     PsdEstimate,
+    Spectrogram,
     ber,
     compare,
     correlation_demodulate,
@@ -38,7 +44,7 @@ from modwave.synth import (
     normalize_power,
 )
 
-from conftest import binomial_3sigma, qfunc
+from conftest import SPECIAL, SPECIAL_F32, binomial_3sigma, qfunc
 
 FS = 48000.0
 
@@ -447,6 +453,26 @@ class TestDemodulation:
             assert row.error.startswith("DemodulationError"), row.scheme
         assert rows[2].error is None and rows[2].ber is not None
 
+    def test_receiver_failure_keeps_the_measured_figures(self):
+        configs = [
+            SchemeConfig(
+                "formula:cp",
+                formula_text="A_c*cos(2*pi*f_c*t + k_f*integral(d(t) - 1.5, t))",
+                base_scheme="qam16",
+                n_symbols=1_000,
+            ),
+            SchemeConfig("qpsk", n_symbols=1_000, pulse="rrc"),
+        ]
+        channel = ChannelConfig(target_snr_db=10.0)
+        for row in compare(configs, channel, master_seed=1):
+            assert row.error.startswith("DemodulationError: "), row.scheme
+            assert row.ber is None and row.spectral_efficiency is None
+            assert row.snr_db == pytest.approx(10.0, abs=0.3), row.scheme
+            assert row.occupied_bandwidth_hz > 0, row.scheme
+            assert row.seeds, row.scheme
+        report = run_scheme(configs[1], channel).report  # recorded, not raised
+        assert report.error == "DemodulationError: qpsk has no receiver for pulse 'rrc'"
+
     def test_analog_schemes_have_no_bits(self):
         cfg = SchemeConfig("am", n_symbols=50)
         sig = modulate(cfg)
@@ -632,3 +658,102 @@ class TestCompare:
         assert report.ber is not None
         # one waveform, one candidate bank; the bank scale needs no resynthesis
         assert calls == {"modulate": 1, "evaluate": 2}
+
+
+# The cell-at-a-time writers the artifact files were first written with:
+# one f-string per value through csv.writer (or a plain write). They are
+# the oracle for the row-at-a-time writers.
+
+
+def oracle_psd_csv(psd, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["freq_hz", "power_density"])
+        for f, p in zip(psd.frequencies, psd.density):
+            writer.writerow([f"{f:.10g}", f"{p:.10g}"])
+
+
+def oracle_spectrogram_csv(spectro, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["freq_hz"] + [f"{t:.10g}" for t in spectro.frame_times])
+        for f, row in zip(spectro.frequencies, spectro.power):
+            writer.writerow([f"{f:.10g}"] + [f"{v:.10g}" for v in row])
+
+
+def oracle_points_csv(points, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("i,q\n")
+        for z in points:
+            handle.write(f"{z.real:.10g},{z.imag:.10g}\n")
+
+
+def complex_from(real, imag):
+    points = np.empty(len(real), dtype=complex)
+    points.real, points.imag = real, imag
+    return points
+
+
+def assert_same_bytes(write, oracle, artifact, tmp_path):
+    write(artifact, tmp_path / "row.csv")
+    oracle(artifact, tmp_path / "cell.csv")
+    assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+class TestArtifactWriters:
+    @pytest.mark.parametrize("values", [SPECIAL, SPECIAL_F32], ids=["f64", "f32"])
+    def test_psd_bytes_equal_the_cell_writer(self, tmp_path, values):
+        psd = PsdEstimate(values, values[::-1], 256, 0.5, "hann", FS)
+        assert_same_bytes(PsdEstimate.write_csv, oracle_psd_csv, psd, tmp_path)
+
+    @pytest.mark.parametrize(
+        "frames", [SPECIAL[:1], SPECIAL, SPECIAL_F32], ids=["one-frame", "f64", "f32"]
+    )
+    def test_spectrogram_bytes_equal_the_cell_writer(self, tmp_path, frames):
+        freqs = np.concatenate([SPECIAL, SPECIAL_F32.astype(float)])
+        with np.errstate(all="ignore"):  # inf * 0 and 1e300 * 1e300 are meant
+            power = np.outer(freqs, frames)
+        spectro = Spectrogram(freqs, frames, power)
+        write = Spectrogram.write_csv
+        assert_same_bytes(write, oracle_spectrogram_csv, spectro, tmp_path)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([0.5 - 1.25j]),
+            complex_from(SPECIAL, SPECIAL[::-1]),
+            complex_from(SPECIAL_F32, -SPECIAL_F32),
+        ],
+        ids=["one-symbol", "f64", "f32"],
+    )
+    def test_constellation_bytes_equal_the_cell_writer(self, tmp_path, points):
+        assert_same_bytes(_points_csv, oracle_points_csv, points, tmp_path)
+
+    def test_line_endings(self, tmp_path):
+        psd = PsdEstimate(SPECIAL[:2], SPECIAL[:2], 256, 0.5, "hann", FS)
+        psd.write_csv(tmp_path / "psd.csv")
+        _points_csv(np.array([1 + 1j]), tmp_path / "points.csv")
+        psd_bytes = b"freq_hz,power_density\r\n0,0\r\n-0,-0\r\n"
+        assert (tmp_path / "psd.csv").read_bytes() == psd_bytes
+        assert (tmp_path / "points.csv").read_bytes() == b"i,q\n1,1\n"
+
+    @pytest.mark.parametrize("scheme", ["ook", "qpsk", "gmsk", "formula:m2"])
+    def test_eval_artifacts_equal_the_cell_writer(self, tmp_path, scheme):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "master_seed": 2024,
+            "out_dir": str(tmp_path / "eval"),
+            "scheme_defaults": {"n_symbols": 400},
+            "channel": {"preset": "multipath"},
+        }))
+        assert main(["eval", "--config", str(config_path), "--scheme", scheme]) == 0
+        config = load_config(config_path)
+        cfg = replace(config.scheme_config(scheme), seed=config.master_seed)
+        artifacts = run_scheme(cfg, config.channel, config.metrics, collect=True)
+        stem = scheme.replace(":", "_")
+        oracle_psd_csv(artifacts.psd, tmp_path / "psd.csv")
+        oracle_spectrogram_csv(artifacts.spectro, tmp_path / "spectrogram.csv")
+        oracle_points_csv(artifacts.points, tmp_path / "constellation.csv")
+        for kind in ("psd", "spectrogram", "constellation"):
+            written = (tmp_path / "eval" / f"{stem}_{kind}.csv").read_bytes()
+            assert written == (tmp_path / f"{kind}.csv").read_bytes(), kind

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +33,11 @@ from modwave.synth import (
     normalize_power,
     normalize_scheme_id,
     read_waveform_f32,
+    write_table,
     write_waveform,
 )
+
+from conftest import SPECIAL, SPECIAL_F32
 
 
 DIGITAL = [s for s in REFERENCE_SCHEMES if s not in ("am", "fm", "pm")]
@@ -402,10 +406,49 @@ class TestWaveformDump:
         assert np.allclose(back.real, sig.samples, atol=1e-6)
         assert np.allclose(back.imag, 0.0)
 
+    @pytest.mark.parametrize("spec", [".10g", ".8g"])
+    @pytest.mark.parametrize("values", [SPECIAL, SPECIAL_F32], ids=["f64", "f32"])
+    def test_table_bytes_equal_the_cell_writer(self, tmp_path, spec, values):
+        with open(tmp_path / "cell.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["index", "value", "negated"])
+            for k, v in enumerate(values):
+                writer.writerow([k, f"{v:{spec}}", f"{-v:{spec}}"])
+        rows = zip(range(values.size), values.tolist(), (-values).tolist())
+        write_table(tmp_path / "row.csv", "index,value,negated", f"%d,%{spec},%{spec}", rows)
+        assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            modulate(SchemeConfig("qam16", n_symbols=40, seed=3)).samples,
+            np.array([complex(a, b) for a, b in zip(SPECIAL, SPECIAL[::-1])]),
+            SPECIAL_F32.astype(complex),
+        ],
+        ids=["qam16", "f64", "f32"],
+    )
+    def test_csv_bytes_equal_the_cell_writer(self, tmp_path, samples):
+        sig = SampledSignal(samples, 48000.0)
+        with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+            write_waveform(sig, tmp_path / "row.csv", fmt="csv")
+            oracle_waveform_csv(sig, tmp_path / "cell.csv")
+        assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
     def test_unknown_format(self, tmp_path):
         sig = SampledSignal(np.ones(4), 48000.0)
         with pytest.raises(SignalError):
             write_waveform(sig, tmp_path / "x.bin", fmt="wav")
+
+
+def oracle_waveform_csv(signal, path):
+    """The cell-at-a-time CSV dump: an f-string per value through csv.writer."""
+    z = np.asarray(signal.samples)
+    i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["index", "i", "q"])
+        for k in range(z.size):
+            writer.writerow([k, f"{i[k]:.8g}", f"{q[k]:.8g}"])
 
 
 def _per_label_row(cfg, expr, label):
