@@ -34,9 +34,7 @@ from .costmodel import (
 )
 from .dsl import (
     EvalContext,
-    SymbolTable,
     ValidationReport,
-    default_symbol_table,
     evaluate,
     op_count,
     parse,

@@ -90,9 +90,6 @@ def cmd_eval(args) -> int:
     config = load_config(args.config, args.seed, args.out)
     scheme_cfg = config.scheme_config(args.scheme)
     scheme_cfg = replace(scheme_cfg, seed=config.master_seed)
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     artifacts = run_scheme(
         scheme_cfg, config.channel, config.metrics, collect=True
     )
@@ -100,6 +97,8 @@ def cmd_eval(args) -> int:
     if report.error:  # a DemodulationError: the same line and exit as a raise
         print(f"error: {report.error.partition(': ')[2]}", file=sys.stderr)
         return EXIT_VALIDATION
+    out_dir = config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = report.scheme.replace(":", "_")
     payload = {
         "report": report.to_dict(),

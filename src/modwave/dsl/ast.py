@@ -8,7 +8,9 @@ compare structurally equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
+
+from .symbols import resolve
 
 Span = tuple[int, int]
 
@@ -89,14 +91,12 @@ def op_count(expr: Expr) -> int:
     return own + sum(op_count(k) for k in children(expr))
 
 
-def reads(
-    expr: Expr, resolve: Callable[[str], str | None]
-) -> tuple[frozenset[str], frozenset[str]]:
+def reads(expr: Expr) -> tuple[frozenset[str], frozenset[str]]:
     """The symbols a tree reads, and those read inside integral bodies.
 
-    Each name is reported as resolve(name), or as written where that is
-    None, so a symbol table's resolve maps a bare d to d(t). A sum's index
-    variable is bound in the sum's body and is not reported there.
+    Each name is reported as the namespace resolves it (a bare d as d(t)),
+    or as written where it is undefined. A sum's index variable is bound
+    in the sum's body and is not reported there.
     """
     names: set[str] = set()
     integrated: set[str] = set()

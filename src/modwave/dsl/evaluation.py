@@ -12,8 +12,8 @@ when each row is evaluated on its own, so both give identical bits.
 
 The definite integral runs along the time axis from t = 0 with a zero
 initial condition using the cumulative trapezoid rule; finite sums expand
-with the index variable substituted over its bounds. Division is guarded
-by default: samples whose divisor magnitude falls below the guard epsilon
+with the index variable substituted over its bounds. Division is always
+guarded: samples whose divisor magnitude falls below GUARD_EPSILON
 evaluate to 0 and are counted once per output sample they reach, which
 lets formulas with degenerate denominators run end to end while staying
 honest about how often the guard fired.
@@ -29,6 +29,7 @@ from ..errors import EvaluationError
 from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol
 
 MAX_SUM_ITERATIONS = 100_000
+GUARD_EPSILON = 1e-12
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
@@ -46,8 +47,6 @@ class EvalContext:
 
     constants: Mapping[str, float] = field(default_factory=dict)
     signals: Mapping[str, np.ndarray] = field(default_factory=dict)
-    guard_division: bool = True
-    guard_epsilon: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "constants", MappingProxyType(dict(self.constants)))
@@ -152,10 +151,7 @@ class _Evaluator:
         return self._call(expr, local)
 
     def _divide(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        if not self.ctx.guard_division:
-            with np.errstate(all="ignore"):
-                return self._apply(np.divide, num, den)
-        guarded = np.abs(den) < self.ctx.guard_epsilon
+        guarded = np.abs(den) < GUARD_EPSILON
         hits = int(np.count_nonzero(guarded))
         # each divisor value reaches size / den.size output samples
         self.guards += hits * (self.size // np.size(den))
@@ -221,8 +217,7 @@ def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
 
     Returns the samples, shape (n,) or (rows, n) when a signal is bound
     with a label axis, the number of guarded output samples, and a mask
-    of samples that came out non-finite and were zeroed. With guarding
-    disabled a non-finite result raises EvaluationError instead.
+    of samples that came out non-finite and were zeroed.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2:
@@ -237,10 +232,6 @@ def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
         samples = np.broadcast_to(samples, engine.shape).copy()
     invalid = ~np.isfinite(samples)
     if invalid.any():
-        if not ctx.guard_division:
-            raise EvaluationError(
-                f"{int(invalid.sum())} non-finite samples with guarding disabled"
-            )
         samples = np.where(invalid, 0.0, samples)
     return EvalResult(
         samples=samples, guard_count=engine.guards, invalid_mask=invalid

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from ..errors import LexicalError, ParseError
 from .ast import BinOp, Call, Const, Expr, Neg, Span, Symbol, children, reads
 from .lexer import tokenize
-from .parser import DEFAULT_MAX_DEPTH, parse
-from .symbols import SymbolTable, default_symbol_table
+from .parser import parse
+from .symbols import resolve
 
 UNDEFINED_SYMBOL = "undefined-symbol"
 ZERO_LITERAL_DIVISOR = "zero-literal-divisor"
@@ -79,15 +79,12 @@ def _literal_zero(expr: Expr) -> bool:
 
 
 def _walk_semantics(
-    expr: Expr,
-    table: SymbolTable,
-    bound: frozenset[str],
-    flags: list[ValidationFlag],
+    expr: Expr, bound: frozenset[str], flags: list[ValidationFlag]
 ) -> None:
     if isinstance(expr, Symbol):
         if expr.name in bound:
             return
-        if table.resolve(expr.name) is None:
+        if resolve(expr.name) is None:
             flags.append(
                 ValidationFlag(
                     UNDEFINED_SYMBOL, f"undefined symbol {expr.name!r}", expr.span
@@ -105,37 +102,29 @@ def _walk_semantics(
     if isinstance(expr, Call) and expr.func == "sum":
         index = expr.args[1]
         inner = bound | {index.name}
-        _walk_semantics(expr.args[0], table, inner, flags)
+        _walk_semantics(expr.args[0], inner, flags)
         for arg in expr.args[2:]:
-            _walk_semantics(arg, table, bound, flags)
+            _walk_semantics(arg, bound, flags)
         return
     if isinstance(expr, Call) and expr.func == "integral":
-        _walk_semantics(expr.args[0], table, bound | {"t"}, flags)
+        # the integration variable is not a read; evaluation rejects any but t
+        _walk_semantics(expr.args[0], bound, flags)
         return
     for kid in children(expr):
-        _walk_semantics(kid, table, bound, flags)
+        _walk_semantics(kid, bound, flags)
 
 
-def validate(
-    formula: str | Expr,
-    table: SymbolTable | None = None,
-    require_quadrature_pair: bool = True,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> ValidationReport:
-    """Validate a formula string or pre-parsed tree against a symbol table.
+def validate(formula: str | Expr) -> ValidationReport:
+    """Validate a formula string or pre-parsed tree against the namespace.
 
     All findings go into the report; this function does not raise for bad
-    formulas. With the quadrature policy on, using exactly one of I(t) and
-    Q(t) is flagged.
+    formulas. Using exactly one of I(t) and Q(t) is flagged.
     """
-    if table is None:
-        table = default_symbol_table()
-
     text: str | None
     if isinstance(formula, str):
         text = formula
         try:
-            expr = parse(tokenize(formula), max_depth=max_depth)
+            expr = parse(tokenize(formula))
         except LexicalError as exc:
             return ValidationReport(
                 formula=text,
@@ -155,20 +144,19 @@ def validate(
         expr = formula
 
     flags: list[ValidationFlag] = []
-    _walk_semantics(expr, table, frozenset(), flags)
+    _walk_semantics(expr, frozenset(), flags)
 
-    if require_quadrature_pair:
-        names, _ = reads(expr, table.resolve)
-        has_i, has_q = "I(t)" in names, "Q(t)" in names
-        if has_i != has_q:
-            present = "I(t)" if has_i else "Q(t)"
-            flags.append(
-                ValidationFlag(
-                    MISSING_QUADRATURE,
-                    f"only one quadrature component ({present}) is used",
-                    expr.span,
-                )
+    names, _ = reads(expr)
+    has_i, has_q = "I(t)" in names, "Q(t)" in names
+    if has_i != has_q:
+        present = "I(t)" if has_i else "Q(t)"
+        flags.append(
+            ValidationFlag(
+                MISSING_QUADRATURE,
+                f"only one quadrature component ({present}) is used",
+                expr.span,
             )
+        )
 
     report = ValidationReport(
         formula=text, syntactic_ok=True, expr=expr, semantic_flags=flags

@@ -28,7 +28,6 @@ import numpy as np
 
 from .channel import ChannelConfig, derive_seed
 from .dsl.corpus import CorpusEntry, load_corpus
-from .dsl.symbols import SymbolTable, default_symbol_table
 from .dsl.validation import CLASSES, CLASS_VALID, ValidationReport, classify, validate
 from .errors import ConfigError, GenerationSourceError
 from .metrics import MetricsParams, MetricsReport, compare
@@ -216,7 +215,6 @@ class GenerationBatchReport:
 def _batch_report(
     n: int,
     text_at: Callable[[int], str],
-    table: SymbolTable | None,
     temperature: float | None = None,
     seed: int | None = None,
 ) -> GenerationBatchReport:
@@ -225,7 +223,6 @@ def _batch_report(
     A GenerationSourceError from text_at is recorded on its item, and the
     batch goes on.
     """
-    table = table or default_symbol_table()
     items = []
     for index in range(n):
         try:
@@ -233,7 +230,7 @@ def _batch_report(
         except GenerationSourceError as exc:
             items.append(GeneratedItem(index, None, None, source_error=str(exc)))
             continue
-        report = validate(text, table)
+        report = validate(text)
         items.append(GeneratedItem(index, text, classify(report), report))
     counts = {name: 0 for name in CLASSES}
     for item in items:
@@ -250,9 +247,7 @@ def _batch_report(
     )
 
 
-def generate_batch(
-    n: int, config: GrammarConfig, table: SymbolTable | None = None
-) -> GenerationBatchReport:
+def generate_batch(n: int, config: GrammarConfig) -> GenerationBatchReport:
     """Sample, validate and classify n formulas from the grammar."""
     if n < 0:
         raise ConfigError("batch size must be non-negative")
@@ -261,7 +256,7 @@ def generate_batch(
         rng = np.random.default_rng(derive_seed(config.seed, index))
         return sample_formula(config, rng=rng)
 
-    return _batch_report(n, sample, table, config.temperature, config.seed)
+    return _batch_report(n, sample, config.temperature, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,6 @@ def generate_batch_external(
     temperature: float = 0.8,
     max_tokens: int = 128,
     timeout: float = 5.0,
-    table: SymbolTable | None = None,
 ) -> GenerationBatchReport:
     """Batch generation through the HTTP client.
 
@@ -371,7 +365,7 @@ def generate_batch_external(
             timeout=timeout,
         )
 
-    return _batch_report(n, fetch, table, temperature)
+    return _batch_report(n, fetch, temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +379,6 @@ def pipeline_run(
     base_config: SchemeConfig,
     params: MetricsParams = MetricsParams(),
     master_seed: int = 0,
-    table: SymbolTable | None = None,
 ) -> tuple[list[MetricsReport], GenerationBatchReport]:
     """Generate (or load) formulas, validate them all, and push the valid
     ones through synthesis, channel and metrics.
@@ -394,9 +387,8 @@ def pipeline_run(
     entry list. Returns the metric rows for valid formulas plus the batch
     report covering everything generated.
     """
-    table = table or default_symbol_table()
     if isinstance(source, GrammarConfig):
-        batch = generate_batch(n, replace(source, seed=master_seed), table)
+        batch = generate_batch(n, replace(source, seed=master_seed))
         named = [
             (f"g{item.index}", item.formula)
             for item in batch.items
@@ -404,7 +396,7 @@ def pipeline_run(
         ]
     else:
         entries = source if isinstance(source, list) else load_corpus(source)
-        batch = _batch_report(len(entries), lambda i: entries[i].formula, table)
+        batch = _batch_report(len(entries), lambda i: entries[i].formula)
         named = [
             (entries[item.index].id, item.formula)
             for item in batch.items

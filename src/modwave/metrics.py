@@ -435,6 +435,7 @@ class MetricsReport:
     spectral_efficiency: float | None = None
     occupied_bandwidth_hz: float | None = None
     guard_count: int = 0
+    invalid_count: int = 0
     seeds: dict = field(default_factory=dict)
     error: str | None = None
 
@@ -447,6 +448,7 @@ class MetricsReport:
             "spectral_eff": self.spectral_efficiency,
             "bandwidth_hz": self.occupied_bandwidth_hz,
             "guard_count": self.guard_count,
+            "invalid_count": self.invalid_count,
             "seeds": self.seeds,
             "error": self.error,
         }
@@ -502,6 +504,7 @@ def run_scheme(
     clean_raw = modulate(config)
     clean, _scale = normalize_power(clean_raw, 1.0)
     report.guard_count = clean.guard_count
+    report.invalid_count = clean.invalid_count
 
     received, pre_noise, _details = apply_channel(clean, channel)
     report.snr_db = measure_snr(pre_noise, received)

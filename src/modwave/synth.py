@@ -22,7 +22,6 @@ import numpy as np
 from .dsl.ast import Expr, reads
 from .dsl.evaluation import EvalContext, evaluate
 from .dsl.parser import parse_formula
-from .dsl.symbols import default_symbol_table
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 
 
@@ -46,6 +45,7 @@ class SampledSignal:
     origin_bits: np.ndarray | None = None
     symbol_rate: float | None = None
     guard_count: int = 0
+    invalid_count: int = 0  # non-finite samples the evaluator zeroed
     gain: float = 1.0  # realized amplitude gain applied since synthesis
 
     @property
@@ -433,8 +433,6 @@ SCHEMES: dict[str, Scheme] = {
 
 REFERENCE_SCHEMES = tuple(SCHEMES)
 
-ANALOG_SCHEMES = tuple(name for name, s in SCHEMES.items() if not s.bits_per_symbol)
-
 
 def _waveform_from_labels(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     """Passband waveform for a digital scheme given per-symbol labels."""
@@ -475,11 +473,6 @@ def _symbol_streams(cfg: SchemeConfig, labels: np.ndarray) -> dict[str, np.ndarr
         "d(t)": labels.astype(float),
         "f(t)": cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
     }
-
-
-# resolves bare names as the evaluator does with these bindings: d is d(t),
-# and m is the modulation index
-_SYMBOLS = default_symbol_table()
 
 
 def _formula_bindings(
@@ -528,7 +521,7 @@ def formula_context(
         name: _hold(values, sps)
         for name, values in _symbol_streams(cfg, labels).items()
     }
-    names, _ = reads(expr, _SYMBOLS.resolve)
+    names, _ = reads(expr)
     return _formula_bindings(cfg, _time_grid(cfg), streams, names), bits, labels
 
 
@@ -544,6 +537,7 @@ def modulate_formula(
         origin_bits=origin_bits,
         symbol_rate=cfg.symbol_rate,
         guard_count=result.guard_count,
+        invalid_count=int(np.count_nonzero(result.invalid_mask)),
     )
 
 
@@ -572,7 +566,7 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
         expr = parse_formula(cfg.formula_text)
-        names, integrated = reads(expr, _SYMBOLS.resolve)
+        names, integrated = reads(expr)
         columns = {
             name: values[:, None]
             for name, values in _symbol_streams(cfg, np.arange(order)).items()

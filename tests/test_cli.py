@@ -106,6 +106,7 @@ class TestEvalCommand:
             (tmp_path / "out" / "formula_m1_report.json").read_text()
         )
         assert report["report"]["ber"] == 0.0
+        assert report["report"]["invalid_count"] == 0
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
@@ -121,6 +122,7 @@ class TestEvalCommand:
             channel={"target_snr_db": 10, "taps": [{"delay_samples": 0, "gain": 0}]},
         )
         assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_scheme_is_config_error(self, tmp_path):
         config = write_config(tmp_path)
@@ -132,7 +134,7 @@ class TestEvalCommand:
         )
         assert main(["eval", "--config", str(config), "--scheme", "qpsk"]) == 1
         assert capsys.readouterr().err == "error: qpsk has no receiver for pulse 'rrc'\n"
-        assert list((tmp_path / "out").iterdir()) == []  # no report, no artifacts
+        assert not (tmp_path / "out").exists()  # no report, no artifacts, no directory
 
 
 class TestCompareCommand:

@@ -108,10 +108,6 @@ def test_guarded_division_counts():
     assert np.array_equal(result.samples, np.zeros(16))
     assert result.guard_count == 16
 
-    strict = EvalContext(constants={"A": 1.0}, guard_division=False)
-    with pytest.raises(EvaluationError):
-        evaluate(parse_formula("A / 0"), strict, grid(16))
-
 
 def test_guard_only_where_divisor_vanishes():
     t = grid(100)
@@ -201,7 +197,7 @@ def held_rows(columns, n):
 
 
 class TestBroadcasting:
-    CONSTANTS = {"A": 0.7, "f_c": 6000.0, "k_p": 1.0, "n": 3.0}
+    SCALARS = {"A": 0.7, "f_c": 6000.0, "k_p": 1.0, "n": 3.0}
 
     def columns(self, rng, rows=5):
         return {
@@ -225,13 +221,13 @@ class TestBroadcasting:
         message = np.cos(2 * np.pi * 200.0 * t)
         columns = self.columns(rng)
         expr = parse_formula(formula)
-        ctx = EvalContext(constants=self.CONSTANTS, signals={**columns, "m(t)": message})
+        ctx = EvalContext(constants=self.SCALARS, signals={**columns, "m(t)": message})
         together = evaluate(expr, ctx, t)
         assert together.samples.shape == (5, t.size)
         guards = 0
         for r, held in enumerate(held_rows(columns, t.size)):
             alone = evaluate(
-                expr, EvalContext(constants=self.CONSTANTS, signals={**held, "m(t)": message}), t
+                expr, EvalContext(constants=self.SCALARS, signals={**held, "m(t)": message}), t
             )
             assert np.array_equal(together.samples[r], alone.samples), r
             assert np.array_equal(together.invalid_mask[r], alone.invalid_mask), r

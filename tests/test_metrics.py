@@ -15,6 +15,7 @@ import modwave.synth
 from modwave.channel import ChannelConfig, Tap, add_awgn
 from modwave.cli import _points_csv, main
 from modwave.config import load_config
+from modwave.dsl import bundled_corpus_path, bundled_generated_path, load_corpus
 from modwave.errors import DemodulationError, SignalError, ZeroPowerError
 from modwave.metrics import (
     MetricsParams,
@@ -605,6 +606,22 @@ class TestCompare:
         artifacts = run_scheme(cfg, ChannelConfig(target_snr_db=15.0))
         assert artifacts.report.guard_count > 0
         assert artifacts.report.ber is not None
+
+    def test_run_scheme_counts_zeroed_non_finite_samples(self):
+        entries = load_corpus(bundled_generated_path()) + load_corpus(bundled_corpus_path())
+        texts = {e.id: e.formula for e in entries}
+        # (I(t))^0.5 is nan on every sample of a symbol with negative I
+        texts["probe"] = "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (I(t))^0.5"
+        expected = {"probe": 48_432, "m1": 0, "m2": 0, "m3": 0, "fm": 0}
+        for name, count in expected.items():
+            cfg = SchemeConfig(
+                f"formula:{name}", formula_text=texts[name], base_scheme="qam16", n_symbols=2_000
+            )
+            report = run_scheme(cfg, ChannelConfig(target_snr_db=None)).report
+            assert report.to_dict()["invalid_count"] == count, name
+        labels = bits_to_labels(gen_bits(2_000 * 4, cfg.seed), 4)
+        negative_i = np.count_nonzero(constellation("qam16")[labels].real < 0)
+        assert negative_i * cfg.samples_per_symbol == 48_432
 
     @pytest.mark.parametrize(
         "formula, calls",

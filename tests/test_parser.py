@@ -177,18 +177,14 @@ def test_op_count_examples():
 
 
 def test_reads_names_and_integrated_names():
-    names, integrated = reads(
-        parse_formula("A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t))"), {}.get
-    )
+    names, integrated = reads(parse_formula("A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t))"))
     assert names == {"A_c", "pi", "f_c", "t", "k_f", "m(t)"}
     assert integrated == {"m(t)"}
-    # resolve maps bare names; a sum index is local to the sum's body
-    names, integrated = reads(
-        parse_formula("integral(d - 1.5, t) + sum(2*d, d, 1, n)"), {"d": "d(t)"}.get
-    )
+    # a bare d reads d(t); a sum index is local to the sum's body
+    names, integrated = reads(parse_formula("integral(d - 1.5, t) + sum(2*d, d, 1, n)"))
     assert names == {"d(t)", "t", "n"}
     assert integrated == {"d(t)"}
-    names, integrated = reads(parse_formula("sum(integral(d, t), d, 1, n)"), {}.get)
+    names, integrated = reads(parse_formula("sum(integral(d, t), d, 1, n)"))
     assert names == {"t", "n"} and integrated == set()
 
 

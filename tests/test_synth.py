@@ -14,7 +14,10 @@ from modwave.dsl import (
     evaluate,
     load_corpus,
     parse_formula,
+    validate,
 )
+from modwave.dsl.ast import reads
+from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import (
@@ -496,3 +499,16 @@ class TestFormulaBank:
         for item in batch.items:
             if item.classification == CLASS_VALID:
                 assert_bank_matches_per_label(item.formula)
+
+    def test_every_name_in_the_namespace_is_bound(self):
+        # validation accepts exactly the names that synthesis binds
+        bare = sorted(name.removesuffix("(t)") for name in NAMES if name.endswith("(t)"))
+        formula = " + ".join(sorted(NAMES) + bare)
+        assert validate(formula).valid
+        expr = parse_formula(formula)
+        assert reads(expr)[0] == NAMES
+        cfg = SchemeConfig("formula:all", formula_text=formula, n_symbols=6, base_scheme="qam16")
+        ctx, _, _ = formula_context(expr, cfg)
+        assert {"t", "pi"} | set(ctx.constants) | set(ctx.signals) == NAMES
+        assert modulate(cfg).samples.shape == (cfg.n_samples,)
+        assert_bank_matches_per_label(formula)

@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from modwave.dsl import (
     CLASS_ARITY,
     CLASS_OTHER,
@@ -9,15 +12,13 @@ from modwave.dsl import (
     MISSING_QUADRATURE,
     UNDEFINED_SYMBOL,
     ZERO_LITERAL_DIVISOR,
-    SymbolTable,
+    ValidationReport,
     bundled_corpus_path,
     bundled_generated_path,
     classify,
-    default_symbol_table,
     load_corpus,
     validate,
 )
-from modwave.dsl.symbols import CONSTANT
 
 
 def flag_kinds(report):
@@ -74,8 +75,6 @@ def test_quadrature_policy():
     assert not both.has_flag(MISSING_QUADRATURE)
     neither = validate("A_c * cos(2*pi*f_c*t)")
     assert not neither.has_flag(MISSING_QUADRATURE)
-    off = validate("I(t) * cos(2*pi*f_c*t)", require_quadrature_pair=False)
-    assert not off.has_flag(MISSING_QUADRATURE)
 
 
 def test_sum_index_is_bound():
@@ -119,7 +118,23 @@ def test_report_serializes_to_json():
         assert len(flag["span"]) == 2
 
 
-def test_custom_symbol_table():
-    table = SymbolTable({"x": CONSTANT, "t": CONSTANT, "pi": CONSTANT})
-    assert validate("x + t", table).valid
-    assert not validate("A_c", table).valid
+# pieces of the formula alphabet, some of them misplaced or undefined
+FORMULA_TOKENS = (
+    "sin", "cos", "integral", "sum", "(", ")", ",", "+", "-", "*", "/", "^", " ",
+    "t", "(t)", "pi", "f_c", "A_c", "k_f", "m", "n", "i", "d", "I(t)", "Q", "x_q",
+    "0", "1", "2.5", "0.0", "1e5", "9" * 300,
+)
+
+
+@given(
+    st.text(max_size=512),
+    st.lists(st.sampled_from(FORMULA_TOKENS), max_size=80).map("".join),
+)
+def test_outside_text_never_crashes_validate(arbitrary, tokens):
+    # the lexer and parser raise only LexicalError or ParseError, which
+    # validate turns into a report
+    for text in (arbitrary, tokens):
+        report = validate(text)
+        assert isinstance(report, ValidationReport)
+        assert report.syntactic_ok == (report.expr is not None)
+        json.dumps(report.to_dict())
