@@ -32,7 +32,7 @@ from .metrics import (
     write_comparison_csv,
     write_comparison_json,
 )
-from .synth import write_json as _write_json, write_table
+from .synth import normalize_scheme_id, write_json as _write_json, write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,8 +88,11 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    scheme_cfg = config.scheme_config(args.scheme)
-    scheme_cfg = replace(scheme_cfg, seed=config.master_seed)
+    # the config's own object for this scheme first, as compare runs it
+    wanted = normalize_scheme_id(args.scheme)
+    entry = next((s for s in config.schemes if isinstance(s, dict)
+                  and normalize_scheme_id(s["scheme"]) == wanted), args.scheme)
+    scheme_cfg = replace(config.scheme_config(entry), seed=config.master_seed)
     artifacts = run_scheme(
         scheme_cfg, config.channel, config.metrics, collect=True
     )

@@ -7,12 +7,11 @@ everything else lives in the file so a run is reproducible from its
 config alone.
 """
 
+import functools
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
-
-import jsonschema
 
 from .channel import CHANNEL_PRESETS, ChannelConfig
 from .costmodel import CostInputs
@@ -138,7 +137,15 @@ CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+@functools.cache
+def _validator():
+    """The schema's validator, built at the first config load: importing
+    jsonschema takes about a quarter of `import modwave`, and only a load
+    needs it."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def _lookup_formula(corpus: Path, ident: str) -> str:
@@ -201,6 +208,8 @@ def load_config(
     seed_override: int | None = None,
     out_override: str | Path | None = None,
 ) -> ExperimentConfig:
+    from jsonschema.exceptions import best_match
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -209,7 +218,7 @@ def load_config(
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    error = best_match(_validator().iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config fails schema validation: {error.message}")
 

@@ -239,10 +239,11 @@ class _Parser:
                 f"{name} takes {expected} argument(s), got {len(args)}",
                 name_token.pos,
             )
-        if name == "integral" and not isinstance(args[1], Symbol):
+        # the evaluator integrates along the time grid only
+        if name == "integral" and not (isinstance(args[1], Symbol) and args[1].name == "t"):
             raise ParseError(
                 "arity-error",
-                "integral's second argument must be the integration variable",
+                "integral's second argument must be the integration variable t",
                 name_token.pos,
             )
         if name == "sum" and not isinstance(args[1], Symbol):

@@ -107,7 +107,7 @@ def _walk_semantics(
             _walk_semantics(arg, bound, flags)
         return
     if isinstance(expr, Call) and expr.func == "integral":
-        # the integration variable is not a read; evaluation rejects any but t
+        # the integration variable t is not a read
         _walk_semantics(expr.args[0], bound, flags)
         return
     for kid in children(expr):

@@ -207,18 +207,28 @@ def extract_constellation(
 ) -> np.ndarray:
     """Coherent downconversion and per-symbol integrate-and-dump.
 
-    Returns one complex point per symbol interval. For a passband signal
-    I cos - Q sin the recovered point is I + jQ (double-frequency terms
-    average out exactly when the carrier completes whole cycles per
-    symbol, which the default geometry guarantees).
+    Returns one complex point per symbol interval; for a real passband
+    I cos - Q sin held over the interval the point is I + jQ (complex
+    samples raise SignalError). The carrier at sample j of symbol k is
+    exp(-j2πf_c·k·sps/fs)·exp(-j2πf_c·j/fs), so a point is one dot product
+    of its frame with a fixed mixer, turned by a per-symbol phasor. The
+    dump of s also holds c·conj(s), c = phasor²·mean(mixer²), which cancels
+    only for whole carrier cycles per symbol; (p - c·conj(p)) / (1 - |c|²)
+    removes it.
     """
-    t = np.arange(len(signal)) / signal.sample_rate
-    # one complex buffer instead of three full-length temporaries
-    mixed = -2j * np.pi * config.carrier_freq * t
-    np.exp(mixed, out=mixed)
-    mixed *= 2.0 * signal.samples
+    if np.iscomplexobj(signal.samples):
+        raise SignalError("extract_constellation needs real samples; got complex")
     sps = config.samples_per_symbol
-    return _frames(mixed, sps, sps).mean(axis=1)
+    fs = signal.sample_rate
+    frames = _frames(signal.samples, sps, sps)
+    mixer = np.exp(-2j * np.pi * config.carrier_freq / fs * np.arange(sps))
+    # one pass over the frames: the mixer's real and imaginary parts as columns
+    dumped = frames @ (np.column_stack((mixer.real, mixer.imag)) * (2.0 / sps))
+    cycles = np.mod(config.carrier_freq * sps / fs * np.arange(len(frames)), 1.0)
+    phasor = np.exp(-2j * np.pi * cycles)
+    points = (dumped[:, 0] + 1j * dumped[:, 1]) * phasor
+    leak = phasor**2 * np.mean(mixer**2)
+    return (points - leak * points.conj()) / (1.0 - np.abs(leak) ** 2)
 
 
 def correlation_demodulate(
@@ -281,28 +291,31 @@ def _discriminator_bits(
 ) -> np.ndarray:
     """Limiter-discriminator for the continuous-phase schemes.
 
-    The complex baseband is selected by a brick-wall filter wide enough
-    for the scheme's deviation plus one symbol-rate of modulation
-    sidebands; without that front-end selection the discriminator sits
-    below its click threshold at low per-sample SNR.
+    The front end keeps the rfft bins within f_c ± (h/2 + 1)·Rs, the
+    deviation plus one symbol-rate of sidebands; without that selection
+    the discriminator sits below its click threshold at low per-sample
+    SNR. Moved down by the carrier's nearest bin, the band returns to time
+    in one short ifft at q samples per symbol. Each bit is the sign of the
+    symbol's mean phase step over the central half of its interval.
     """
-    fs = received.sample_rate
-    n = len(received)
-    t = np.arange(n) / fs
-    z = _analytic(received.samples)
-    z *= np.exp(-2j * np.pi * config.carrier_freq * t)
-    cutoff = (SCHEMES[config.scheme].h / 2 + 1.0) * config.symbol_rate
-    spectrum = np.fft.fft(z)
-    freqs = np.fft.fftfreq(n, d=1.0 / fs)
-    spectrum[np.abs(freqs) > cutoff] = 0.0
-    z = np.fft.ifft(spectrum)
-
-    phase = np.unwrap(np.angle(z))
-    steps = np.diff(phase) * fs / (2 * np.pi)
-    inst_freq = np.concatenate((steps[:1], steps))  # keep one value per sample
+    h = SCHEMES[config.scheme].h
     sps = config.samples_per_symbol
-    frames = _frames(inst_freq, sps, sps)
-    lo, hi = sps // 4, sps - sps // 4  # central window avoids transitions
+    q = min(sps, math.ceil(8 * (h + 2)))  # 8 samples per Rs of the kept band
+    n_symbols = len(received) // sps
+    spectrum = np.fft.rfft(np.asarray(received.samples[: n_symbols * sps], dtype=float))
+    carrier = config.carrier_freq * n_symbols / config.symbol_rate  # in bins
+    k0 = round(carrier)
+    band = int((h / 2 + 1) * n_symbols)  # bins on each side of the carrier
+    baseband = np.zeros(n_symbols * q, dtype=complex)
+    baseband[: band + 1] = spectrum[k0 : k0 + band + 1]
+    baseband[-band:] = spectrum[k0 - band : k0]
+    z = np.fft.ifft(baseband)
+    steps = np.angle(z[1:] * z[:-1].conj())  # phase step per sample
+    # a carrier between bins turns every step by the same angle
+    steps -= 2 * np.pi * (carrier - k0) / baseband.size
+    phase_steps = np.concatenate((steps[:1], steps))  # keep one value per sample
+    frames = _frames(phase_steps, q, q)
+    lo, hi = q // 4, q - q // 4  # central window avoids transitions
     centers = frames[:, lo:hi].mean(axis=1)
     return (centers > 0.0).astype(np.uint8)
 

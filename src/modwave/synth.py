@@ -672,11 +672,16 @@ def write_waveform(
     """Dump samples as CSV (index,i,q) or interleaved float32 binary.
 
     Both formats get a JSON sidecar (<path>.json) recording the sample
-    rate, format and provenance so the dump is self-describing.
+    rate, format and provenance so the dump is self-describing. A finite
+    sample beyond the float32 range raises SignalError.
     """
     path = Path(path)
     z = np.asarray(signal.samples)
-    i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
+    with np.errstate(over="ignore"):
+        i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
+    overflow = (np.isinf(i) & np.isfinite(z.real)) | (np.isinf(q) & np.isfinite(z.imag))
+    if overflow.any():
+        raise SignalError(f"sample {np.argmax(overflow)} is beyond the float32 range")
     if fmt == "csv":
         rows = zip(range(z.size), i.tolist(), q.tolist())
         write_table(path, "index,i,q", "%d,%.8g,%.8g", rows)

@@ -108,6 +108,25 @@ class TestEvalCommand:
         assert report["report"]["ber"] == 0.0
         assert report["report"]["invalid_count"] == 0
 
+    def test_inline_formula_runs_as_under_compare(self, tmp_path):
+        # eval finds a formula given inline in the config's schemes, as compare does
+        probe = {
+            "scheme": "formula:probe",
+            "formula_text": "A_c*(I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t))",
+        }
+        config = write_config(
+            tmp_path,
+            schemes=["qpsk", probe],
+            scheme_defaults={"n_symbols": 500},
+            channel={"target_snr_db": None},
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
+        assert rows[1]["modulation"] == "formula:probe" and rows[1]["ber"] == 0.0
+        assert main(["eval", "--config", str(config), "--scheme", "formula:probe"]) == 0
+        report = json.loads((tmp_path / "out" / "formula_probe_report.json").read_text())
+        assert report["report"]["ber"] == 0.0
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         main(["eval", "--config", str(config), "--scheme", "bpsk"])
@@ -400,3 +419,18 @@ def test_runtime_imports_neither_scipy_nor_requests():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_jsonschema_unloaded():
+    # only a config load validates, so only a load imports jsonschema
+    src = str(Path(modwave.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = (
+        "import sys, modwave; from modwave.config import CONFIG_SCHEMA; "
+        "print('jsonschema' in sys.modules, CONFIG_SCHEMA['type'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "object"]

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
 
@@ -39,6 +41,7 @@ from modwave.synth import (
     SchemeConfig,
     bits_to_labels,
     constellation,
+    demap_symbols,
     gen_bits,
     map_symbols,
     modulate,
@@ -373,17 +376,52 @@ class TestConstellation:
             spreads.append(np.std(points - ideal))
         assert spreads[1] / spreads[0] == pytest.approx(math.sqrt(10.0), rel=0.10)
 
-    @pytest.mark.parametrize(
-        "geometry", [{}, {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10}]
-    )
-    def test_bits_equal_mix_then_average(self, geometry):
-        cfg = SchemeConfig("qam16", n_symbols=3000, seed=2, **geometry)
+    def test_points_equal_mix_then_average(self):
+        # at the default geometry the per-symbol mixer gives the full-length
+        # mix-then-average points and the same decisions
+        cfg = SchemeConfig("qam16", n_symbols=3000, seed=2)
         sig = add_awgn(modulate(cfg), 5.0, seed=3)
         t = np.arange(len(sig)) / sig.sample_rate
         mixed = 2.0 * sig.samples * np.exp(-2j * np.pi * cfg.carrier_freq * t)
-        sps = cfg.samples_per_symbol
-        expected = mixed.reshape(-1, sps).mean(axis=1)
-        assert np.array_equal(extract_constellation(sig, cfg), expected)
+        expected = mixed.reshape(-1, cfg.samples_per_symbol).mean(axis=1)
+        points = extract_constellation(sig, cfg)
+        assert np.max(np.abs(points - expected)) <= 1e-9
+        assert np.array_equal(demap_symbols(points, "qam16"), demap_symbols(expected, "qam16"))
+
+    def test_complex_samples_raise(self):
+        # the leakage removal assumes a real passband
+        cfg = SchemeConfig("qam16", n_symbols=100, seed=2)
+        sig = modulate(cfg)
+        with pytest.raises(SignalError):
+            extract_constellation(replace(sig, samples=sig.samples + 0j), cfg)
+
+    @pytest.mark.parametrize(
+        "scheme", [name for name, s in SCHEMES.items() if s.alphabet is not None]
+    )
+    def test_noiseless_points_off_whole_cycles_are_the_alphabet(self, scheme):
+        # 2745 Hz completes 2.2875 cycles per symbol, so the double-frequency
+        # term does not average out and must be removed
+        cfg = SchemeConfig(
+            scheme, carrier_freq=2745.0, symbol_rate=1200.0, samples_per_symbol=10,
+            n_symbols=2000, seed=2,
+        )
+        sig = modulate(cfg)
+        sent = constellation(scheme)[bits_to_labels(sig.origin_bits, cfg.bits_per_symbol)]
+        assert np.max(np.abs(extract_constellation(sig, cfg) - sent)) <= 1e-9
+
+
+DIGITAL = [name for name, s in SCHEMES.items() if s.bits_per_symbol]
+
+
+@st.composite
+def geometries(draw):
+    """Symbol rate, samples per symbol and a carrier that SchemeConfig accepts:
+    f_c - 2 Rs above 0 Hz and f_c + 2 Rs below fs / 2."""
+    symbol_rate = draw(st.floats(50.0, 20_000.0))
+    sps = draw(st.integers(9, 64))
+    room = sps / 2 - 4  # the carrier's range, in symbol rates
+    carrier = symbol_rate * (2 + room * draw(st.floats(0.001, 0.999)))
+    return {"symbol_rate": symbol_rate, "samples_per_symbol": sps, "carrier_freq": carrier}
 
 
 class TestDemodulation:
@@ -479,6 +517,32 @@ class TestDemodulation:
         sig = modulate(cfg)
         with pytest.raises(DemodulationError):
             demodulate(sig, cfg, reference=sig)
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(DIGITAL), geometries(), st.integers(0, 2**16))
+    def test_noiseless_loopback_on_any_geometry(self, scheme, geometry, seed):
+        cfg = SchemeConfig(scheme, n_symbols=1000, seed=seed, **geometry)
+        sig = modulate(cfg)
+        assert ber(sig.origin_bits, demodulate(sig, cfg, reference=sig)) == 0.0
+
+    # the full-rate discriminator's BERs at 0, 2 and 5 dB, 100k bits, bit
+    # seed 23, noise seed 29: four full-length FFTs and a mixer per row
+    FULL_RATE_DISCRIMINATOR = {
+        "bfsk": (0.00039, 0.00001, 0.0),
+        "msk": (0.01131, 0.00207, 0.00001),
+        "gmsk": (0.07558, 0.04181, 0.01157),
+    }
+
+    @pytest.mark.parametrize("scheme", FULL_RATE_DISCRIMINATOR)
+    def test_decimated_discriminator_is_no_worse(self, scheme):
+        n_bits = 100_000
+        cfg = SchemeConfig(scheme, n_symbols=n_bits, seed=23)
+        clean, _ = normalize_power(modulate(cfg), 1.0)
+        for snr_db, full_rate in zip((0.0, 2.0, 5.0), self.FULL_RATE_DISCRIMINATOR[scheme]):
+            received = add_awgn(clean, snr_db, seed=29)
+            rate = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
+            allowance = binomial_3sigma(max(full_rate, 1e-5), n_bits)
+            assert rate <= full_rate + allowance, (scheme, snr_db, rate)
 
     def test_ber_non_increasing_in_snr(self):
         # common noise seed across levels keeps the comparison tight

@@ -42,6 +42,9 @@ from modwave.synth import (
 
 from conftest import SPECIAL, SPECIAL_F32
 
+# the special values a float32 dump can hold: the finite ones beyond its range raise
+WRITABLE = SPECIAL[~(np.isfinite(SPECIAL) & (np.abs(SPECIAL) > np.finfo(np.float32).max))]
+
 
 DIGITAL = [s for s in REFERENCE_SCHEMES if s not in ("am", "fm", "pm")]
 
@@ -425,17 +428,24 @@ class TestWaveformDump:
         "samples",
         [
             modulate(SchemeConfig("qam16", n_symbols=40, seed=3)).samples,
-            np.array([complex(a, b) for a, b in zip(SPECIAL, SPECIAL[::-1])]),
+            np.array([complex(a, b) for a, b in zip(WRITABLE, WRITABLE[::-1])]),
             SPECIAL_F32.astype(complex),
         ],
         ids=["qam16", "f64", "f32"],
     )
     def test_csv_bytes_equal_the_cell_writer(self, tmp_path, samples):
         sig = SampledSignal(samples, 48000.0)
-        with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
-            write_waveform(sig, tmp_path / "row.csv", fmt="csv")
-            oracle_waveform_csv(sig, tmp_path / "cell.csv")
+        write_waveform(sig, tmp_path / "row.csv", fmt="csv")
+        oracle_waveform_csv(sig, tmp_path / "cell.csv")
         assert (tmp_path / "row.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "f32"])
+    @pytest.mark.parametrize("sample", [1e300, -1e300j, 3.5e38])
+    def test_finite_sample_beyond_float32_raises(self, tmp_path, fmt, sample):
+        samples = np.array([0.5, sample, np.inf, np.nan], dtype=complex)
+        with pytest.raises(SignalError, match="sample 1 is beyond the float32 range"):
+            write_waveform(SampledSignal(samples, 48000.0), tmp_path / "x", fmt=fmt)
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_format(self, tmp_path):
         sig = SampledSignal(np.ones(4), 48000.0)

@@ -85,6 +85,15 @@ def test_sum_index_is_bound():
     assert leaky.has_flag(UNDEFINED_SYMBOL)
 
 
+def test_integral_over_another_variable_is_invalid():
+    # the evaluator integrates along t only, so any other variable cannot run
+    report = validate("A_c*cos(2*pi*f_c*t + k_f*integral(m(t), x))")
+    assert not report.valid
+    assert classify(report) == CLASS_ARITY
+    assert "variable t" in report.error_messages[0]
+    assert validate("A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t))").valid
+
+
 def test_classification_buckets():
     cases = {
         "A_c * cos(2*pi*f_c*t)": CLASS_VALID,
