@@ -94,8 +94,6 @@ from .synth import (
     gen_bits,
     map_symbols,
     modulate,
-    modulate_formula,
-    modulate_reference,
     normalize_power,
     normalize_scheme_id,
     read_waveform_f32,

@@ -434,54 +434,40 @@ SCHEMES: dict[str, Scheme] = {
 REFERENCE_SCHEMES = tuple(SCHEMES)
 
 
-def _waveform_from_labels(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    """Passband waveform for a digital scheme given per-symbol labels."""
-    return SCHEMES[cfg.scheme].waveform(cfg, labels)
-
-
-def modulate_reference(cfg: SchemeConfig) -> SampledSignal:
-    """Reference waveform for one of the standard schemes."""
-    if cfg.is_formula:
-        raise SignalError("use modulate_formula for formula schemes")
-    scheme = SCHEMES[cfg.scheme]
-    if not scheme.bits_per_symbol:
-        return SampledSignal(
-            samples=scheme.waveform(cfg, None),
-            sample_rate=cfg.sample_rate,
-            symbol_rate=cfg.symbol_rate,
-        )
-    bits = gen_bits(cfg.n_symbols * scheme.bits_per_symbol, cfg.seed)
-    labels = bits_to_labels(bits, scheme.bits_per_symbol)
-    return SampledSignal(
-        samples=_waveform_from_labels(cfg, labels),
-        sample_rate=cfg.sample_rate,
-        origin_bits=bits,
-        symbol_rate=cfg.symbol_rate,
-    )
-
-
 # ---------------------------------------------------------------------------
-# formula-driven synthesis
+# formula-driven synthesis and the two entry points
 
 
-def _symbol_streams(cfg: SchemeConfig, labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-symbol values of the quadrature, data and frequency streams."""
+# the streams a formula reads per symbol; m(t) does not follow the labels
+_LABEL_STREAMS = frozenset({"I(t)", "Q(t)", "d(t)", "f(t)"})
+
+
+def formula_context(
+    cfg: SchemeConfig, labels: np.ndarray
+) -> tuple[Expr, EvalContext, np.ndarray]:
+    """Parse a formula scheme's text and bind every name it may read.
+
+    The quadrature, data and frequency streams come from the base scheme's
+    Gray-labeled symbols. A 1-D labels array is one label per symbol, held
+    over that symbol's samples; an (order, 1) column binds one row per
+    label, which broadcasts against the grid. Scalars come from the
+    config, and m(t) is bound only when the formula reads it. Returns the
+    expression, its context and the time grid, evaluate's three arguments.
+    """
+    if not cfg.formula_text:
+        raise SignalError("formula scheme configured without formula_text")
+    expr = parse_formula(cfg.formula_text)
     points = constellation(cfg.base_scheme)[labels]
-    return {
+    signals = {
         "I(t)": points.real,
         "Q(t)": points.imag,
         "d(t)": labels.astype(float),
         "f(t)": cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
     }
-
-
-def _formula_bindings(
-    cfg: SchemeConfig, t: np.ndarray, streams: dict[str, np.ndarray],
-    names: frozenset[str],
-) -> EvalContext:
-    """The streams and the config's scalars; m(t) only when names has it."""
-    signals = dict(streams)
-    if "m(t)" in names:
+    if labels.ndim == 1:
+        signals = {name: _hold(v, cfg.samples_per_symbol) for name, v in signals.items()}
+    t = _time_grid(cfg)
+    if "m(t)" in reads(expr)[0]:
         signals["m(t)"] = _message(cfg, t)
     constants = {
         "f_c": cfg.carrier_freq,
@@ -496,60 +482,30 @@ def _formula_bindings(
         "phi_m": 0.0,
         "n": 4.0,
     }
-    return EvalContext(constants=constants, signals=signals)
+    return expr, EvalContext(constants=constants, signals=signals), t
 
 
-def formula_context(
-    expr: Expr, cfg: SchemeConfig, labels: np.ndarray | None = None
-) -> tuple[EvalContext, np.ndarray, np.ndarray]:
-    """Evaluation context for a formula scheme's expr.
+def modulate(cfg: SchemeConfig) -> SampledSignal:
+    """Synthesize any configured scheme, reference or formula-driven.
 
-    The quadrature, data and frequency streams come from the base scheme's
-    Gray-labeled symbols; scalars come from the config; m(t) is bound
-    only when expr reads it. Returns the context plus the bits and labels
-    used, so error rates stay computable downstream.
+    A digital scheme or formula sends cfg.n_symbols labels drawn from
+    cfg.seed; their bits are the signal's origin_bits.
     """
     bps = cfg.bits_per_symbol
-    if labels is None:
-        bits = gen_bits(cfg.n_symbols * bps, cfg.seed)
-        labels = bits_to_labels(bits, bps)
-    else:
-        labels = np.asarray(labels, dtype=np.int64)
-        bits = labels_to_bits(labels, bps)
-    sps = cfg.samples_per_symbol
-    streams = {
-        name: _hold(values, sps)
-        for name, values in _symbol_streams(cfg, labels).items()
-    }
-    names, _ = reads(expr)
-    return _formula_bindings(cfg, _time_grid(cfg), streams, names), bits, labels
-
-
-def modulate_formula(
-    expr: Expr, ctx: EvalContext, cfg: SchemeConfig,
-    origin_bits: np.ndarray | None = None,
-) -> SampledSignal:
-    """Evaluate a formula over the config's grid as a waveform."""
-    result = evaluate(expr, ctx, _time_grid(cfg))
+    bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
+    labels = None if bits is None else bits_to_labels(bits, bps)
+    if not cfg.is_formula:
+        samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
+        return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
+    result = evaluate(*formula_context(cfg, labels))
     return SampledSignal(
         samples=result.samples,
         sample_rate=cfg.sample_rate,
-        origin_bits=origin_bits,
+        origin_bits=bits,
         symbol_rate=cfg.symbol_rate,
         guard_count=result.guard_count,
         invalid_count=int(np.count_nonzero(result.invalid_mask)),
     )
-
-
-def modulate(cfg: SchemeConfig) -> SampledSignal:
-    """Synthesize any configured scheme, reference or formula-driven."""
-    if not cfg.is_formula:
-        return modulate_reference(cfg)
-    if not cfg.formula_text:
-        raise SignalError("formula scheme configured without formula_text")
-    expr = parse_formula(cfg.formula_text)
-    ctx, bits, _labels = formula_context(expr, cfg)
-    return modulate_formula(expr, ctx, cfg, origin_bits=bits)
 
 
 def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
@@ -565,21 +521,15 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     """
     order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
-        expr = parse_formula(cfg.formula_text)
-        names, integrated = reads(expr)
-        columns = {
-            name: values[:, None]
-            for name, values in _symbol_streams(cfg, np.arange(order)).items()
-        }
-        memory = integrated & columns.keys()
+        expr, ctx, t = formula_context(cfg, np.arange(order)[:, None])
+        memory = reads(expr)[1] & _LABEL_STREAMS
         if memory:
             raise DemodulationError(
                 f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "
                 "have memory; no per-symbol candidate bank"
             )
         _check_bank_size(order, cfg.n_samples)
-        t = _time_grid(cfg)
-        return evaluate(expr, _formula_bindings(cfg, t, columns, names), t).samples
+        return evaluate(expr, ctx, t).samples
     scheme = SCHEMES[cfg.scheme]
     if scheme.memory:
         raise DemodulationError(
@@ -589,7 +539,7 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
         raise DemodulationError("analog schemes have no symbol candidates")
     _check_bank_size(order, cfg.n_samples)
     return np.stack([
-        _waveform_from_labels(cfg, np.full(cfg.n_symbols, label, dtype=np.int64))
+        scheme.waveform(cfg, np.full(cfg.n_symbols, label, dtype=np.int64))
         for label in range(order)
     ])
 

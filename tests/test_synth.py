@@ -32,7 +32,6 @@ from modwave.synth import (
     gen_bits,
     map_symbols,
     modulate,
-    modulate_reference,
     normalize_power,
     normalize_scheme_id,
     read_waveform_f32,
@@ -187,7 +186,7 @@ class TestSchemeConfig:
 class TestReferenceWaveforms:
     def test_bpsk_phase_flip_at_symbol_centers(self):
         cfg = SchemeConfig("bpsk", n_symbols=64, seed=2)
-        sig = modulate_reference(cfg)
+        sig = modulate(cfg)
         sps = cfg.samples_per_symbol
         t = np.arange(len(sig)) / sig.sample_rate
         carrier = np.cos(2 * np.pi * cfg.carrier_freq * t)
@@ -200,7 +199,7 @@ class TestReferenceWaveforms:
 
     def test_am_zero_index_matches_formula_engine(self):
         cfg = SchemeConfig("am", mod_index=0.0, n_symbols=100)
-        sig = modulate_reference(cfg)
+        sig = modulate(cfg)
         t = np.arange(len(sig)) / sig.sample_rate
         ctx = EvalContext(constants={"A_c": cfg.amplitude, "f_c": cfg.carrier_freq, "phi_c": 0.0})
         carrier = evaluate(parse_formula("A_c * cos(2*pi*f_c*t + phi_c)"), ctx, t)
@@ -208,7 +207,7 @@ class TestReferenceWaveforms:
 
     def test_ook_zero_bits_are_exactly_silent(self):
         cfg = SchemeConfig("ook", n_symbols=128, seed=7)
-        sig = modulate_reference(cfg)
+        sig = modulate(cfg)
         frames = sig.samples.reshape(128, cfg.samples_per_symbol)
         zeros = sig.origin_bits == 0
         assert zeros.any()
@@ -252,13 +251,11 @@ class TestFormulaSynthesis:
     def test_m2_with_silent_quadrature_reduces(self):
         # independent oracle: compose the reduced expression by hand
         cfg = SchemeConfig("formula:m2", formula_text=self.M2, n_symbols=200, seed=4)
-        expr = parse_formula(self.M2)
-        ctx, bits, labels = formula_context(expr, cfg)
+        expr, ctx, t = formula_context(cfg, np.arange(200) % 16)
         silent = EvalContext(
             constants=dict(ctx.constants),
             signals={**dict(ctx.signals), "Q(t)": np.zeros(cfg.n_samples)},
         )
-        t = np.arange(cfg.n_samples) / cfg.sample_rate
         full = evaluate(expr, silent, t)
         reduced = evaluate(
             parse_formula(
@@ -277,12 +274,11 @@ class TestFormulaSynthesis:
             " + (A*sum(m, i, 1, n))"
         )
         cfg = SchemeConfig("formula:m1", formula_text=m1, n_symbols=100, seed=4, amplitude=1.0)
-        ctx, _, _ = formula_context(parse_formula(m1), cfg)
+        _, ctx, t = formula_context(cfg, np.arange(100) % 16)
         zeroed = EvalContext(
             constants={**dict(ctx.constants), "A": 0.0, "m": 0.0},
             signals=dict(ctx.signals),
         )
-        t = np.arange(cfg.n_samples) / cfg.sample_rate
         full = evaluate(parse_formula(m1), zeroed, t)
         qam = evaluate(
             parse_formula("I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)"),
@@ -306,10 +302,8 @@ class TestFormulaSynthesis:
         bank = candidate_bank(cfg)
         assert bank.shape == (4, cfg.n_samples)
         # a run whose labels are constant must equal the matching bank row
-        from modwave.synth import _waveform_from_labels
-
         labels = np.full(20, 2, dtype=np.int64)
-        assert np.array_equal(bank[2], _waveform_from_labels(cfg, labels))
+        assert np.array_equal(bank[2], SCHEMES["qpsk"].waveform(cfg, labels))
 
 
 class TestSchemeTable:
@@ -321,15 +315,13 @@ class TestSchemeTable:
 
     @pytest.mark.parametrize("name", REFERENCE_SCHEMES)
     def test_candidate_bank_only_for_memoryless_digital(self, name):
-        from modwave.synth import _waveform_from_labels
-
         scheme = SCHEMES[name]
         cfg = SchemeConfig(name, n_symbols=5, seed=1)
         if scheme.bits_per_symbol:
             # memory: the last symbol's samples change with the first label
             sps = cfg.samples_per_symbol
             tails = [
-                _waveform_from_labels(cfg, np.array([first, 0, 0, 0, 1]))[-sps:]
+                scheme.waveform(cfg, np.array([first, 0, 0, 0, 1]))[-sps:]
                 for first in (0, 1)
             ]
             assert (not np.array_equal(*tails)) == scheme.memory
@@ -467,8 +459,8 @@ def oracle_waveform_csv(signal, path):
 def _per_label_row(cfg, expr, label):
     """Oracle: the formula evaluated with every symbol fixed to one label."""
     labels = np.full(cfg.n_symbols, label, dtype=np.int64)
-    ctx, _, _ = formula_context(expr, cfg, labels=labels)
-    return evaluate(expr, ctx, np.arange(cfg.n_samples) / cfg.sample_rate).samples
+    _, ctx, t = formula_context(cfg, labels)
+    return evaluate(expr, ctx, t).samples
 
 
 def assert_bank_matches_per_label(formula, base_scheme="qam16"):
@@ -518,7 +510,7 @@ class TestFormulaBank:
         expr = parse_formula(formula)
         assert reads(expr)[0] == NAMES
         cfg = SchemeConfig("formula:all", formula_text=formula, n_symbols=6, base_scheme="qam16")
-        ctx, _, _ = formula_context(expr, cfg)
+        _, ctx, _ = formula_context(cfg, np.arange(6))
         assert {"t", "pi"} | set(ctx.constants) | set(ctx.signals) == NAMES
         assert modulate(cfg).samples.shape == (cfg.n_samples,)
         assert_bank_matches_per_label(formula)
