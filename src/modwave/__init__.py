@@ -78,6 +78,7 @@ from .metrics import (
     extract_constellation,
     occupied_bandwidth,
     run_scheme,
+    seed_row,
     spectral_efficiency_measured,
     spectral_efficiency_theoretical,
     spectrogram,

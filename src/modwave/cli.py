@@ -14,7 +14,7 @@ overrides the configured generation endpoint.
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import ConfigError, CorpusError, GenerationSourceError, ModwaveErro
 from .metrics import (
     compare,
     run_scheme,
+    seed_row,
     write_comparison_csv,
     write_comparison_json,
 )
@@ -92,10 +93,10 @@ def cmd_eval(args) -> int:
     wanted = normalize_scheme_id(args.scheme)
     entry = next((s for s in config.schemes if isinstance(s, dict)
                   and normalize_scheme_id(s["scheme"]) == wanted), args.scheme)
-    scheme_cfg = replace(config.scheme_config(entry), seed=config.master_seed)
-    artifacts = run_scheme(
-        scheme_cfg, config.channel, config.metrics, collect=True
+    scheme_cfg, channel = seed_row(
+        config.scheme_config(entry), config.channel, config.master_seed
     )
+    artifacts = run_scheme(scheme_cfg, channel, config.metrics, collect=True)
     report = artifacts.report
     if report.error:  # a DemodulationError: the same line and exit as a raise
         print(f"error: {report.error.partition(': ')[2]}", file=sys.stderr)
@@ -106,7 +107,7 @@ def cmd_eval(args) -> int:
     payload = {
         "report": report.to_dict(),
         "master_seed": config.master_seed,
-        "channel": asdict(config.channel),
+        "channel": asdict(channel),
     }
     _write_json(payload, out_dir / f"{stem}_report.json")
     artifacts.psd.write_csv(out_dir / f"{stem}_psd.csv")
@@ -125,11 +126,8 @@ def cmd_compare(args) -> int:
     if len(config.schemes) < 2:
         print("error: compare needs at least two schemes", file=sys.stderr)
         return EXIT_CONFIG
-    configs = [
-        replace(c, seed=config.master_seed) for c in config.scheme_configs()
-    ]
     rows = compare(
-        configs, config.channel, params=config.metrics,
+        config.scheme_configs(), config.channel, params=config.metrics,
         master_seed=config.master_seed,
     )
     out_dir = config.out_dir
@@ -191,13 +189,12 @@ def cmd_generate(args) -> int:
         print(f"  {name}: {count}")
 
     if args.evaluate and valid_entries:
-        rows, _ = genlab.pipeline_run(
-            valid_entries,
-            len(valid_entries),
-            config.channel,
-            # pipeline_run fills in each formula's id and text
-            config.scheme_config({"scheme": "formula:pending", "formula_text": None}),
-            params=config.metrics,
+        configs = [
+            config.scheme_config({"scheme": f"formula:{e.id}", "formula_text": e.formula})
+            for e in valid_entries
+        ]
+        rows = compare(
+            configs, config.channel, params=config.metrics,
             master_seed=config.master_seed,
         )
         write_comparison_csv(rows, out_dir / "generated_metrics.csv")

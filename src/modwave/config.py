@@ -34,15 +34,17 @@ def _optional(annotation) -> tuple[type, bool]:
 def _schema(annotation) -> dict:
     """The JSON Schema of one field annotation: a scalar, `X | None`,
     `tuple[D, ...]` or a dataclass, whose fields without defaults are
-    required."""
+    required. A dataclass's `seed` field is no key: every seed a run uses
+    is derived from the master seed."""
     inner, nullable = _optional(annotation)
     if is_dataclass(inner):
         hints = get_type_hints(inner)
+        keys = [f for f in fields(inner) if f.name != "seed"]
         schema = {
             "type": "object",
-            "properties": {f.name: _schema(hints[f.name]) for f in fields(inner)},
+            "properties": {f.name: _schema(hints[f.name]) for f in keys},
             "required": [
-                f.name for f in fields(inner)
+                f.name for f in keys
                 if f.default is MISSING and f.default_factory is MISSING
             ],
             "additionalProperties": False,

@@ -13,6 +13,7 @@ An external text-generation service can stand in for the grammar through
 a small HTTP client; its output feeds the same validation pipeline.
 """
 
+import functools
 import http.client
 import json
 import re
@@ -42,7 +43,7 @@ class ProductionAlt:
     production: str
     weight: float
 
-    @property
+    @functools.cached_property
     def nonterminals(self) -> tuple[str, ...]:
         return tuple(_PLACEHOLDER.findall(self.production))
 
@@ -76,12 +77,13 @@ class GrammarConfig:
                         raise ConfigError(
                             f"production for {name!r} references unknown <{ref}>"
                         )
-        unproductive = set(self.rules) - set(self.expansion_depths())
+        unproductive = set(self.rules) - set(self.expansion_depths)
         if unproductive:
             raise ConfigError(
                 f"nonterminals cannot finish expanding: {sorted(unproductive)}"
             )
 
+    @functools.cached_property
     def expansion_depths(self) -> dict[str, int]:
         """Fewest expansion levels needed to finish each nonterminal."""
         depths: dict[str, int] = {}
@@ -140,7 +142,7 @@ def sample_formula(config: GrammarConfig, rng=None) -> str:
     if rng is None:
         rng = np.random.default_rng(config.seed)
     budget = [config.max_tokens]
-    depths = config.expansion_depths()
+    depths = config.expansion_depths
 
     def alt_depth(alt: ProductionAlt) -> int:
         if alt.is_terminal:

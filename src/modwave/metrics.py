@@ -371,8 +371,11 @@ def demodulate(
     schemes fall back to the per-symbol correlation receiver. The
     reference (the noiseless transmitted waveform) calibrates scale where
     a receiver needs it. The receivers of schemes with an alphabet assume
-    rectangular pulses, so any other pulse raises DemodulationError.
+    rectangular pulses, so any other pulse raises DemodulationError. Every
+    receiver assumes a real passband, so complex samples raise SignalError.
     """
+    if np.iscomplexobj(received.samples):
+        raise SignalError("demodulate needs real samples; got complex")
     scheme = None if config.is_formula else SCHEMES[config.scheme]
     receiver = "correlation" if scheme is None else scheme.receiver
     if receiver is None:
@@ -501,12 +504,9 @@ def run_scheme(
     config: SchemeConfig,
     channel: ChannelConfig,
     params: MetricsParams = MetricsParams(),
-    bits_seed: int | None = None,
     collect: bool = False,
 ) -> SchemeRunArtifacts:
     """Synthesize, normalize, impair and measure one scheme."""
-    if bits_seed is not None:
-        config = replace(config, seed=bits_seed)
     report = MetricsReport(
         scheme=config.scheme,
         target_snr_db=channel.target_snr_db,
@@ -552,6 +552,17 @@ def run_scheme(
     return artifacts
 
 
+def seed_row(
+    config: SchemeConfig, channel: ChannelConfig, master_seed: int
+) -> tuple[SchemeConfig, ChannelConfig]:
+    """A row's config and channel, their bit and noise seeds derived from
+    the master seed; every row of one master seed shares both."""
+    return (
+        replace(config, seed=derive_seed(master_seed, 0)),
+        replace(channel, seed=derive_seed(master_seed, 1)),
+    )
+
+
 def compare(
     configs: list[SchemeConfig],
     channel: ChannelConfig,
@@ -560,17 +571,15 @@ def compare(
 ) -> list[MetricsReport]:
     """One report row per scheme under identical channel conditions.
 
-    Every row shares the bit seed, the channel seed and unit-power
-    normalization. A ModwaveError becomes the row's error (a receiver's
-    after the SNR and bandwidth) and the run continues; any other
-    exception is a program fault and propagates.
+    Every row is seeded by seed_row and normalized to unit power. A
+    ModwaveError becomes the row's error (a receiver's after the SNR and
+    bandwidth) and the run continues; any other exception is a program
+    fault and propagates.
     """
-    bits_seed = derive_seed(master_seed, 0)
-    channel = replace(channel, seed=derive_seed(master_seed, 1))
     rows = []
     for config in configs:
         try:
-            rows.append(run_scheme(config, channel, params, bits_seed=bits_seed).report)
+            rows.append(run_scheme(*seed_row(config, channel, master_seed), params).report)
         except ModwaveError as exc:  # keep the table going; record the failure
             error = f"{type(exc).__name__}: {exc}"
             rows.append(MetricsReport(config.scheme, channel.target_snr_db, error=error))

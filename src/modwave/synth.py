@@ -435,11 +435,7 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 
 
 # ---------------------------------------------------------------------------
-# formula-driven synthesis and the two entry points
-
-
-# the streams a formula reads per symbol; m(t) does not follow the labels
-_LABEL_STREAMS = frozenset({"I(t)", "Q(t)", "d(t)", "f(t)"})
+# formula bindings, modulate and the candidate bank
 
 
 def formula_context(
@@ -522,7 +518,8 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
         expr, ctx, t = formula_context(cfg, np.arange(order)[:, None])
-        memory = reads(expr)[1] & _LABEL_STREAMS
+        # m(t) is the one bound signal that does not follow the labels
+        memory = reads(expr)[1] & (ctx.signals.keys() - {"m(t)"})
         if memory:
             raise DemodulationError(
                 f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "

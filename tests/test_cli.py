@@ -127,6 +127,19 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "out" / "formula_probe_report.json").read_text())
         assert report["report"]["ber"] == 0.0
 
+    def test_report_equals_the_compare_row(self, tmp_path):
+        # eval seeds its row from the master seed exactly as compare does
+        schemes = ["qpsk", "msk", "am", "formula:m2"]
+        config = write_config(tmp_path, schemes=schemes, scheme_defaults={"n_symbols": 500})
+        assert main(["compare", "--config", str(config), "--seed", "9"]) == 0
+        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
+        for scheme, row in zip(schemes, rows):
+            assert main(["eval", "--config", str(config), "--scheme", scheme, "--seed", "9"]) == 0
+            stem = scheme.replace(":", "_")
+            report = json.loads((tmp_path / "out" / f"{stem}_report.json").read_text())
+            assert report["report"] == row, scheme
+            assert report["channel"]["seed"] == row["seeds"]["channel"], scheme
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         main(["eval", "--config", str(config), "--scheme", "bpsk"])
@@ -327,6 +340,7 @@ class TestConfigHandling:
             {"scheme_defaults": {"samples_per_symbol": 48.5}},
             {"scheme_defaults": {"amplitude": None}},
             {"scheme_defaults": {"seed": 1.5}},
+            {"channel": {"seed": 3}},
             {"schemes": [{"scheme": "qam16", "carrier_freq": "6k"}, "bpsk"]},
             {"channel": {"fading": {"sigma": 1.0}}},
             {"metrics": {"welch_window": "bogus"}},
@@ -393,9 +407,10 @@ class TestConfigHandling:
         props = CONFIG_SCHEMA["properties"]
         channel = props["channel"]["properties"]
         sections = {
-            "schemes": (props["schemes"]["items"]["oneOf"][1], names(SchemeConfig)),
-            "scheme_defaults": (props["scheme_defaults"], names(SchemeConfig) - {"scheme"}),
-            "channel": (props["channel"], names(ChannelConfig) | {"preset"}),
+            # a seed is derived from the master seed, never configured
+            "schemes": (props["schemes"]["items"]["oneOf"][1], names(SchemeConfig) - {"seed"}),
+            "scheme_defaults": (props["scheme_defaults"], names(SchemeConfig) - {"scheme", "seed"}),
+            "channel": (props["channel"], names(ChannelConfig) - {"seed"} | {"preset"}),
             "taps": (channel["taps"]["items"], names(Tap)),
             "fading": (channel["fading"], names(FadingConfig)),
             "metrics": (props["metrics"], names(MetricsParams)),

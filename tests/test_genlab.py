@@ -161,7 +161,10 @@ class _EchoHandler(BaseHTTPRequestHandler):
 def echo_http():
     server = HTTPServer(("127.0.0.1", 0), _EchoHandler)
     server.posts = 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll interval; the default 0.5 s adds up over the tests
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()

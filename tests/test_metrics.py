@@ -30,6 +30,7 @@ from modwave.metrics import (
     extract_constellation,
     occupied_bandwidth,
     run_scheme,
+    seed_row,
     spectral_efficiency_measured,
     spectral_efficiency_theoretical,
     spectrogram,
@@ -467,6 +468,15 @@ class TestDemodulation:
         assert calibrated > 0
         assert abs(blind - calibrated) <= binomial_3sigma(calibrated, 20_000)
 
+    @pytest.mark.parametrize("scheme", ["msk", "ook", "chirp"])
+    def test_complex_samples_raise(self, scheme):
+        # every receiver assumes a real passband; none decides on the real part
+        cfg = SchemeConfig(scheme, n_symbols=100, seed=2)
+        sig = modulate(cfg)
+        rotated = replace(sig, samples=sig.samples * (1 + 1j))
+        with pytest.raises(SignalError, match="needs real samples"):
+            demodulate(rotated, cfg, reference=sig)
+
     def test_rrc_pulse_has_no_receiver(self):
         configs = [SchemeConfig(s, n_symbols=500, pulse="rrc") for s in ("qam16", "qpsk")]
         rows = compare(configs, ChannelConfig(target_snr_db=None), master_seed=1)
@@ -829,8 +839,8 @@ class TestArtifactWriters:
         }))
         assert main(["eval", "--config", str(config_path), "--scheme", scheme]) == 0
         config = load_config(config_path)
-        cfg = replace(config.scheme_config(scheme), seed=config.master_seed)
-        artifacts = run_scheme(cfg, config.channel, config.metrics, collect=True)
+        cfg, channel = seed_row(config.scheme_config(scheme), config.channel, config.master_seed)
+        artifacts = run_scheme(cfg, channel, config.metrics, collect=True)
         stem = scheme.replace(":", "_")
         oracle_psd_csv(artifacts.psd, tmp_path / "psd.csv")
         oracle_spectrogram_csv(artifacts.spectro, tmp_path / "spectrogram.csv")

@@ -251,11 +251,12 @@ class TestFormulaSynthesis:
     def test_m2_with_silent_quadrature_reduces(self):
         # independent oracle: compose the reduced expression by hand
         cfg = SchemeConfig("formula:m2", formula_text=self.M2, n_symbols=200, seed=4)
-        expr, ctx, t = formula_context(cfg, np.arange(200) % 16)
+        expr, ctx, _ = formula_context(cfg, np.arange(200) % 16)
         silent = EvalContext(
             constants=dict(ctx.constants),
             signals={**dict(ctx.signals), "Q(t)": np.zeros(cfg.n_samples)},
         )
+        t = np.arange(cfg.n_samples) / cfg.sample_rate
         full = evaluate(expr, silent, t)
         reduced = evaluate(
             parse_formula(
@@ -274,11 +275,12 @@ class TestFormulaSynthesis:
             " + (A*sum(m, i, 1, n))"
         )
         cfg = SchemeConfig("formula:m1", formula_text=m1, n_symbols=100, seed=4, amplitude=1.0)
-        _, ctx, t = formula_context(cfg, np.arange(100) % 16)
+        _, ctx, _ = formula_context(cfg, np.arange(100) % 16)
         zeroed = EvalContext(
             constants={**dict(ctx.constants), "A": 0.0, "m": 0.0},
             signals=dict(ctx.signals),
         )
+        t = np.arange(cfg.n_samples) / cfg.sample_rate
         full = evaluate(parse_formula(m1), zeroed, t)
         qam = evaluate(
             parse_formula("I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)"),
@@ -459,8 +461,8 @@ def oracle_waveform_csv(signal, path):
 def _per_label_row(cfg, expr, label):
     """Oracle: the formula evaluated with every symbol fixed to one label."""
     labels = np.full(cfg.n_symbols, label, dtype=np.int64)
-    _, ctx, t = formula_context(cfg, labels)
-    return evaluate(expr, ctx, t).samples
+    _, ctx, _ = formula_context(cfg, labels)
+    return evaluate(expr, ctx, np.arange(cfg.n_samples) / cfg.sample_rate).samples
 
 
 def assert_bank_matches_per_label(formula, base_scheme="qam16"):
@@ -501,6 +503,15 @@ class TestFormulaBank:
         for item in batch.items:
             if item.classification == CLASS_VALID:
                 assert_bank_matches_per_label(item.formula)
+
+    @pytest.mark.parametrize("formula", [
+        "A_c * cos(2*pi*f_c*t + k_f * integral(m(t), t) + phi_c)",
+        "A_c * cos(2*pi*f_c*t + k_f * integral(m(t), t) + pi * d(t))",
+    ])
+    def test_integrating_the_message_keeps_the_bank(self, formula):
+        # only an integrated label stream gives the symbols memory; m(t) does not
+        assert reads(parse_formula(formula))[1] == {"m(t)"}
+        assert_bank_matches_per_label(formula, "bpsk")
 
     def test_every_name_in_the_namespace_is_bound(self):
         # validation accepts exactly the names that synthesis binds
