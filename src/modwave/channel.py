@@ -3,8 +3,7 @@ block fading, and realized-SNR measurement.
 
 Noise is sized against the power of the signal handed in (normalize
 first), so a target of x dB yields noise power P_signal / 10^(x/10).
-Real signals get real Gaussian noise; complex signals get circularly
-symmetric noise split equally between components.
+Signals are real passband, so the noise is real Gaussian.
 """
 
 import math
@@ -85,35 +84,25 @@ def add_awgn(
         raise ZeroPowerError("cannot calibrate noise against a zero-power signal")
     noise_power = power / (10.0 ** (target_snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    n = len(signal)
-    if np.iscomplexobj(signal.samples):
-        scale = np.sqrt(noise_power / 2.0)
-        noise = rng.normal(0.0, scale, n) + 1j * rng.normal(0.0, scale, n)
-    else:
-        noise = rng.normal(0.0, np.sqrt(noise_power), n)
+    noise = rng.normal(0.0, np.sqrt(noise_power), len(signal))
     return replace(signal, samples=signal.samples + noise)
 
 
 def apply_multipath(signal: SampledSignal, taps: tuple[Tap, ...]) -> SampledSignal:
     """Sum delayed, scaled, phase-shifted copies; length preserved.
 
-    On real passband signals the tap phase enters as a gain factor
-    cos(phase); complex signals get the full complex rotation.
+    On a real passband signal the tap phase enters as a gain factor
+    cos(phase).
     """
     n = len(signal)
     samples = signal.samples
-    is_complex = np.iscomplexobj(samples)
-    out = np.zeros(n, dtype=complex if is_complex else float)
+    out = np.zeros(n)
     for tap in taps:
         if tap.delay_samples >= n:
             raise SignalError(
                 f"tap delay {tap.delay_samples} exceeds signal length {n}"
             )
-        weight = (
-            tap.gain * np.exp(1j * tap.phase)
-            if is_complex
-            else tap.gain * np.cos(tap.phase)
-        )
+        weight = tap.gain * np.cos(tap.phase)
         if tap.delay_samples == 0:
             out += weight * samples
         else:
@@ -143,7 +132,7 @@ def measure_snr(clean: SampledSignal, received: SampledSignal) -> float:
     clean_power = clean.power
     if clean_power == 0.0:
         raise ZeroPowerError("cannot measure SNR against a zero-power signal")
-    noise_power = float(np.mean(np.abs(received.samples - clean.samples) ** 2))
+    noise_power = float(np.mean((received.samples - clean.samples) ** 2))
     if noise_power == 0.0:
         return math.inf
     return 10.0 * math.log10(clean_power / noise_power)
@@ -151,29 +140,26 @@ def measure_snr(clean: SampledSignal, received: SampledSignal) -> float:
 
 def apply_channel(
     signal: SampledSignal, config: ChannelConfig
-) -> tuple[SampledSignal, SampledSignal, dict]:
+) -> tuple[SampledSignal, SampledSignal]:
     """Run the full impairment chain: multipath, fading, then AWGN.
 
     Noise is calibrated against the power of the input signal (the clean
-    pre-channel reference). Returns (received, pre_noise, details).
+    pre-channel reference). Returns (received, pre_noise).
     """
-    clean_power = signal.power
     pre_noise = apply_multipath(signal, config.taps)
     if config.fading is not None:
         pre_noise = apply_fading(
             pre_noise, config.fading, _derive(config.seed, 1)
         )
-    details = {"clean_power": clean_power, "noise_power": 0.0}
     if config.target_snr_db is None:
-        return pre_noise, pre_noise, details
+        return pre_noise, pre_noise
     received = add_awgn(
         pre_noise,
         config.target_snr_db,
         _derive(config.seed, 0),
-        reference_power=clean_power,
+        reference_power=signal.power,
     )
-    details["noise_power"] = clean_power / (10.0 ** (config.target_snr_db / 10.0))
-    return received, pre_noise, details
+    return received, pre_noise
 
 
 CHANNEL_PRESETS: dict[str, ChannelConfig] = {

@@ -31,10 +31,9 @@ DEFAULT_MAX_DEPTH = 64
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], max_depth: int):
+    def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
-        self._max_depth = max_depth
         self._nesting = 0
 
     # ---- token plumbing ----
@@ -53,7 +52,7 @@ class _Parser:
 
     def _enter(self):
         self._nesting += 1
-        if self._nesting > 4 * self._max_depth + 32:
+        if self._nesting > 4 * DEFAULT_MAX_DEPTH + 32:
             raise ParseError("too-deep", "formula nests too deeply")
 
     def _leave(self):
@@ -70,9 +69,9 @@ class _Parser:
             raise ParseError(
                 "unexpected-token", f"unexpected {token.text!r}", token.pos
             )
-        if depth(expr) > self._max_depth:
+        if depth(expr) > DEFAULT_MAX_DEPTH:
             raise ParseError(
-                "too-deep", f"expression deeper than {self._max_depth} levels"
+                "too-deep", f"expression deeper than {DEFAULT_MAX_DEPTH} levels"
             )
         return expr
 
@@ -255,11 +254,11 @@ class _Parser:
         return Call(name, tuple(args), span=(name_token.pos, closing.pos + 1))
 
 
-def parse(tokens: list[Token], max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
+def parse(tokens: list[Token]) -> Expr:
     """Parse a token sequence into an expression tree or raise ParseError."""
-    return _Parser(tokens, max_depth).parse()
+    return _Parser(tokens).parse()
 
 
-def parse_formula(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
+def parse_formula(text: str) -> Expr:
     """Tokenize and parse a formula string."""
-    return parse(tokenize(text), max_depth=max_depth)
+    return parse(tokenize(text))

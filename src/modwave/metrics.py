@@ -52,12 +52,12 @@ def _frames(samples: np.ndarray, length: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, length)[::hop]
 
 
-def _frame_power(frames: np.ndarray, taps: np.ndarray, transform):
-    """Yield (first frame index, |transform(frame * taps)|^2 per frame row),
+def _frame_power(frames: np.ndarray, taps: np.ndarray):
+    """Yield (first frame index, |rfft(frame * taps)|^2 per frame row),
     a block of at most _BLOCK_SAMPLES samples at a time."""
     step = max(1, _BLOCK_SAMPLES // frames.shape[1])
     for start in range(0, frames.shape[0], step):
-        yield start, np.abs(transform(frames[start : start + step] * taps)) ** 2
+        yield start, np.abs(np.fft.rfft(frames[start : start + step] * taps)) ** 2
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,9 @@ def welch_psd(
     overlap_fraction: float = 0.5,
     window: str = "hann",
 ) -> PsdEstimate:
-    """Averaged-periodogram PSD with density scaling.
-
-    Real signals produce a one-sided spectrum over [0, fs/2] with interior
-    bins doubled; complex signals produce a centered two-sided spectrum.
-    """
-    x = np.asarray(signal.samples)
-    n = x.size
+    """Averaged-periodogram PSD with density scaling: a one-sided spectrum
+    over [0, fs/2] with the interior bins doubled."""
+    n = len(signal)
     if segment_length > n:
         raise SignalError(
             f"segment length {segment_length} exceeds signal length {n}"
@@ -107,27 +103,21 @@ def welch_psd(
     taps = _WINDOWS[window](segment_length)
     compensation = float(np.sum(taps**2))  # window power correction
     hop = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
-    frames = _frames(x, segment_length, hop)
+    frames = _frames(signal.samples, segment_length, hop)
 
-    is_complex = np.iscomplexobj(x)
-    transform = np.fft.fft if is_complex else np.fft.rfft
-    accum = np.zeros(segment_length if is_complex else segment_length // 2 + 1)
-    for _, power in _frame_power(frames, taps, transform):
+    accum = np.zeros(segment_length // 2 + 1)
+    for _, power in _frame_power(frames, taps):
         # the running total joins the first frame and accumulate adds row
         # after row, so the sum is the frame-by-frame loop's, bit for bit
         power[0] += accum
         accum = np.add.accumulate(power, axis=0)[-1]
     density = accum / (len(frames) * fs * compensation)
-    if is_complex:
-        density = np.fft.fftshift(density)
-        freqs = np.fft.fftshift(np.fft.fftfreq(segment_length, d=1.0 / fs))
+    # fold negative frequencies into the interior bins
+    if segment_length % 2 == 0:
+        density[1:-1] *= 2.0
     else:
-        # fold negative frequencies into the interior bins
-        if segment_length % 2 == 0:
-            density[1:-1] *= 2.0
-        else:
-            density[1:] *= 2.0
-        freqs = np.fft.rfftfreq(segment_length, d=1.0 / fs)
+        density[1:] *= 2.0
+    freqs = np.fft.rfftfreq(segment_length, d=1.0 / fs)
 
     return PsdEstimate(
         frequencies=freqs,
@@ -175,23 +165,17 @@ class Spectrogram:
 def spectrogram(
     signal: SampledSignal, fft_length: int = 256, hop: int = 128
 ) -> Spectrogram:
-    """Magnitude-squared short-time Fourier transform with a Hann window.
-
-    The one-sided frequency axis only holds for real samples, so complex
-    samples raise SignalError.
-    """
-    if np.iscomplexobj(signal.samples):
-        raise SignalError("spectrogram needs real samples; got complex")
-    x = np.asarray(signal.samples, dtype=float)
-    if fft_length > x.size:
+    """Magnitude-squared short-time Fourier transform with a Hann window,
+    one-sided in frequency."""
+    if fft_length > len(signal):
         raise SignalError("fft length exceeds signal length")
     if hop < 1:
         raise SignalError("hop must be at least 1")
     fs = signal.sample_rate
     taps = np.hanning(fft_length)
-    frames = _frames(x, fft_length, hop)
+    frames = _frames(signal.samples, fft_length, hop)
     power = np.empty((fft_length // 2 + 1, len(frames)))
-    for start, block in _frame_power(frames, taps, np.fft.rfft):
+    for start, block in _frame_power(frames, taps):
         power[:, start : start + block.shape[0]] = block.T
     freqs = np.fft.rfftfreq(fft_length, d=1.0 / fs)
     times = (np.arange(len(frames)) * hop + fft_length / 2) / fs
@@ -208,16 +192,13 @@ def extract_constellation(
     """Coherent downconversion and per-symbol integrate-and-dump.
 
     Returns one complex point per symbol interval; for a real passband
-    I cos - Q sin held over the interval the point is I + jQ (complex
-    samples raise SignalError). The carrier at sample j of symbol k is
-    exp(-j2πf_c·k·sps/fs)·exp(-j2πf_c·j/fs), so a point is one dot product
-    of its frame with a fixed mixer, turned by a per-symbol phasor. The
-    dump of s also holds c·conj(s), c = phasor²·mean(mixer²), which cancels
-    only for whole carrier cycles per symbol; (p - c·conj(p)) / (1 - |c|²)
-    removes it.
+    I cos - Q sin held over the interval the point is I + jQ. The carrier
+    at sample j of symbol k is exp(-j2πf_c·k·sps/fs)·exp(-j2πf_c·j/fs), so
+    a point is one dot product of its frame with a fixed mixer, turned by a
+    per-symbol phasor. The dump of s also holds c·conj(s), with
+    c = phasor²·mean(mixer²), which cancels only for whole carrier cycles
+    per symbol; (p - c·conj(p)) / (1 - |c|²) removes it.
     """
-    if np.iscomplexobj(signal.samples):
-        raise SignalError("extract_constellation needs real samples; got complex")
     sps = config.samples_per_symbol
     fs = signal.sample_rate
     frames = _frames(signal.samples, sps, sps)
@@ -243,7 +224,7 @@ def correlation_demodulate(
     bank = candidate_bank(config)
     bank *= bank_scale
     sps = config.samples_per_symbol
-    rx = _frames(np.asarray(received.samples, dtype=float), sps, sps)
+    rx = _frames(received.samples, sps, sps)
     # distances per symbol interval against each candidate row
     best = np.empty(rx.shape[0], dtype=np.int64)
     dist = np.empty((bank.shape[0], rx.shape[0]))
@@ -280,10 +261,9 @@ def _analytic(samples: np.ndarray) -> np.ndarray:
     doubles the other positive-frequency bins; ifft zero-pads it to the
     full length, so the negative half is zero.
     """
-    x = np.asarray(samples, dtype=float)
-    spectrum = np.fft.rfft(x)
-    spectrum[1 : (x.size + 1) // 2] *= 2.0
-    return np.fft.ifft(spectrum, x.size)
+    spectrum = np.fft.rfft(samples)
+    spectrum[1 : (samples.size + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum, samples.size)
 
 
 def _discriminator_bits(
@@ -302,7 +282,7 @@ def _discriminator_bits(
     sps = config.samples_per_symbol
     q = min(sps, math.ceil(8 * (h + 2)))  # 8 samples per Rs of the kept band
     n_symbols = len(received) // sps
-    spectrum = np.fft.rfft(np.asarray(received.samples[: n_symbols * sps], dtype=float))
+    spectrum = np.fft.rfft(received.samples[: n_symbols * sps])
     carrier = config.carrier_freq * n_symbols / config.symbol_rate  # in bins
     k0 = round(carrier)
     band = int((h / 2 + 1) * n_symbols)  # bins on each side of the carrier
@@ -371,11 +351,8 @@ def demodulate(
     schemes fall back to the per-symbol correlation receiver. The
     reference (the noiseless transmitted waveform) calibrates scale where
     a receiver needs it. The receivers of schemes with an alphabet assume
-    rectangular pulses, so any other pulse raises DemodulationError. Every
-    receiver assumes a real passband, so complex samples raise SignalError.
+    rectangular pulses, so any other pulse raises DemodulationError.
     """
-    if np.iscomplexobj(received.samples):
-        raise SignalError("demodulate needs real samples; got complex")
     scheme = None if config.is_formula else SCHEMES[config.scheme]
     receiver = "correlation" if scheme is None else scheme.receiver
     if receiver is None:
@@ -519,7 +496,7 @@ def run_scheme(
     report.guard_count = clean.guard_count
     report.invalid_count = clean.invalid_count
 
-    received, pre_noise, _details = apply_channel(clean, channel)
+    received, pre_noise = apply_channel(clean, channel)
     report.snr_db = measure_snr(pre_noise, received)
 
     psd = welch_psd(

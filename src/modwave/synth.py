@@ -38,7 +38,9 @@ def normalize_scheme_id(scheme: str) -> str:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled waveform plus the ground truth that produced it."""
+    """Uniformly sampled real passband waveform plus the ground truth that
+    produced it. Every stage builds one with the constructor or replace, so
+    complex samples raise SignalError here and nowhere else."""
 
     samples: np.ndarray
     sample_rate: float
@@ -48,9 +50,13 @@ class SampledSignal:
     invalid_count: int = 0  # non-finite samples the evaluator zeroed
     gain: float = 1.0  # realized amplitude gain applied since synthesis
 
+    def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise SignalError("samples must be real passband; got complex")
+
     @property
     def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return float(np.mean(self.samples**2))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -618,30 +624,30 @@ def write_waveform(
 ) -> None:
     """Dump samples as CSV (index,i,q) or interleaved float32 binary.
 
+    The samples are real passband, so q (and every odd float32 slot) is 0.
     Both formats get a JSON sidecar (<path>.json) recording the sample
     rate, format and provenance so the dump is self-describing. A finite
     sample beyond the float32 range raises SignalError.
     """
     path = Path(path)
-    z = np.asarray(signal.samples)
+    x = signal.samples
     with np.errstate(over="ignore"):
-        i, q = np.real(z).astype(np.float32), np.imag(z).astype(np.float32)
-    overflow = (np.isinf(i) & np.isfinite(z.real)) | (np.isinf(q) & np.isfinite(z.imag))
+        i = x.astype(np.float32)
+    overflow = np.isinf(i) & np.isfinite(x)
     if overflow.any():
         raise SignalError(f"sample {np.argmax(overflow)} is beyond the float32 range")
     if fmt == "csv":
-        rows = zip(range(z.size), i.tolist(), q.tolist())
-        write_table(path, "index,i,q", "%d,%.8g,%.8g", rows)
+        write_table(path, "index,i,q", "%d,%.8g,0", enumerate(i.tolist()))
     elif fmt == "f32":
-        interleaved = np.empty(2 * z.size, dtype="<f4")
-        interleaved[0::2], interleaved[1::2] = i, q
+        interleaved = np.zeros(2 * x.size, dtype="<f4")
+        interleaved[0::2] = i
         interleaved.tofile(path)
     else:
         raise SignalError(f"unknown waveform format {fmt!r}")
     sidecar = {
         "sample_rate": signal.sample_rate,
         "symbol_rate": signal.symbol_rate,
-        "n_samples": int(z.size),
+        "n_samples": int(x.size),
         "format": fmt,
         "scheme": scheme,
         "seed": seed,

@@ -248,7 +248,7 @@ def test_criterion_11_multipath():
     channel = replace(CHANNEL_PRESETS["multipath"], target_snr_db=15.0, seed=111)
     cfg = SchemeConfig("qpsk", n_symbols=50_000, seed=11)
     clean, _ = normalize_power(modulate(cfg), 1.0)
-    received, _, _ = apply_channel(clean, channel)
+    received, _ = apply_channel(clean, channel)
     rate = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
     assert rate < 1e-2, rate
     announce(

@@ -54,15 +54,6 @@ class TestAwgn:
         assert not np.array_equal(a.samples, c.samples)
         assert measure_snr(clean, c) == pytest.approx(10.0, abs=0.2)
 
-    def test_complex_noise_split(self):
-        rng = np.random.default_rng(11)
-        z = rng.normal(size=50_000) + 1j * rng.normal(size=50_000)
-        sig = SampledSignal(z / np.sqrt(np.mean(np.abs(z) ** 2)), 48000.0)
-        received = add_awgn(sig, 0.0, seed=12)
-        noise = received.samples - sig.samples
-        assert np.mean(noise.real**2) == pytest.approx(0.5, rel=0.05)
-        assert np.mean(noise.imag**2) == pytest.approx(0.5, rel=0.05)
-
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
             add_awgn(SampledSignal(np.zeros(10), 48000.0), 10.0, seed=1)
@@ -105,11 +96,6 @@ class TestMultipath:
         sig = unit_noise(256, seed=2)
         out = apply_multipath(sig, (Tap(0, 2.0, np.pi / 3),))
         assert np.allclose(out.samples, 2.0 * math.cos(np.pi / 3) * sig.samples)
-
-    def test_complex_tap_phase_rotates(self):
-        z = np.ones(16, dtype=complex)
-        out = apply_multipath(SampledSignal(z, 48000.0), (Tap(0, 1.0, np.pi / 2),))
-        assert np.allclose(out.samples, 1j * z)
 
     def test_linearity(self):
         taps = (Tap(0, 1.0, 0.0), Tap(5, 0.4, 1.1))
@@ -204,11 +190,9 @@ class TestChannelConfig:
 
     def test_noiseless_channel(self):
         sig = unit_noise(1_000, seed=11)
-        received, pre_noise, details = apply_channel(
-            sig, ChannelConfig(target_snr_db=None)
-        )
+        received, pre_noise = apply_channel(sig, ChannelConfig(target_snr_db=None))
         assert np.array_equal(received.samples, sig.samples)
-        assert details["noise_power"] == 0.0
+        assert measure_snr(pre_noise, received) == math.inf
 
     def test_infinite_target_rejected(self):
         with pytest.raises(SignalError):
@@ -217,5 +201,5 @@ class TestChannelConfig:
     def test_chain_preserves_ground_truth(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         sig = SampledSignal(np.ones(400), 48000.0, origin_bits=bits)
-        received, _, _ = apply_channel(sig, ChannelConfig(target_snr_db=10.0))
+        received, _ = apply_channel(sig, ChannelConfig(target_snr_db=10.0))
         assert np.array_equal(received.origin_bits, bits)
