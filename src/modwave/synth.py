@@ -52,7 +52,9 @@ class SampledSignal:
 
     def __post_init__(self):
         if np.iscomplexobj(self.samples):
-            raise SignalError("samples must be real passband; got complex")
+            raise SignalError(
+                f"a real passband needs real samples, got {self.samples.dtype}"
+            )
 
     @property
     def power(self) -> float:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,12 @@ class TestSpectrogram:
         with pytest.raises(SignalError):
             spectrogram(tone(1000.0, 1000), fft_length=256, hop=0)
 
+    def test_complex_samples_raise(self):
+        # a one-sided axis would fold this -6 kHz tone onto +6 kHz
+        t = np.arange(4096) / FS
+        with pytest.raises(SignalError):
+            spectrogram(SampledSignal(np.exp(-2j * np.pi * 6000.0 * t), FS), fft_length=512)
+
 
 class TestAnalytic:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 480_000])
@@ -244,6 +251,12 @@ def loop_spectrogram_power(x, fft_length, hop):
     return power
 
 
+def every_other_sample(rng, n):
+    """n samples as a view with a stride of two elements, so the frames
+    are views of a non-contiguous array."""
+    return rng.normal(size=2 * n)[::2]
+
+
 class TestFraming:
     """Welch and the spectrogram transform blocks of frames at once; the
     per-frame loops above are the reference, bit for bit."""
@@ -252,11 +265,15 @@ class TestFraming:
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("window", ["hann", "hamming", "blackman", "boxcar"])
     @pytest.mark.parametrize("length", [256, 255])
+    @pytest.mark.parametrize("strided", [False, True])
     def test_welch_equals_frame_loop(
-        self, monkeypatch, length, window, overlap, block_samples
+        self, monkeypatch, strided, length, window, overlap, block_samples
     ):
         monkeypatch.setattr(modwave.metrics, "_BLOCK_SAMPLES", block_samples)
-        x = np.random.default_rng(length).normal(size=10_007)
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=10_007)
+        if strided:
+            x = every_other_sample(rng, x.size)
         psd = welch_psd(SampledSignal(x, FS), length, overlap, window)
         assert np.array_equal(psd.density, loop_welch_density(x, length, overlap, window))
 
@@ -273,10 +290,14 @@ class TestFraming:
         assert spec.power.shape == (length // 2 + 1, 1 + (x.size - length) // hop)
         assert np.array_equal(spec.power, loop_spectrogram_power(x, length, hop))
 
-    def test_several_blocks_at_default_size(self):
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_several_blocks_at_default_size(self, strided):
         # about 7800 frames: eight blocks, and past the 1024 frames where a
         # one-step sum over a block starts to reorder the additions
-        x = np.random.default_rng(3).normal(size=1_000_003)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=1_000_003)
+        if strided:
+            x = every_other_sample(rng, x.size)
         psd = welch_psd(SampledSignal(x, FS), 256, 0.5, "hann")
         assert np.array_equal(psd.density, loop_welch_density(x, 256, 0.5, "hann"))
         spec = spectrogram(SampledSignal(x, FS), fft_length=256, hop=128)
@@ -357,6 +378,13 @@ class TestConstellation:
         assert np.max(np.abs(points - expected)) <= 1e-9
         assert np.array_equal(demap_symbols(points, "qam16"), demap_symbols(expected, "qam16"))
 
+    def test_complex_samples_raise(self):
+        # the leakage removal assumes a real passband
+        cfg = SchemeConfig("qam16", n_symbols=100, seed=2)
+        sig = modulate(cfg)
+        with pytest.raises(SignalError):
+            extract_constellation(replace(sig, samples=sig.samples + 0j), cfg)
+
     @pytest.mark.parametrize(
         "scheme", [name for name, s in SCHEMES.items() if s.alphabet is not None]
     )
@@ -428,6 +456,14 @@ class TestDemodulation:
         blind = ber(clean.origin_bits, demodulate(received, cfg))
         assert calibrated > 0
         assert abs(blind - calibrated) <= binomial_3sigma(calibrated, 20_000)
+
+    @pytest.mark.parametrize("scheme", ["msk", "ook", "chirp"])
+    def test_complex_samples_raise(self, scheme):
+        # every receiver assumes a real passband; none decides on the real part
+        cfg = SchemeConfig(scheme, n_symbols=100, seed=2)
+        sig = modulate(cfg)
+        with pytest.raises(SignalError, match="needs real samples"):
+            demodulate(replace(sig, samples=sig.samples * (1 + 1j)), cfg, reference=sig)
 
     def test_rrc_pulse_has_no_receiver(self):
         configs = [SchemeConfig(s, n_symbols=500, pulse="rrc") for s in ("qam16", "qpsk")]
