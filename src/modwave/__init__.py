@@ -89,6 +89,7 @@ from .synth import (
     SampledSignal,
     SchemeConfig,
     candidate_bank,
+    candidate_basis,
     constellation,
     demap_symbols,
     formula_context,

@@ -122,6 +122,43 @@ def reads(expr: Expr) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(names), frozenset(integrated)
 
 
+def affine_in(expr: Expr, streams) -> bool:
+    """Whether the tree is a(t) + sum_i c_i(t)*s_i(t) in the named streams.
+
+    Conservative: True only for a subtree that reads no stream, a stream
+    symbol, negations, sums and differences of such terms, products in
+    which at most one factor reads a stream, and division by a divisor
+    that reads none. A power, sin, cos, sum or integral of a stream is
+    never affine. Names resolve as in reads, so a bare Q is Q(t). One
+    bottom-up walk returns each subtree's (reads a stream, affine).
+    """
+
+    def walk(node: Expr, bound: frozenset[str]) -> tuple[bool, bool]:
+        if isinstance(node, Symbol):
+            name = resolve(node.name) or node.name
+            return node.name not in bound and name in streams, True
+        if isinstance(node, Call) and node.func == "sum":
+            inner = bound | {node.args[1].name}
+            kids = [walk(node.args[0], inner)]
+            kids += [walk(k, bound) for k in node.args[2:]]
+        else:
+            kids = [walk(k, bound) for k in children(node)]
+        if not any(hit for hit, _ in kids):
+            return False, True
+        if isinstance(node, Neg):
+            return True, kids[0][1]
+        if isinstance(node, BinOp):
+            (left_hit, left), (right_hit, right) = kids
+            if node.op in "+-":
+                return True, left and right
+            if node.op == "*":
+                return True, left and right and not (left_hit and right_hit)
+            return True, left and not right_hit
+        return True, False
+
+    return walk(expr, frozenset())[1]
+
+
 _PREC_ADD = 1
 _PREC_MUL = 2
 _PREC_UNARY = 3

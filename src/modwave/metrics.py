@@ -24,7 +24,9 @@ from .synth import (
     SampledSignal,
     SchemeConfig,
     candidate_bank,
+    candidate_basis,
     demap_symbols,
+    formula_context,
     labels_to_bits,
     modulate,
     normalize_power,
@@ -219,12 +221,23 @@ def correlation_demodulate(
 
     Each symbol interval is compared with the same interval of every
     candidate waveform (the formula or scheme synthesized with that symbol
-    value held constant); the closest candidate wins.
+    value held constant); the closest candidate wins. A formula affine in
+    its label streams is decided from its basis (synth.candidate_basis),
+    any other scheme from the full candidate bank. Both routes share the
+    one formula_context binding.
     """
-    bank = candidate_bank(config)
-    bank *= bank_scale
     sps = config.samples_per_symbol
     rx = _frames(received.samples, sps, sps)
+    bound = basis = None
+    if config.is_formula:
+        bound = formula_context(config, np.arange(1 << config.bits_per_symbol)[:, None])
+        basis = candidate_basis(*bound)
+    if basis is not None:
+        rows, values = basis
+        best = _basis_labels(rx, rows * bank_scale, values, sps)
+        return labels_to_bits(best, config.bits_per_symbol)
+    bank = candidate_bank(config, bound)
+    bank *= bank_scale
     # distances per symbol interval against each candidate row
     best = np.empty(rx.shape[0], dtype=np.int64)
     dist = np.empty((bank.shape[0], rx.shape[0]))
@@ -233,6 +246,33 @@ def correlation_demodulate(
         dist[m] = np.einsum("ij,ij->i", diff, diff)
     np.argmin(dist, axis=0, out=best)
     return labels_to_bits(best, config.bits_per_symbol)
+
+
+def _basis_labels(
+    rx: np.ndarray, rows: np.ndarray, values: np.ndarray, sps: int
+) -> np.ndarray:
+    """Minimum-distance labels against the candidates a + sum_i s_mi·c_i.
+
+    rows are candidate_basis's a and a + c_i, values[m] label m's s_m.
+    Over one symbol, |r - a - c·s_m|² = |r - a|² - 2·s_m·<r - a, c> +
+    s_mᵀ·G·s_m, where G is the symbol's Gram matrix of the c_i; the first
+    term is the same for every label. So each score is label m's features
+    [s_m, s_m s_mᵀ] against the symbol's weights [-2<r - a, c>, G].
+    """
+    a = _frames(rows[0], sps, sps)
+    error = rx - a
+    coeffs = [_frames(row - rows[0], sps, sps) for row in rows[1:]]
+    weights = [-2.0 * np.einsum("ij,ij->i", error, c) for c in coeffs]
+    weights += [np.einsum("ij,ij->i", c, d) for c in coeffs for d in coeffs]
+    weights = np.reshape(weights, (-1, rx.shape[0]))
+    outer = values[:, :, None] * values[:, None, :]
+    features = np.hstack([values, outer.reshape(len(values), -1)])
+    best = np.empty(rx.shape[0], dtype=np.int64)
+    step = max(1, (1 << 16) // len(values))  # symbols per block of scores
+    for start in range(0, rx.shape[0], step):
+        scores = features @ weights[:, start : start + step]
+        np.argmin(scores, axis=0, out=best[start : start + step])
+    return best
 
 
 # Receivers, by the name a scheme's table row gives. Each takes the

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsl.ast import Expr, reads
+from .dsl.ast import Expr, affine_in, reads
 from .dsl.evaluation import EvalContext, evaluate
 from .dsl.parser import parse_formula
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
@@ -445,6 +445,9 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 # ---------------------------------------------------------------------------
 # formula bindings, modulate and the candidate bank
 
+# the signals a formula reads that follow the symbol labels
+LABEL_STREAMS = ("I(t)", "Q(t)", "d(t)", "f(t)")
+
 
 def formula_context(
     cfg: SchemeConfig, labels: np.ndarray
@@ -462,12 +465,13 @@ def formula_context(
         raise SignalError("formula scheme configured without formula_text")
     expr = parse_formula(cfg.formula_text)
     points = constellation(cfg.base_scheme)[labels]
-    signals = {
-        "I(t)": points.real,
-        "Q(t)": points.imag,
-        "d(t)": labels.astype(float),
-        "f(t)": cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
-    }
+    streams = (
+        points.real,
+        points.imag,
+        labels.astype(float),
+        cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
+    )
+    signals = dict(zip(LABEL_STREAMS, streams))
     if labels.ndim == 1:
         signals = {name: _hold(v, cfg.samples_per_symbol) for name, v in signals.items()}
     t = _time_grid(cfg)
@@ -512,7 +516,9 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     )
 
 
-def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
+def candidate_bank(
+    cfg: SchemeConfig, bound: tuple[Expr, EvalContext, np.ndarray] | None = None
+) -> np.ndarray:
     """Noiseless per-label waveforms for correlation demodulation.
 
     Row m holds the full-length waveform synthesized with every symbol
@@ -521,13 +527,13 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     A formula bank is one evaluation: the label streams are bound as
     (order, 1) columns, so label-invariant parts such as the carrier and
     m(t) are computed once, and row m is bit-identical to evaluating the
-    formula with every symbol set to m.
+    formula with every symbol set to m. A caller that has already bound
+    that column passes formula_context's result as `bound`.
     """
     order = 1 << cfg.bits_per_symbol
     if cfg.is_formula:
-        expr, ctx, t = formula_context(cfg, np.arange(order)[:, None])
-        # m(t) is the one bound signal that does not follow the labels
-        memory = reads(expr)[1] & (ctx.signals.keys() - {"m(t)"})
+        expr, ctx, t = bound or formula_context(cfg, np.arange(order)[:, None])
+        memory = reads(expr)[1] & set(LABEL_STREAMS)
         if memory:
             raise DemodulationError(
                 f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "
@@ -549,6 +555,36 @@ def candidate_bank(cfg: SchemeConfig) -> np.ndarray:
     ])
 
 
+def candidate_basis(
+    expr: Expr, ctx: EvalContext, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A formula's candidates as a(t) + sum_i s_i·c_i(t) in its k label streams.
+
+    Takes formula_context's binding of the (order, 1) label column. When
+    dsl.ast.affine_in says the formula is affine in the label streams, it
+    is evaluated once with the k streams it reads bound as (1 + k, 1) unit
+    columns: all zeros, then one unit vector per stream. Row 0 is a(t) and
+    row i is a(t) + c_i(t). Returns those rows and values, the (order, k)
+    stream values s_i of each label. Returns None, for the bank, when the
+    formula is not affine or the basis has a non-finite sample.
+    """
+    if not affine_in(expr, LABEL_STREAMS):
+        return None
+    names = reads(expr)[0]
+    read = [i for i, name in enumerate(LABEL_STREAMS) if name in names]
+    unit = np.eye(len(read) + 1)[:, 1:]
+    signals = {
+        name: value for name, value in ctx.signals.items() if name not in LABEL_STREAMS
+    }
+    for column, i in enumerate(read):
+        signals[LABEL_STREAMS[i]] = unit[:, [column]]
+    result = evaluate(expr, EvalContext(ctx.constants, signals), t)
+    if result.invalid_mask.any():
+        return None
+    values = np.hstack([ctx.signals[name] for name in LABEL_STREAMS])[:, read]
+    return result.samples.reshape(len(read) + 1, -1), values
+
+
 # the most samples a candidate bank may hold, over all its rows
 _MAX_BANK_SAMPLES = 200_000_000
 
@@ -556,8 +592,8 @@ _MAX_BANK_SAMPLES = 200_000_000
 def _check_bank_size(order: int, n_samples: int) -> None:
     if order * n_samples > _MAX_BANK_SAMPLES:
         raise DemodulationError(
-            f"candidate bank of {order} x {n_samples} samples is too large; "
-            "use a dedicated demodulator or shorter runs"
+            f"candidate bank of {order} x {n_samples} samples is too large for "
+            "the bank route; use a dedicated demodulator or shorter runs"
         )
 
 
@@ -658,6 +694,12 @@ def write_waveform(
 
 
 def read_waveform_f32(path) -> np.ndarray:
-    """Read an interleaved float32 dump back into a complex array."""
+    """Read an interleaved float32 dump back into real float64 samples.
+
+    write_waveform zeroes every odd slot, so a nonzero one means the file
+    is not such a dump and raises SignalError.
+    """
     flat = np.fromfile(path, dtype="<f4")
-    return flat[0::2].astype(np.float64) + 1j * flat[1::2].astype(np.float64)
+    if np.any(flat[1::2]):
+        raise SignalError(f"{path} has a nonzero quadrature slot; not a real dump")
+    return flat[0::2].astype(np.float64)

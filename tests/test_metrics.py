@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,14 @@ import modwave.synth
 from modwave.channel import ChannelConfig, Tap, add_awgn
 from modwave.cli import _points_csv, main
 from modwave.config import load_config
-from modwave.dsl import bundled_corpus_path, bundled_generated_path, load_corpus
+from modwave.dsl import (
+    CLASS_VALID,
+    bundled_corpus_path,
+    bundled_generated_path,
+    load_corpus,
+)
 from modwave.errors import DemodulationError, SignalError, ZeroPowerError
+from modwave.genlab import generate_batch, load_grammar
 from modwave.metrics import (
     MetricsParams,
     PsdEstimate,
@@ -41,8 +48,10 @@ from modwave.synth import (
     SampledSignal,
     SchemeConfig,
     bits_to_labels,
+    candidate_basis,
     constellation,
     demap_symbols,
+    formula_context,
     gen_bits,
     map_symbols,
     modulate,
@@ -561,6 +570,103 @@ class TestDemodulation:
             for lower, higher in zip(rates[1:], rates):
                 allowance = binomial_3sigma(max(higher, 1e-5), target_bits)
                 assert lower <= higher + allowance, (scheme, rates)
+
+
+def corpus_formulas():
+    return {
+        entry.id: entry.formula
+        for path in (bundled_corpus_path(), bundled_generated_path())
+        for entry in load_corpus(path)
+    }
+
+
+def uses_basis(cfg):
+    column = np.arange(1 << cfg.bits_per_symbol)[:, None]
+    return candidate_basis(*formula_context(cfg, column)) is not None
+
+
+def both_routes(cfg, snr_db, seed=5):
+    """The correlation receiver's bits on its own route and on the bank route."""
+    clean, _ = normalize_power(modulate(cfg), 1.0)
+    received = add_awgn(clean, snr_db, seed=seed)
+    chosen = correlation_demodulate(received, cfg, bank_scale=clean.gain)
+    with mock.patch.object(modwave.metrics, "candidate_basis", lambda *bound: None):
+        bank = correlation_demodulate(received, cfg, bank_scale=clean.gain)
+    return chosen, bank
+
+
+class TestBasisRoute:
+    """Affine formulas are decided from their basis, with the bank's decisions."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    @pytest.mark.parametrize("formula_id", list(corpus_formulas()))
+    def test_corpus_decisions_equal_the_bank(self, formula_id, snr_db):
+        text = corpus_formulas()[formula_id]
+        cfg = SchemeConfig(f"formula:{formula_id}", formula_text=text, n_symbols=500, seed=2)
+        chosen, bank = both_routes(cfg, snr_db)
+        assert np.array_equal(chosen, bank)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    @pytest.mark.parametrize("base", ["qpsk", "qam16", "qam256"])
+    @pytest.mark.parametrize("formula_id", ["m1", "m2", "m3"])
+    def test_m1_to_m3_decisions_equal_the_bank(self, formula_id, base, snr_db):
+        text = corpus_formulas()[formula_id]
+        n_symbols = 300 if base == "qam256" else 500
+        cfg = SchemeConfig(
+            f"formula:{formula_id}", formula_text=text, n_symbols=n_symbols,
+            base_scheme=base, seed=3,
+        )
+        assert uses_basis(cfg) == (formula_id != "m3")  # m3 divides by Q
+        chosen, bank = both_routes(cfg, snr_db)
+        assert np.array_equal(chosen, bank)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grammar_sampled_decisions_equal_the_bank(self, seed):
+        batch = generate_batch(4, replace(load_grammar(temperature=0.8), seed=seed))
+        for item in batch.items:
+            if item.classification != CLASS_VALID:
+                continue
+            cfg = SchemeConfig("formula:g", formula_text=item.formula, n_symbols=300, seed=4)
+            for snr_db in (0.0, 10.0):
+                try:
+                    chosen, bank = both_routes(cfg, snr_db)
+                except DemodulationError:  # integrates a label stream: no bank
+                    assert not uses_basis(cfg), item.formula
+                    continue
+                assert np.array_equal(chosen, bank), item.formula
+
+    def test_stream_free_formula_decides_label_zero(self):
+        cfg = SchemeConfig("formula:tone", formula_text="A*cos(2*pi*f_c*t)", n_symbols=200)
+        assert uses_basis(cfg)
+        for bits in both_routes(cfg, 10.0):
+            assert not bits.any()
+
+    def test_non_finite_basis_takes_the_bank(self):
+        text = "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + t^(-1)"
+        cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=200)
+        assert not uses_basis(cfg)
+        sig = modulate(cfg)
+        assert sig.invalid_count == 1  # the sample at t = 0
+        banks = []
+        real_bank = modwave.metrics.candidate_bank
+        with mock.patch.object(
+            modwave.metrics, "candidate_bank",
+            lambda *a: banks.append(1) or real_bank(*a),
+        ):
+            decided = correlation_demodulate(sig, cfg)
+        assert banks == [1]
+        assert ber(sig.origin_bits, decided) == 0.0
+
+    def test_affine_formula_has_no_bank_size_limit(self):
+        # m2 on qam256 at 20k symbols: a 256 x 960k bank is over the limit
+        channel = ChannelConfig(target_snr_db=2.0)
+        m2 = SchemeConfig("formula:m2", base_scheme="qam256", n_symbols=20_000,
+                          formula_text=corpus_formulas()["m2"])
+        product = replace(m2, scheme="formula:iq", formula_text="I(t)*Q(t)*cos(2*pi*f_c*t)")
+        rows = compare([m2, product], channel, master_seed=1)
+        assert rows[0].error is None and 0.0 < rows[0].ber < 1.0
+        assert rows[1].ber is None
+        assert "too large for the bank route" in rows[1].error
 
 
 class TestBer:

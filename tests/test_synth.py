@@ -16,16 +16,18 @@ from modwave.dsl import (
     parse_formula,
     validate,
 )
-from modwave.dsl.ast import reads
+from modwave.dsl.ast import affine_in, reads
 from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import (
     REFERENCE_SCHEMES,
+    LABEL_STREAMS,
     SCHEMES,
     SampledSignal,
     SchemeConfig,
     candidate_bank,
+    candidate_basis,
     constellation,
     demap_symbols,
     formula_context,
@@ -414,8 +416,21 @@ class TestWaveformDump:
         path = tmp_path / "wave.f32"
         write_waveform(sig, path, fmt="f32")
         back = read_waveform_f32(path)
-        assert np.allclose(back.real, sig.samples, atol=1e-6)
-        assert np.allclose(back.imag, 0.0)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, sig.samples.astype(np.float32))
+
+    def test_f32_dump_reads_back_into_a_signal(self, tmp_path):
+        sig = modulate(SchemeConfig("qpsk", n_symbols=16, seed=3))
+        path = tmp_path / "wave.f32"
+        write_waveform(sig, path, fmt="f32")
+        back = SampledSignal(read_waveform_f32(path), sig.sample_rate)
+        assert back.power == pytest.approx(sig.power, rel=1e-6)
+
+    def test_f32_nonzero_quadrature_slot_raises(self, tmp_path):
+        path = tmp_path / "wave.f32"
+        np.array([0.5, 0.0, 0.25, 1e-30], dtype="<f4").tofile(path)
+        with pytest.raises(SignalError, match="nonzero quadrature slot"):
+            read_waveform_f32(path)
 
     @pytest.mark.parametrize("spec", [".10g", ".8g"])
     @pytest.mark.parametrize("values", [SPECIAL, SPECIAL_F32], ids=["f64", "f32"])
@@ -536,3 +551,74 @@ class TestFormulaBank:
         assert {"t", "pi"} | set(ctx.constants) | set(ctx.signals) == NAMES
         assert modulate(cfg).samples.shape == (cfg.n_samples,)
         assert_bank_matches_per_label(formula)
+
+
+def assert_basis_sound(formula, base_scheme="qam16"):
+    """Whenever affine_in says affine, every bank row is a + sum_i s_i*c_i."""
+    cfg = SchemeConfig(
+        "formula:oracle", formula_text=formula, n_symbols=6, base_scheme=base_scheme
+    )
+    bound = formula_context(cfg, np.arange(1 << cfg.bits_per_symbol)[:, None])
+    basis = candidate_basis(*bound)
+    assert (basis is not None) <= affine_in(bound[0], LABEL_STREAMS), formula
+    if basis is None:
+        return
+    rows, values = basis
+    assert rows.shape == (1 + values.shape[1], cfg.n_samples), formula
+    model = rows[0] + values @ (rows[1:] - rows[0])
+    bank = candidate_bank(cfg)
+    scale = max(1.0, float(np.abs(bank).max()))
+    assert np.allclose(bank, model, rtol=1e-9, atol=1e-12 * scale), formula
+
+
+class TestFormulaBasis:
+    """The affine pass and the basis it licenses, against the bank."""
+
+    CARRIER = "cos(2*pi*f_c*t)"
+
+    @pytest.mark.parametrize("formula", [
+        "I*Q", "I^2", "cos(I)", "1/I", "sum(I, i, 1, n)", "integral(I, t)",
+        "2^d", "(I + 1)*(Q + 1)", "f_c/(f(t) + 1)", "-(I*Q)",
+    ])
+    def test_never_affine(self, formula):
+        assert not affine_in(parse_formula(formula), LABEL_STREAMS)
+
+    @pytest.mark.parametrize("formula", [
+        "I/2", f"-(I)*{CARRIER}", f"(I+1)*{CARRIER}", f"A*{CARRIER}",
+        f"d*{CARRIER} - Q(t)/f_c + f(t)", "(I - Q)*(A + m)/2",
+        "sum(I, I, 1, n)", f"{CARRIER}^2 + integral(m(t), t)*I",
+    ])
+    def test_affine(self, formula):
+        assert affine_in(parse_formula(formula), LABEL_STREAMS)
+
+    def test_streams_are_named_by_the_caller(self):
+        expr = parse_formula("I*Q")
+        assert affine_in(expr, {"I(t)"})
+        assert affine_in(expr, set())
+        assert not affine_in(expr, {"I(t)", "Q(t)"})
+
+    @pytest.mark.parametrize("formula", _bundled_formulas())
+    @pytest.mark.parametrize("base", ["qpsk", "qam16", "qam256"])
+    def test_bundled_formulas(self, formula, base):
+        assert_basis_sound(formula, base)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grammar_sampled_formulas(self, seed):
+        batch = generate_batch(4, replace(load_grammar(temperature=0.8), seed=seed))
+        for item in batch.items:
+            if item.classification == CLASS_VALID:
+                assert_basis_sound(item.formula)
+
+    def test_stream_free_formula_has_one_row(self):
+        cfg = SchemeConfig("formula:tone", formula_text=f"A*{self.CARRIER}", n_symbols=4)
+        rows, values = candidate_basis(*formula_context(cfg, np.arange(16)[:, None]))
+        assert rows.shape == (1, cfg.n_samples) and values.shape == (16, 0)
+        assert np.array_equal(rows[0], modulate(cfg).samples)
+
+    def test_non_finite_basis_is_none(self):
+        # t^(-1) is inf at t = 0 in every candidate, so the basis is not used
+        text = f"I(t)*{self.CARRIER} + t^(-1)"
+        cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4)
+        bound = formula_context(cfg, np.arange(16)[:, None])
+        assert affine_in(bound[0], LABEL_STREAMS)
+        assert candidate_basis(*bound) is None
