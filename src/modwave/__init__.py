@@ -23,7 +23,7 @@ from .channel import (
     apply_multipath,
     measure_snr,
 )
-from .config import CONFIG_SCHEMA, ExperimentConfig, GeneratorSettings, load_config
+from .config import ExperimentConfig, GeneratorSettings, load_config
 from .costmodel import (
     CostInputs,
     LatencyBreakdown,

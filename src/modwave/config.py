@@ -1,15 +1,17 @@
-"""Experiment configuration: a single schema-validated JSON document.
+"""Experiment configuration: a single JSON document, checked as it is read.
 
-Each section's schema is derived from the fields of the dataclass that
-reads it, and the dataclass constructors check the values.
+Each section is read into the dataclass that uses it, and that
+dataclass's fields are the section's keys and types: `_build` checks
+each value's JSON type as it walks the annotations and names the key
+path of a mistake, and the dataclass constructors check the values.
 Command-line flags may override the master seed and output directory;
 everything else lives in the file so a run is reproducible from its
 config alone.
 """
 
-import functools
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -20,7 +22,7 @@ from .errors import ConfigError, ModwaveError
 from .metrics import MetricsParams
 from .synth import SchemeConfig, normalize_scheme_id
 
-_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _optional(annotation) -> tuple[type, bool]:
@@ -31,56 +33,69 @@ def _optional(annotation) -> tuple[type, bool]:
     return annotation, False
 
 
-def _schema(annotation) -> dict:
-    """The JSON Schema of one field annotation: a scalar, `X | None`,
-    `tuple[D, ...]` or a dataclass, whose fields without defaults are
-    required. A dataclass's `seed` field is no key: every seed a run uses
-    is derived from the master seed."""
-    inner, nullable = _optional(annotation)
-    if is_dataclass(inner):
-        hints = get_type_hints(inner)
-        keys = [f for f in fields(inner) if f.name != "seed"]
-        schema = {
-            "type": "object",
-            "properties": {f.name: _schema(hints[f.name]) for f in keys},
-            "required": [
-                f.name for f in keys
-                if f.default is MISSING and f.default_factory is MISSING
-            ],
-            "additionalProperties": False,
-        }
-    elif get_origin(inner) is tuple:
-        schema = {"type": "array", "items": _schema(get_args(inner)[0])}
-    else:
-        schema = {"type": _JSON_TYPES[inner]}
-    if nullable:
-        schema["type"] = [schema["type"], "null"]
-    return schema
+def _build(annotation, value, path: str):
+    """A value of the annotated type from JSON, its type checked on the way.
 
-
-def _build(annotation, data):
-    """A value of the annotated type from schema-valid JSON.
-
-    Dataclasses are built field by field, nested ones included, and int
-    and float fields are cast, so 48.0 samples per symbol is the integer
-    48 and a JSON integer gain is a float. The constructors check the
-    values; an error from one is a ConfigError.
+    An integer is a whole number, so 48.0 samples per symbol is the
+    integer 48; a number is an int or a float, never a bool, and is cast,
+    so a JSON integer gain is a float. null is only an `X | None`, a tuple
+    is an array and a dataclass an object (`_fields`). A mismatch is a
+    ConfigError that names the key path.
     """
-    if data is None:
+    inner, nullable = _optional(annotation)
+    if value is None and nullable:
         return None
-    inner, _ = _optional(annotation)
-    if get_origin(inner) is tuple:
-        return tuple(_build(get_args(inner)[0], item) for item in data)
-    if inner in (int, float):
-        return inner(data)
-    if not is_dataclass(inner):
-        return data
-    hints = get_type_hints(inner)
-    values = {name: _build(hints[name], value) for name, value in data.items()}
+    if is_dataclass(inner):
+        return _make(inner, _fields(inner, value, path), path)
+    number = type(value) in (int, float)  # a bool is no number
+    if get_origin(inner) is tuple and isinstance(value, list):
+        item = get_args(inner)[0]
+        return tuple(_build(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if inner is str and isinstance(value, str):
+        return value
+    if inner is int and number and (type(value) is int or value.is_integer()):
+        return int(value)
+    if inner is float and number:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: {value} is beyond the float range") from None
+    kind = "an array" if get_origin(inner) is tuple else _KINDS[inner]
+    raise _mistyped(path, f"{kind} or null" if nullable else kind, value)
+
+
+def _mistyped(path: str, kind: str, value) -> ConfigError:
+    return ConfigError(f"{path}: expected {kind}, got {json.dumps(value)}")
+
+
+def _fields(cls, data, path: str, optional=()) -> dict:
+    """The checked field values of a dataclass from a JSON object.
+
+    The keys are the fields less `seed`: every seed a run uses is derived
+    from the master seed. A field without a default is required unless
+    it is named in optional.
+    """
+    if not isinstance(data, dict):
+        raise _mistyped(path, "an object", data)
+    keys = {f.name: f for f in fields(cls) if f.name != "seed"}
+    for name in data:
+        if name not in keys:
+            why = "seeds derive from master_seed" if name == "seed" else "unknown key"
+            raise ConfigError(f"{path}.{name}: {why}")
+    for name, f in keys.items():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and name not in data and name not in optional:
+            raise ConfigError(f"{path}.{name}: missing")
+    hints = get_type_hints(cls)
+    return {name: _build(hints[name], v, f"{path}.{name}") for name, v in data.items()}
+
+
+def _make(make, values: dict, path: str):
+    """make(**values), a value its constructor rejects being a ConfigError."""
     try:
-        return inner(**values)
+        return make(**values)
     except ModwaveError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,56 +113,12 @@ class GeneratorSettings:
             raise ConfigError(f"generator kind {self.kind!r} is not grammar or external")
         if self.kind == "external" and not self.endpoint:
             raise ConfigError("external generator configured without an endpoint")
-        if self.grammar_path and not Path(self.grammar_path).exists():
+        if self.grammar_path and not Path(self.grammar_path).is_file():
             raise ConfigError(f"grammar file not found: {self.grammar_path}")
         if self.temperature <= 0 or self.timeout_s <= 0:
             raise ConfigError("generator temperature and timeout_s must be positive")
         if self.max_tokens < 8 or self.max_depth < 1:
             raise ConfigError("generator max_tokens must be at least 8, max_depth at least 1")
-
-
-_SCHEME = _schema(SchemeConfig)
-_CHANNEL = _schema(ChannelConfig)
-_COST = _schema(CostInputs)
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["master_seed"],
-    "additionalProperties": False,
-    "properties": {
-        "master_seed": {"type": "integer", "minimum": 0},
-        "corpus": {"type": ["string", "null"]},
-        "out_dir": {"type": "string"},
-        "schemes": {"type": "array", "items": {"oneOf": [{"type": "string"}, _SCHEME]}},
-        # every scheme field but the scheme id, none required
-        "scheme_defaults": {
-            **_SCHEME,
-            "properties": {k: v for k, v in _SCHEME["properties"].items() if k != "scheme"},
-            "required": [],
-        },
-        "base_scheme": {"type": "string"},
-        # a preset is the base that the other channel keys override
-        "channel": {
-            **_CHANNEL,
-            "properties": {"preset": {"type": "string"}, **_CHANNEL["properties"]},
-        },
-        "metrics": _schema(MetricsParams),
-        "generator": _schema(GeneratorSettings),
-        # --formula can supply n_ops
-        "cost": {**_COST, "required": [n for n in _COST["required"] if n != "n_ops"]},
-    },
-}
-
-
-@functools.cache
-def _validator():
-    """The schema's validator, built at the first config load: importing
-    jsonschema takes about a quarter of `import modwave`, and only a load
-    needs it."""
-    import jsonschema
-
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def _lookup_formula(corpus: Path, ident: str) -> str:
@@ -186,23 +157,27 @@ class ExperimentConfig:
         name = data["scheme"]
         if name.startswith("formula:") and "formula_text" not in data:
             data["formula_text"] = _lookup_formula(self.corpus, name.split(":", 1)[1])
-        return _build(SchemeConfig, data)
+        return _build(SchemeConfig, data, name)
 
     def scheme_configs(self) -> list[SchemeConfig]:
         return [self.scheme_config(s) for s in self.schemes]
 
 
-def _channel_from(data: dict) -> ChannelConfig:
+def _channel_from(data) -> ChannelConfig:
     """The channel section: its preset, or the default channel, with every
-    other key given overriding it."""
+    other key given replacing that field."""
+    if not isinstance(data, dict):
+        raise _mistyped("channel", "an object", data)
     data = dict(data)
-    preset = data.pop("preset", None)
-    if preset is not None and preset not in CHANNEL_PRESETS:
-        raise ConfigError(
-            f"unknown channel preset {preset!r}; available: {sorted(CHANNEL_PRESETS)}"
-        )
-    base = ChannelConfig() if preset is None else CHANNEL_PRESETS[preset]
-    return _build(ChannelConfig, {**asdict(base), **data})
+    base = ChannelConfig()
+    if "preset" in data:
+        preset = _build(str, data.pop("preset"), "channel.preset")
+        if preset not in CHANNEL_PRESETS:
+            raise ConfigError(
+                f"unknown channel preset {preset!r}; available: {sorted(CHANNEL_PRESETS)}"
+            )
+        base = CHANNEL_PRESETS[preset]
+    return _make(partial(replace, base), _fields(ChannelConfig, data, "channel"), "channel")
 
 
 def load_config(
@@ -210,36 +185,65 @@ def load_config(
     seed_override: int | None = None,
     out_override: str | Path | None = None,
 ) -> ExperimentConfig:
-    from jsonschema.exceptions import best_match
-
+    """Read and check a config file. Every section is checked here, so a
+    mistyped or unknown key anywhere is a ConfigError at load; a scheme's
+    value ranges are checked when scheme_config builds it."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, a number beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = best_match(_validator().iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config fails schema validation: {error.message}")
+    if not isinstance(raw, dict):
+        raise _mistyped("config", "an object", raw)
+    known = {f.name for f in fields(ExperimentConfig)}
+    for name in raw:
+        if name not in known:
+            raise ConfigError(f"{name}: unknown key")
+    if "master_seed" not in raw:
+        raise ConfigError("master_seed: missing")
+    master_seed = _build(int, raw["master_seed"], "master_seed")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed: {master_seed} is negative")
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"seed override {seed_override} is negative")
+        master_seed = int(seed_override)
 
-    corpus = raw.get("corpus")
+    schemes = raw.get("schemes", [])
+    if not isinstance(schemes, list):
+        raise _mistyped("schemes", "an array", schemes)
+    for i, entry in enumerate(schemes):
+        if isinstance(entry, dict):
+            _fields(SchemeConfig, entry, f"schemes[{i}]")
+        elif not isinstance(entry, str):
+            raise _mistyped(f"schemes[{i}]", "a scheme id or an object", entry)
+    defaults = raw.get("scheme_defaults", {})
+    _fields(SchemeConfig, defaults, "scheme_defaults", optional={"scheme"})
+    if "scheme" in defaults:
+        raise ConfigError("scheme_defaults.scheme: a default names no scheme")
+    if "cost" in raw:
+        # checked but kept as given: cost.json echoes the values
+        _fields(CostInputs, raw["cost"], "cost", optional={"n_ops"})
+
+    out_dir = _build(str, raw.get("out_dir", "modwave_out"), "out_dir")
+    base_scheme = _build(str, raw.get("base_scheme", "qam16"), "base_scheme")
+    corpus = _build(str | None, raw.get("corpus"), "corpus")
     corpus_path = bundled_corpus_path() if corpus is None else Path(corpus)
-    if corpus is not None and not corpus_path.exists():
+    if corpus is not None and not corpus_path.is_file():
         raise ConfigError(f"corpus file not found: {corpus_path}")
 
     return ExperimentConfig(
-        master_seed=int(
-            raw["master_seed"] if seed_override is None else seed_override
-        ),
+        master_seed=master_seed,
         corpus=corpus_path,
-        out_dir=Path(out_override or raw.get("out_dir", "modwave_out")),
-        schemes=tuple(raw.get("schemes", ())),
-        scheme_defaults=dict(raw.get("scheme_defaults", {})),
-        base_scheme=normalize_scheme_id(raw.get("base_scheme", "qam16")),
+        out_dir=Path(out_override or out_dir),
+        schemes=tuple(schemes),
+        scheme_defaults=dict(defaults),
+        base_scheme=normalize_scheme_id(base_scheme),
         channel=_channel_from(raw.get("channel", {})),
-        metrics=_build(MetricsParams, raw.get("metrics", {})),
-        generator=_build(GeneratorSettings, raw.get("generator", {})),
+        metrics=_build(MetricsParams, raw.get("metrics", {}), "metrics"),
+        generator=_build(GeneratorSettings, raw.get("generator", {}), "generator"),
         cost=raw.get("cost"),
     )

@@ -215,7 +215,7 @@ def extract_constellation(
 
 
 def correlation_demodulate(
-    received: SampledSignal, config: SchemeConfig, bank_scale: float = 1.0
+    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None = None
 ) -> np.ndarray:
     """Generic minimum-distance receiver against noiseless candidates.
 
@@ -224,8 +224,11 @@ def correlation_demodulate(
     value held constant); the closest candidate wins. A formula affine in
     its label streams is decided from its basis (synth.candidate_basis),
     any other scheme from the full candidate bank. Both routes share the
-    one formula_context binding.
+    one formula_context binding. The candidates are synthesized
+    unnormalized, so they take the gain that normalize_power recorded on
+    the reference; without a reference they keep gain 1.
     """
+    scale = 1.0 if reference is None else reference.gain
     sps = config.samples_per_symbol
     rx = _frames(received.samples, sps, sps)
     bound = basis = None
@@ -234,10 +237,10 @@ def correlation_demodulate(
         basis = candidate_basis(*bound)
     if basis is not None:
         rows, values = basis
-        best = _basis_labels(rx, rows * bank_scale, values, sps)
+        best = _basis_labels(rx, rows * scale, values, sps)
         return labels_to_bits(best, config.bits_per_symbol)
     bank = candidate_bank(config, bound)
-    bank *= bank_scale
+    bank *= scale
     # distances per symbol interval against each candidate row
     best = np.empty(rx.shape[0], dtype=np.int64)
     dist = np.empty((bank.shape[0], rx.shape[0]))
@@ -277,20 +280,6 @@ def _basis_labels(
 
 # Receivers, by the name a scheme's table row gives. Each takes the
 # received signal, the config and the optional noiseless reference.
-
-
-def _correlation_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
-    """Correlation receiver with the candidates at the reference's gain.
-
-    The candidates are synthesized unnormalized, so they take the gain
-    that normalize_power recorded on the reference: the realized ratio
-    sqrt(normalized power / raw power). A reference that was never
-    normalized has gain 1.
-    """
-    scale = 1.0 if reference is None else reference.gain
-    return correlation_demodulate(received, config, bank_scale=scale)
 
 
 def _analytic(samples: np.ndarray) -> np.ndarray:
@@ -371,7 +360,7 @@ def _nearest_point_bits(
 
 
 _RECEIVERS = {
-    "correlation": _correlation_bits,
+    "correlation": correlation_demodulate,
     "discriminator": _discriminator_bits,
     "envelope": _envelope_bits,
     "nearest": _nearest_point_bits,
@@ -531,8 +520,7 @@ def run_scheme(
     )
     artifacts = SchemeRunArtifacts(report=report)
 
-    clean_raw = modulate(config)
-    clean, _scale = normalize_power(clean_raw, 1.0)
+    clean = normalize_power(modulate(config))
     report.guard_count = clean.guard_count
     report.invalid_count = clean.invalid_count
 

@@ -597,25 +597,19 @@ def _check_bank_size(order: int, n_samples: int) -> None:
         )
 
 
-def normalize_power(
-    signal: SampledSignal, target_power: float = 1.0
-) -> tuple[SampledSignal, float]:
-    """Scale a signal to the target mean-square power; returns the factor.
+def normalize_power(signal: SampledSignal) -> SampledSignal:
+    """Scale a signal to unit mean-square power.
 
     The result's gain records the realized amplitude ratio
     sqrt(scaled power / input power), compounded with the input's gain, so
     receivers can scale noiseless candidates without synthesizing again.
-    It can differ from the returned nominal factor in the last bit.
     """
-    if target_power <= 0:
-        raise SignalError("target power must be positive")
     current = signal.power
     if current <= 0:
         raise ZeroPowerError("cannot normalize a zero-power signal")
-    scale = float(np.sqrt(target_power / current))
-    scaled = replace(signal, samples=signal.samples * scale)
+    scaled = replace(signal, samples=signal.samples * float(np.sqrt(1.0 / current)))
     gain = float(np.sqrt(scaled.power / current))
-    return replace(scaled, gain=signal.gain * gain), scale
+    return replace(scaled, gain=signal.gain * gain)
 
 
 def write_json(payload, path) -> None:

@@ -80,7 +80,7 @@ def test_criterion_3_snr_calibration():
     started = time.monotonic()
     rng = np.random.default_rng(31)
     clean = SampledSignal(rng.normal(0, 1, 100_000), 48000.0)
-    clean, _ = normalize_power(clean, 1.0)
+    clean = normalize_power(clean)
     for target in (0.0, 10.0, 15.44, 19.80):
         received = add_awgn(clean, target, seed=int(target * 100) + 1)
         measured = measure_snr(clean, received)
@@ -91,7 +91,7 @@ def test_criterion_3_snr_calibration():
 def test_criterion_4_bpsk_ber_theory():
     started = time.monotonic()
     cfg = SchemeConfig("bpsk", n_symbols=100_000, seed=41)
-    clean, _ = normalize_power(modulate(cfg), 1.0)
+    clean = normalize_power(modulate(cfg))
     gain_db = 10 * math.log10(cfg.samples_per_symbol / 2)
     for ebn0_db in (0.0, 4.0, 8.0):
         received = add_awgn(clean, ebn0_db - gain_db, seed=int(ebn0_db) + 5)
@@ -114,7 +114,7 @@ def test_criterion_5_comparison_table_ordering():
     for scheme in schemes:
         bps = SchemeConfig(scheme, n_symbols=4).bits_per_symbol
         cfg = SchemeConfig(scheme, n_symbols=target_bits // bps, seed=51)
-        clean, _ = normalize_power(modulate(cfg), 1.0)
+        clean = normalize_power(modulate(cfg))
         received = add_awgn(clean, operating_snr_db, seed=52)
         rates[scheme] = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
 
@@ -135,12 +135,12 @@ def test_criterion_6_parseval():
     started = time.monotonic()
     rng = np.random.default_rng(61)
     noise = SampledSignal(rng.normal(0, 1, 1_000_000), 48000.0)
-    noise, _ = normalize_power(noise, 1.0)
+    noise = normalize_power(noise)
     assert welch_psd(noise).total_power() == pytest.approx(1.0, rel=0.02)
 
     for scheme in REFERENCE_SCHEMES:
         cfg = SchemeConfig(scheme, n_symbols=2_200, seed=6)  # >= 1e5 samples
-        sig, _ = normalize_power(modulate(cfg), 1.0)
+        sig = normalize_power(modulate(cfg))
         integral = welch_psd(sig).total_power()
         assert integral == pytest.approx(1.0, rel=0.02), (scheme, integral)
     announce(6, "Welch integral recovers signal power within 2 percent", started, 30.0)
@@ -151,17 +151,14 @@ def test_criterion_7_generic_receiver_equivalence():
     for scheme in ("bpsk", "qpsk"):
         for snr_db in (5.0, 10.0, 15.0):
             cfg = SchemeConfig(scheme, n_symbols=25_000, seed=71)
-            raw = modulate(cfg)
-            clean, _ = normalize_power(raw, 1.0)
+            clean = normalize_power(modulate(cfg))
             received = add_awgn(clean, snr_db, seed=int(snr_db) + 7)
             dedicated = ber(
                 clean.origin_bits, demodulate(received, cfg, reference=clean)
             )
             generic = ber(
                 clean.origin_bits,
-                correlation_demodulate(
-                    received, cfg, bank_scale=1.0 / math.sqrt(raw.power)
-                ),
+                correlation_demodulate(received, cfg, reference=clean),
             )
             allowance = binomial_3sigma(max(dedicated, 1e-5), clean.origin_bits.size)
             assert abs(dedicated - generic) <= allowance, (scheme, snr_db)
@@ -247,7 +244,7 @@ def test_criterion_11_multipath():
     # quadrature phase keying stays reliable through the bundled echo preset
     channel = replace(CHANNEL_PRESETS["multipath"], target_snr_db=15.0, seed=111)
     cfg = SchemeConfig("qpsk", n_symbols=50_000, seed=11)
-    clean, _ = normalize_power(modulate(cfg), 1.0)
+    clean = normalize_power(modulate(cfg))
     received, _ = apply_channel(clean, channel)
     rate = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
     assert rate < 1e-2, rate

@@ -1,21 +1,23 @@
+import copy
 import csv
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
-import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modwave
 from modwave.channel import ChannelConfig, FadingConfig, Tap
 from modwave.cli import main
-from modwave.config import CONFIG_SCHEMA, GeneratorSettings, load_config
+from modwave.config import GeneratorSettings, load_config
 from modwave.costmodel import CostInputs
 from modwave.dsl import bundled_generated_path, op_count, parse_formula, load_corpus
-from modwave.errors import ModwaveError
+from modwave.errors import ConfigError, ModwaveError
 from modwave.metrics import MetricsParams
 from modwave.synth import SchemeConfig
 
@@ -292,6 +294,16 @@ class TestCostCommand:
         expected = op_count(parse_formula(entries["m2"].formula)) * 2000 * 48
         assert payload["inputs"]["n_ops"] == expected
 
+    def test_cost_values_are_echoed_as_given(self, tmp_path):
+        # the config load checks the cost values but does not cast them
+        config = write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["cost"].update(n_ops=1000000000, data_bits=1000)
+        config.write_text(json.dumps(raw))
+        assert main(["cost", "--config", str(config)]) == 0
+        text = (tmp_path / "out" / "cost.json").read_text()
+        assert '"n_ops": 1000000000,' in text and '"data_bits": 1000,' in text
+
     def test_overflowing_latency_is_standard_json(self, tmp_path):
         config = write_config(tmp_path)
         raw = json.loads(config.read_text())
@@ -308,7 +320,7 @@ class TestCostCommand:
 
     def test_missing_cost_section(self, tmp_path):
         config = write_config(tmp_path, cost=None)
-        # JSON null not allowed by schema; drop the key entirely instead
+        # a null cost is no object; drop the key entirely instead
         raw = json.loads(config.read_text())
         raw.pop("cost")
         config.write_text(json.dumps(raw))
@@ -329,6 +341,17 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert main(["compare", "--config", str(path)]) == 2
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, scheme_defaults={"n_symbols": 100})
+        assert main(["compare", "--config", str(config), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"master_seed": 1, "out_dir": "\xff"}')
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unknown_preset(self, tmp_path):
         config = write_config(tmp_path, channel={"preset": "volcano"})
         assert main(["compare", "--config", str(config)]) == 2
@@ -344,12 +367,25 @@ class TestConfigHandling:
             {"schemes": [{"scheme": "qam16", "carrier_freq": "6k"}, "bpsk"]},
             {"channel": {"fading": {"sigma": 1.0}}},
             {"metrics": {"welch_window": "bogus"}},
+            {"channel": {"preset": None}},
+            {"scheme_defaults": {"amplitude": True}},
+            {"master_seed": -1},
+            {"scheme_defaults": {"scheme": "qpsk"}},
+            {"scheme_defaults": {"amplitude": 10**400}},  # beyond the float range
+            {"corpus": "."},  # a directory, not a corpus file
+            {"generator": {"grammar_path": "."}},
         ],
     )
     def test_mistyped_or_invalid_values_are_config_errors(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path, **overrides)
         assert main(["compare", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_error_names_the_key_path(self, tmp_path, capsys):
+        config = write_config(tmp_path, scheme_defaults={"samples_per_symbol": 48.5})
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scheme_defaults.samples_per_symbol: ")
 
     @pytest.mark.parametrize(
         "cls, values",
@@ -397,32 +433,127 @@ class TestConfigHandling:
         rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
         assert [row["error"].split(":")[0] for row in rows] == ["ZeroPowerError"] * 2
 
-    def test_schema_is_a_valid_schema(self):
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
-
-    def test_sections_are_their_dataclass_fields(self):
-        def names(cls):
-            return {f.name for f in fields(cls)}
-
-        props = CONFIG_SCHEMA["properties"]
-        channel = props["channel"]["properties"]
+    def test_sections_are_their_dataclass_fields(self, tmp_path):
+        # each section: a full example of its dataclass, its required keys,
+        # where it sits in a config and where the loaded config holds it
         sections = {
-            # a seed is derived from the master seed, never configured
-            "schemes": (props["schemes"]["items"]["oneOf"][1], names(SchemeConfig) - {"seed"}),
-            "scheme_defaults": (props["scheme_defaults"], names(SchemeConfig) - {"scheme", "seed"}),
-            "channel": (props["channel"], names(ChannelConfig) - {"seed"} | {"preset"}),
-            "taps": (channel["taps"]["items"], names(Tap)),
-            "fading": (channel["fading"], names(FadingConfig)),
-            "metrics": (props["metrics"], names(MetricsParams)),
-            "generator": (props["generator"], names(GeneratorSettings)),
-            "cost": (props["cost"], names(CostInputs)),
+            "schemes": (SchemeConfig("qpsk"), {"scheme": "qpsk"},
+                        lambda obj: {"schemes": [obj, "bpsk"]},
+                        lambda cfg: cfg.scheme_configs()[0]),
+            "scheme_defaults": (SchemeConfig("qpsk"), {},
+                                lambda obj: {"scheme_defaults": obj},
+                                lambda cfg: cfg.scheme_configs()[0]),
+            "channel": (ChannelConfig(fading=FadingConfig(64, 1.0)), {"preset": "multipath"},
+                        lambda obj: {"channel": obj}, lambda cfg: cfg.channel),
+            "taps": (Tap(2, 0.5, 0.1), {"delay_samples": 0, "gain": 1.0},
+                     lambda obj: {"channel": {"taps": [obj]}},
+                     lambda cfg: cfg.channel.taps[0]),
+            "fading": (FadingConfig(64, 1.0), {"block_length_samples": 64, "sigma": 1.0},
+                       lambda obj: {"channel": {"fading": obj}},
+                       lambda cfg: cfg.channel.fading),
+            "metrics": (MetricsParams(), {}, lambda obj: {"metrics": obj},
+                        lambda cfg: cfg.metrics),
+            "generator": (GeneratorSettings(), {}, lambda obj: {"generator": obj},
+                          lambda cfg: cfg.generator),
+            "cost": (CostInputs(1e6, 1e9, 1e3, 1e6),
+                     {"f_cpu": 1e9, "data_bits": 1e3, "bandwidth_bps": 1e6},
+                     lambda obj: {"cost": obj}, lambda cfg: cfg.cost),
         }
-        for section, (schema, expected) in sections.items():
-            assert set(schema["properties"]) == expected, section
+        for section, (example, required, place, read) in sections.items():
+            values = json.loads(json.dumps(asdict(example)))
+            # a seed is derived from the master seed, never configured
+            names = {f.name for f in fields(example)} - {"seed"}
+            if section == "scheme_defaults":
+                names -= {"scheme"}  # the entries of schemes name it
+            for name in sorted(names):
+                config = write_config(tmp_path, **place({**required, name: values[name]}))
+                loaded = read(load_config(config))
+                if not isinstance(loaded, dict):
+                    loaded = json.loads(json.dumps(asdict(loaded)))
+                assert loaded[name] == values[name], (section, name)
+            for extra in ("seed", "bogus"):
+                config = write_config(tmp_path, **place({**required, extra: 0}))
+                with pytest.raises(ConfigError, match=f"\\.{extra}: "):
+                    load_config(config)
+
+    def test_mutated_config_base_loads(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(VALID_CONFIG))
+        assert len(load_config(path).scheme_configs()) == 4
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_mutated_configs_load_or_are_config_errors(self, tmp_path_factory, data):
+        config = copy.deepcopy(VALID_CONFIG)
+        spots = list(_locations(config))
+        action = data.draw(st.sampled_from(["swap", "drop", "add"]))
+        if action == "add":
+            objects = [()] + [p for p in spots if isinstance(_at(config, p), dict)]
+            owner = _at(config, data.draw(st.sampled_from(objects)))
+            owner[data.draw(st.sampled_from(["seed", "bogus"]))] = data.draw(JSON_VALUES)
+        else:
+            *parent, key = data.draw(st.sampled_from(spots))
+            owner = _at(config, parent)
+            if action == "drop":
+                del owner[key]
+            else:
+                owner[key] = data.draw(JSON_VALUES)
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(config))
+        try:
+            load_config(path).scheme_configs()
+        except ConfigError:
+            pass  # any other exception fails the test
+
+
+# a config that uses every section; the property test above mutates it
+VALID_CONFIG = {
+    "master_seed": 7,
+    "corpus": None,
+    "out_dir": "out",
+    "schemes": [
+        "bpsk",
+        {"scheme": "qam16", "carrier_freq": 6000, "pulse": "rect"},
+        "formula:m1",
+        {"scheme": "formula:own", "formula_text": "A_c*I(t)*cos(2*pi*f_c*t)"},
+    ],
+    "scheme_defaults": {"n_symbols": 100, "samples_per_symbol": 48.0, "amplitude": 1},
+    "base_scheme": "qpsk",
+    "channel": {
+        "preset": "multipath",
+        "target_snr_db": 10,
+        "taps": [{"delay_samples": 0, "gain": 1.0, "phase": 0.0},
+                 {"delay_samples": 2, "gain": 0.3}],
+        "fading": {"block_length_samples": 64, "sigma": 1.0},
+    },
+    "metrics": {"welch_segment": 256, "welch_window": "hann", "obw_fraction": 0.99},
+    "generator": {"kind": "grammar", "grammar_path": None, "temperature": 0.8},
+    "cost": {"f_cpu": 1e9, "data_bits": 1000, "bandwidth_bps": 1e6, "n_ops": 1e6},
+}
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.integers(0, 9), max_size=2),
+)
+
+
+def _locations(node, path=()):
+    """The path of every value inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
 
 
 def test_runtime_imports_neither_scipy_nor_requests():
-    # the runtime needs numpy and jsonschema only; scipy is a test oracle
+    # the runtime needs numpy only; scipy is a test oracle
     src = str(Path(modwave.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -436,16 +567,19 @@ def test_runtime_imports_neither_scipy_nor_requests():
     assert out.stdout.strip() == "[]"
 
 
-def test_import_leaves_jsonschema_unloaded():
-    # only a config load validates, so only a load imports jsonschema
+def test_config_load_and_compare_need_numpy_only(tmp_path):
+    # a config load checks types itself: no schema engine comes in
+    config = write_config(tmp_path, scheme_defaults={"n_symbols": 200})
     src = str(Path(modwave.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     probe = (
-        "import sys, modwave; from modwave.config import CONFIG_SCHEMA; "
-        "print('jsonschema' in sys.modules, CONFIG_SCHEMA['type'])"
+        "import sys; from modwave.cli import main; "
+        f"assert main(['compare', '--config', {str(config)!r}]) == 0; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('jsonschema', 'scipy', 'requests')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "object"]
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -71,7 +71,7 @@ def tone(freq, n, fs=FS, amp=1.0):
 class TestWelch:
     def test_parseval_on_white_noise(self, rng):
         x = SampledSignal(rng.normal(0, 1, 1_000_000), FS)
-        unit, _ = normalize_power(x, 1.0)
+        unit = normalize_power(x)
         psd = welch_psd(unit)
         assert psd.total_power() == pytest.approx(1.0, rel=0.02)
 
@@ -366,7 +366,7 @@ class TestConstellation:
 
     def test_cluster_spread_scales_with_noise(self):
         cfg = SchemeConfig("qam16", n_symbols=20_000, seed=4)
-        clean, _ = normalize_power(modulate(cfg), 1.0)
+        clean = normalize_power(modulate(cfg))
         ideal = extract_constellation(clean, cfg)
         spreads = []
         for snr in (20.0, 10.0):
@@ -436,7 +436,7 @@ class TestDemodulation:
         cfg = SchemeConfig("bpsk", n_symbols=100_000, seed=7)
         ebn0_db = 4.0
         snr_db = ebn0_db - 10 * math.log10(cfg.samples_per_symbol / 2)
-        clean, _ = normalize_power(modulate(cfg), 1.0)
+        clean = normalize_power(modulate(cfg))
         received = add_awgn(clean, snr_db, seed=99)
         measured = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
         theory = qfunc(math.sqrt(2 * 10 ** (ebn0_db / 10)))  # ~0.0125
@@ -446,12 +446,10 @@ class TestDemodulation:
         # same received samples, both receivers, low enough SNR for errors
         for scheme in ("bpsk", "qpsk"):
             cfg = SchemeConfig(scheme, n_symbols=20_000, seed=8)
-            clean, _ = normalize_power(modulate(cfg), 1.0)
+            clean = normalize_power(modulate(cfg))
             received = add_awgn(clean, -9.0, seed=17)
             dedicated = demodulate(received, cfg, reference=clean)
-            generic = correlation_demodulate(
-                received, cfg, bank_scale=1.0 / math.sqrt(modulate(cfg).power)
-            )
+            generic = correlation_demodulate(received, cfg, reference=clean)
             rate_a = ber(clean.origin_bits, dedicated)
             rate_b = ber(clean.origin_bits, generic)
             assert rate_a > 0
@@ -544,7 +542,7 @@ class TestDemodulation:
     def test_decimated_discriminator_is_no_worse(self, scheme):
         n_bits = 100_000
         cfg = SchemeConfig(scheme, n_symbols=n_bits, seed=23)
-        clean, _ = normalize_power(modulate(cfg), 1.0)
+        clean = normalize_power(modulate(cfg))
         for snr_db, full_rate in zip((0.0, 2.0, 5.0), self.FULL_RATE_DISCRIMINATOR[scheme]):
             received = add_awgn(clean, snr_db, seed=29)
             rate = ber(clean.origin_bits, demodulate(received, cfg, reference=clean))
@@ -560,7 +558,7 @@ class TestDemodulation:
         ):
             bps = SchemeConfig(scheme, n_symbols=4).bits_per_symbol
             cfg = SchemeConfig(scheme, n_symbols=target_bits // bps, seed=23)
-            clean, _ = normalize_power(modulate(cfg), 1.0)
+            clean = normalize_power(modulate(cfg))
             rates = []
             for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
                 received = add_awgn(clean, snr_db, seed=29)
@@ -587,11 +585,11 @@ def uses_basis(cfg):
 
 def both_routes(cfg, snr_db, seed=5):
     """The correlation receiver's bits on its own route and on the bank route."""
-    clean, _ = normalize_power(modulate(cfg), 1.0)
+    clean = normalize_power(modulate(cfg))
     received = add_awgn(clean, snr_db, seed=seed)
-    chosen = correlation_demodulate(received, cfg, bank_scale=clean.gain)
+    chosen = correlation_demodulate(received, cfg, reference=clean)
     with mock.patch.object(modwave.metrics, "candidate_basis", lambda *bound: None):
-        bank = correlation_demodulate(received, cfg, bank_scale=clean.gain)
+        bank = correlation_demodulate(received, cfg, reference=clean)
     return chosen, bank
 
 

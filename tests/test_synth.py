@@ -351,45 +351,46 @@ class TestSampledSignal:
 class TestNormalizePower:
     def test_uniform_scale(self):
         sig = SampledSignal(np.array([2.0, 2.0, 2.0, 2.0]), 48000.0)
-        out, scale = normalize_power(sig, 1.0)
+        out = normalize_power(sig)
         assert np.allclose(out.samples, [1.0, 1.0, 1.0, 1.0])
-        assert scale == pytest.approx(0.5)
+        assert out.gain == pytest.approx(0.5)
 
     def test_unit_power_unchanged(self):
         sig = SampledSignal(np.array([1.0, -1.0, 1.0, -1.0]), 48000.0)
-        out, scale = normalize_power(sig, 1.0)
+        out = normalize_power(sig)
         assert np.allclose(out.samples, sig.samples, atol=1e-12)
-        assert scale == pytest.approx(1.0, abs=1e-12)
+        assert out.gain == pytest.approx(1.0, abs=1e-12)
 
     def test_random_signal_recheck(self, rng):
         sig = SampledSignal(rng.normal(0, 3.7, 50_000), 48000.0)
-        out, _ = normalize_power(sig, 1.0)
+        out = normalize_power(sig)
         assert out.power == pytest.approx(1.0, rel=1e-6)
 
     def test_every_scheme_normalizes_to_unit_power(self):
         for scheme in REFERENCE_SCHEMES:
             cfg = SchemeConfig(scheme, n_symbols=200, seed=3, amplitude=2.5)
-            out, _ = normalize_power(modulate(cfg), 1.0)
+            out = normalize_power(modulate(cfg))
             assert out.power == pytest.approx(1.0, rel=1e-6), scheme
 
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
-            normalize_power(SampledSignal(np.zeros(16), 48000.0), 1.0)
+            normalize_power(SampledSignal(np.zeros(16), 48000.0))
 
     def test_gain_is_the_realized_amplitude_ratio(self):
         for scheme in ("qam16", "fsk", "chirp"):
             cfg = SchemeConfig(scheme, n_symbols=300, seed=5, amplitude=2.5)
             raw = modulate(cfg)
             assert raw.gain == 1.0  # never normalized
-            out, scale = normalize_power(raw, 1.0)
+            out = normalize_power(raw)
             assert out.gain == float(np.sqrt(out.power / raw.power)), scheme
-            assert out.gain == pytest.approx(scale, rel=1e-12), scheme
+            assert out.gain == pytest.approx(1.0 / np.sqrt(raw.power), rel=1e-12), scheme
 
     def test_gain_compounds(self):
         sig = SampledSignal(np.array([2.0, -2.0, 2.0, -2.0]), 48000.0)
-        once, _ = normalize_power(sig, 4.0)
-        twice, _ = normalize_power(once, 1.0)
-        assert twice.gain == pytest.approx(0.5, rel=1e-15)
+        once = normalize_power(sig)
+        tripled = replace(once, samples=once.samples * 3.0)  # the gain stays 0.5
+        twice = normalize_power(tripled)
+        assert twice.gain == pytest.approx(0.5 / 3.0, rel=1e-15)
 
 
 class TestWaveformDump:
