@@ -7,10 +7,13 @@ compare structurally equal.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Union
 
-from .symbols import resolve
+import numpy as np
+
+from .symbols import LABEL_STREAMS, resolve
 
 Span = tuple[int, int]
 
@@ -80,6 +83,31 @@ def depth(expr: Expr) -> int:
     return 1 + max(depth(k) for k in kids)
 
 
+def _scoped(node: Expr, bound: frozenset[str]) -> list[tuple[Expr, frozenset[str]]]:
+    """Each child of a node with the names bound in it: the language's one
+    scoping rule. A sum binds its index in its body, and the index itself
+    is not a child, so it is never a read."""
+    if isinstance(node, Call) and node.func == "sum":
+        body, index, *limits = node.args
+        return [(body, bound | {index.name})] + [(k, bound) for k in limits]
+    return [(kid, bound) for kid in children(node)]
+
+
+def walk(expr: Expr) -> Iterator[tuple[Expr, frozenset[str], bool]]:
+    """Yield (node, bound names, inside an integral body) in preorder."""
+    stack = [(expr, frozenset(), False)]
+    while stack:
+        node, bound, in_integral = item = stack.pop()
+        yield item
+        if isinstance(node, (Const, Symbol)):
+            continue
+        integral = isinstance(node, Call) and node.func == "integral"
+        kids = _scoped(node, bound)
+        for i in range(len(kids) - 1, -1, -1):
+            kid, kid_bound = kids[i]
+            stack.append((kid, kid_bound, in_integral or (integral and i == 0)))
+
+
 def op_count(expr: Expr) -> int:
     """Number of arithmetic and function-evaluation nodes in the tree.
 
@@ -87,43 +115,27 @@ def op_count(expr: Expr) -> int:
     and function call counts as one operation. Additive over subtrees, so
     the total for a waveform run is op_count(expr) * sample count.
     """
-    own = 0 if isinstance(expr, (Const, Symbol)) else 1
-    return own + sum(op_count(k) for k in children(expr))
+    return sum(not isinstance(node, (Const, Symbol)) for node, _, _ in walk(expr))
 
 
 def reads(expr: Expr) -> tuple[frozenset[str], frozenset[str]]:
     """The symbols a tree reads, and those read inside integral bodies.
 
     Each name is reported as the namespace resolves it (a bare d as d(t)),
-    or as written where it is undefined. A sum's index variable is bound
-    in the sum's body and is not reported there.
+    or as written where it is undefined. A bound sum index is no read.
     """
-    names: set[str] = set()
-    integrated: set[str] = set()
-
-    def walk(node: Expr, bound: frozenset[str], in_integral: bool) -> None:
-        if isinstance(node, Symbol):
-            if node.name not in bound:
-                name = resolve(node.name) or node.name
-                names.add(name)
-                if in_integral:
-                    integrated.add(name)
-            return
-        if isinstance(node, Call) and node.func == "sum":
-            walk(node.args[0], bound | {node.args[1].name}, in_integral)
-            for bound_expr in node.args[2:]:
-                walk(bound_expr, bound, in_integral)
-            return
-        body_in_integral = isinstance(node, Call) and node.func == "integral"
-        for i, kid in enumerate(children(node)):
-            walk(kid, bound, in_integral or (body_in_integral and i == 0))
-
-    walk(expr, frozenset(), False)
+    names, integrated = set(), set()
+    for node, bound, in_integral in walk(expr):
+        if isinstance(node, Symbol) and node.name not in bound:
+            name = resolve(node.name) or node.name
+            names.add(name)
+            if in_integral:
+                integrated.add(name)
     return frozenset(names), frozenset(integrated)
 
 
-def affine_in(expr: Expr, streams) -> bool:
-    """Whether the tree is a(t) + sum_i c_i(t)*s_i(t) in the named streams.
+def affine_in(expr: Expr) -> bool:
+    """Whether the tree is a(t) + sum_i c_i(t)*s_i(t) in the label streams.
 
     Conservative: True only for a subtree that reads no stream, a stream
     symbol, negations, sums and differences of such terms, products in
@@ -133,16 +145,11 @@ def affine_in(expr: Expr, streams) -> bool:
     bottom-up walk returns each subtree's (reads a stream, affine).
     """
 
-    def walk(node: Expr, bound: frozenset[str]) -> tuple[bool, bool]:
+    def visit(node: Expr, bound: frozenset[str]) -> tuple[bool, bool]:
         if isinstance(node, Symbol):
-            name = resolve(node.name) or node.name
-            return node.name not in bound and name in streams, True
-        if isinstance(node, Call) and node.func == "sum":
-            inner = bound | {node.args[1].name}
-            kids = [walk(node.args[0], inner)]
-            kids += [walk(k, bound) for k in node.args[2:]]
-        else:
-            kids = [walk(k, bound) for k in children(node)]
+            hit = node.name not in bound and resolve(node.name) in LABEL_STREAMS
+            return hit, True
+        kids = [visit(kid, kid_bound) for kid, kid_bound in _scoped(node, bound)]
         if not any(hit for hit, _ in kids):
             return False, True
         if isinstance(node, Neg):
@@ -156,7 +163,7 @@ def affine_in(expr: Expr, streams) -> bool:
             return True, left and not right_hit
         return True, False
 
-    return walk(expr, frozenset())[1]
+    return visit(expr, frozenset())[1]
 
 
 _PREC_ADD = 1
@@ -177,9 +184,9 @@ def _prec(expr: Expr) -> int:
 
 
 def _fmt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+    """Plain decimal digits, the only number form the lexer reads, in the
+    shortest form that reads back as the same float."""
+    return np.format_float_positional(value, trim="-")
 
 
 def to_text(expr: Expr) -> str:

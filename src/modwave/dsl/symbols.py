@@ -29,6 +29,9 @@ NAMES = frozenset({
     "m(t)",     # analog message waveform
 })
 
+# the signal-valued names that follow the symbol labels
+LABEL_STREAMS = ("I(t)", "Q(t)", "d(t)", "f(t)")
+
 
 def resolve(name: str) -> str | None:
     """Return the name in NAMES that `name` binds to, or None if undefined."""

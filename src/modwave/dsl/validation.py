@@ -9,7 +9,7 @@ rejecting it, since guarded evaluation can still run it end to end.
 from dataclasses import dataclass, field
 
 from ..errors import LexicalError, ParseError
-from .ast import BinOp, Call, Const, Expr, Neg, Span, Symbol, children, reads
+from .ast import BinOp, Const, Expr, Neg, Span, Symbol, walk
 from .lexer import tokenize
 from .parser import parse
 from .symbols import resolve
@@ -40,7 +40,7 @@ class ValidationFlag:
 
 @dataclass
 class ValidationReport:
-    formula: str | None
+    formula: str
     syntactic_ok: bool
     syntax_error_kind: str | None = None
     error_messages: list[str] = field(default_factory=list)
@@ -78,75 +78,45 @@ def _literal_zero(expr: Expr) -> bool:
     return False
 
 
-def _walk_semantics(
-    expr: Expr, bound: frozenset[str], flags: list[ValidationFlag]
-) -> None:
-    if isinstance(expr, Symbol):
-        if expr.name in bound:
-            return
-        if resolve(expr.name) is None:
-            flags.append(
-                ValidationFlag(
-                    UNDEFINED_SYMBOL, f"undefined symbol {expr.name!r}", expr.span
-                )
-            )
-        return
-    if isinstance(expr, BinOp) and expr.op == "/" and _literal_zero(expr.right):
-        flags.append(
-            ValidationFlag(
-                ZERO_LITERAL_DIVISOR,
-                "divisor is a literal zero or a product containing one",
-                expr.right.span,
-            )
-        )
-    if isinstance(expr, Call) and expr.func == "sum":
-        index = expr.args[1]
-        inner = bound | {index.name}
-        _walk_semantics(expr.args[0], inner, flags)
-        for arg in expr.args[2:]:
-            _walk_semantics(arg, bound, flags)
-        return
-    if isinstance(expr, Call) and expr.func == "integral":
-        # the integration variable t is not a read
-        _walk_semantics(expr.args[0], bound, flags)
-        return
-    for kid in children(expr):
-        _walk_semantics(kid, bound, flags)
-
-
-def validate(formula: str | Expr) -> ValidationReport:
-    """Validate a formula string or pre-parsed tree against the namespace.
+def validate(formula: str) -> ValidationReport:
+    """Validate a formula string against the namespace.
 
     All findings go into the report; this function does not raise for bad
-    formulas. Using exactly one of I(t) and Q(t) is flagged.
+    formulas. One walk flags each undefined symbol and literal-zero
+    divisor in preorder; using exactly one of I(t) and Q(t) is flagged.
     """
-    text: str | None
-    if isinstance(formula, str):
-        text = formula
-        try:
-            expr = parse(tokenize(formula))
-        except LexicalError as exc:
-            return ValidationReport(
-                formula=text,
-                syntactic_ok=False,
-                syntax_error_kind="lexical",
-                error_messages=[str(exc)],
-            )
-        except ParseError as exc:
-            return ValidationReport(
-                formula=text,
-                syntactic_ok=False,
-                syntax_error_kind=exc.kind,
-                error_messages=[str(exc)],
-            )
-    else:
-        text = None
-        expr = formula
+    try:
+        expr = parse(tokenize(formula))
+    except (LexicalError, ParseError) as exc:
+        return ValidationReport(
+            formula=formula,
+            syntactic_ok=False,
+            syntax_error_kind=exc.kind,
+            error_messages=[str(exc)],
+        )
 
     flags: list[ValidationFlag] = []
-    _walk_semantics(expr, frozenset(), flags)
+    names: set[str] = set()
+    for node, bound, _ in walk(expr):
+        if isinstance(node, Symbol) and node.name not in bound:
+            name = resolve(node.name)
+            if name is None:
+                flags.append(
+                    ValidationFlag(
+                        UNDEFINED_SYMBOL, f"undefined symbol {node.name!r}", node.span
+                    )
+                )
+            else:
+                names.add(name)
+        elif isinstance(node, BinOp) and node.op == "/" and _literal_zero(node.right):
+            flags.append(
+                ValidationFlag(
+                    ZERO_LITERAL_DIVISOR,
+                    "divisor is a literal zero or a product containing one",
+                    node.right.span,
+                )
+            )
 
-    names, _ = reads(expr)
     has_i, has_q = "I(t)" in names, "Q(t)" in names
     if has_i != has_q:
         present = "I(t)" if has_i else "Q(t)"
@@ -158,11 +128,13 @@ def validate(formula: str | Expr) -> ValidationReport:
             )
         )
 
-    report = ValidationReport(
-        formula=text, syntactic_ok=True, expr=expr, semantic_flags=flags
+    return ValidationReport(
+        formula=formula,
+        syntactic_ok=True,
+        error_messages=[f.message for f in flags],
+        semantic_flags=flags,
+        expr=expr,
     )
-    report.error_messages = [f.message for f in flags]
-    return report
 
 
 def classify(report: ValidationReport) -> str:

@@ -8,6 +8,8 @@ class ModwaveError(Exception):
 class LexicalError(ModwaveError):
     """A character or token-level problem in a formula string."""
 
+    kind = "lexical"
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position

@@ -36,6 +36,7 @@ from .synth import SchemeConfig
 
 _PLACEHOLDER = re.compile(r"<([A-Za-z_][A-Za-z0-9_]*)>")
 _TOKENISH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?|\S")
+START = "start"  # the nonterminal every derivation begins from
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,12 @@ class ProductionAlt:
     def nonterminals(self) -> tuple[str, ...]:
         return tuple(_PLACEHOLDER.findall(self.production))
 
-    @property
-    def is_terminal(self) -> bool:
-        return not self.nonterminals
+    def depth(self, depths: dict[str, int]) -> int:
+        """Expansion levels to finish this alternative, given the levels
+        each of its nonterminals needs."""
+        if not self.nonterminals:
+            return 0
+        return 1 + max(depths[r] for r in self.nonterminals)
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,12 @@ class GrammarConfig:
     max_tokens: int = 128
     max_depth: int = 10
     seed: int = 0
-    start: str = "start"
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
-        if self.start not in self.rules:
-            raise ConfigError(f"start symbol {self.start!r} has no rule")
+        if START not in self.rules:
+            raise ConfigError(f"start symbol {START!r} has no rule")
         for name, alts in self.rules.items():
             if not alts:
                 raise ConfigError(f"nonterminal {name!r} has no alternatives")
@@ -93,11 +96,7 @@ class GrammarConfig:
             for name, alts in self.rules.items():
                 for alt in alts:
                     if all(ref in depths for ref in alt.nonterminals):
-                        cost = (
-                            0
-                            if alt.is_terminal
-                            else 1 + max(depths[r] for r in alt.nonterminals)
-                        )
+                        cost = alt.depth(depths)
                         if cost < depths.get(name, cost + 1):
                             depths[name] = cost
                             changed = True
@@ -144,17 +143,12 @@ def sample_formula(config: GrammarConfig, rng=None) -> str:
     budget = [config.max_tokens]
     depths = config.expansion_depths
 
-    def alt_depth(alt: ProductionAlt) -> int:
-        if alt.is_terminal:
-            return 0
-        return 1 + max(depths[r] for r in alt.nonterminals)
-
     def expand(name: str, depth: int) -> str:
         alts = config.rules[name]
         if depth >= config.max_depth or budget[0] < 24:
             # fall back to the shallowest alternatives so expansion finishes
-            best = min(alt_depth(a) for a in alts)
-            alts = tuple(a for a in alts if alt_depth(a) == best)
+            best = min(a.depth(depths) for a in alts)
+            alts = tuple(a for a in alts if a.depth(depths) == best)
         alt = _pick(alts, config.temperature, rng)
         out = alt.production
         budget[0] -= _token_count(_PLACEHOLDER.sub("", out))
@@ -165,7 +159,7 @@ def sample_formula(config: GrammarConfig, rng=None) -> str:
             inner = expand(match.group(1), depth + 1)
             out = out[: match.start()] + inner + out[match.end() :]
 
-    text = expand(config.start, 0)
+    text = expand(START, 0)
     return re.sub(r"\s+", " ", text).strip()
 
 

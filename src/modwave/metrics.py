@@ -333,19 +333,14 @@ def _envelope_bits(
     received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
 ) -> np.ndarray:
     """Classic on-off keying receiver: envelope sampled at symbol centers
-    against a fixed threshold at half the on-level envelope."""
+    against a fixed threshold at half the on-level envelope, scaled by the
+    gain normalize_power recorded on the reference (1 without one)."""
     sps = config.samples_per_symbol
     centers = np.arange(len(received) // sps) * sps + sps // 2
     envelope = np.abs(_analytic(received.samples))
     on_level = config.amplitude * np.abs(SCHEMES[config.scheme].alphabet).max()
-    threshold = on_level / 2.0
-    if reference is not None and reference.origin_bits is not None:
-        ref_env = np.abs(_analytic(reference.samples))
-        ref_centers = ref_env[centers[: reference.origin_bits.size]]
-        on = reference.origin_bits[: ref_centers.size] == 1
-        if on.any():
-            threshold = float(ref_centers[on].mean() / 2.0)
-    return (envelope[centers] > threshold).astype(np.uint8)
+    gain = 1.0 if reference is None else reference.gain
+    return (envelope[centers] > gain * on_level / 2.0).astype(np.uint8)
 
 
 def _nearest_point_bits(

@@ -22,18 +22,18 @@ import numpy as np
 from .dsl.ast import Expr, affine_in, reads
 from .dsl.evaluation import EvalContext, evaluate
 from .dsl.parser import parse_formula
+from .dsl.symbols import LABEL_STREAMS
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 
 
 def normalize_scheme_id(scheme: str) -> str:
-    """Canonical scheme id: lowercase, separators dropped, '16-QAM' ok."""
+    """Canonical scheme id: lowercase, separators dropped, and '16-QAM'
+    read as qam16 for every qam row of SCHEMES."""
     if scheme.startswith("formula:"):
         return scheme
     key = scheme.lower().replace("-", "").replace("_", "").replace(" ", "")
-    for m in ("16", "64", "128", "256"):
-        if key == f"{m}qam":
-            key = f"qam{m}"
-    return key
+    alias = f"qam{key.removesuffix('qam')}"
+    return alias if key.endswith("qam") and alias in SCHEMES else key
 
 
 @dataclass(frozen=True)
@@ -445,9 +445,6 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 # ---------------------------------------------------------------------------
 # formula bindings, modulate and the candidate bank
 
-# the signals a formula reads that follow the symbol labels
-LABEL_STREAMS = ("I(t)", "Q(t)", "d(t)", "f(t)")
-
 
 def formula_context(
     cfg: SchemeConfig, labels: np.ndarray
@@ -568,7 +565,7 @@ def candidate_basis(
     stream values s_i of each label. Returns None, for the bank, when the
     formula is not affine or the basis has a non-finite sample.
     """
-    if not affine_in(expr, LABEL_STREAMS):
+    if not affine_in(expr):
         return None
     names = reads(expr)[0]
     read = [i for i, name in enumerate(LABEL_STREAMS) if name in names]

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from modwave.dsl import BinOp, Call, Const, Neg, Pow, Symbol
+from modwave.dsl.symbols import NAMES
 
 # derandomized: every run draws the same examples, so Tier-1 stays deterministic
 settings.register_profile(
@@ -20,6 +24,37 @@ SPECIAL = np.array(
 # values that float32 rounds, and its own extremes
 SPECIAL_F32 = np.array(
     [0.1, 1.0 / 3.0, 3.4e38, 1e-45, 1e-40, -2.5, 16777217.0, 0.0], dtype=np.float32
+)
+
+
+# constants as the lexer reads them, plain decimal digits: whole numbers
+# up to 1e21 and fractions down to 1e-9; names in and out of the namespace
+_CONSTANTS = st.one_of(
+    st.integers(0, 10**21).map(float),
+    st.builds(lambda m, k: float(f"0.{'0' * k}{m}"), st.integers(1, 10**6), st.integers(0, 8)),
+)
+_NAMES = sorted(NAMES) + ["I", "Q", "d", "f", "i", "j", "x_q"]
+
+
+def _extend(kids):
+    return st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Pow, kids, kids),
+        st.builds(lambda f, x: Call(f, (x,)), st.sampled_from(("sin", "cos")), kids),
+        kids.map(lambda body: Call("integral", (body, Symbol("t")))),
+        st.builds(
+            lambda body, index, low, high: Call("sum", (body, Symbol(index), low, high)),
+            kids, st.sampled_from(("i", "j", "I")), kids, kids,
+        ),
+    )
+
+
+# every node kind, small enough for the lexer's length and token limits
+FORMULA_TREES = st.recursive(
+    st.one_of(_CONSTANTS.map(Const), st.sampled_from(_NAMES).map(Symbol)),
+    _extend,
+    max_leaves=6,
 )
 
 

@@ -80,6 +80,14 @@ class TestSampling:
             GrammarConfig(
                 rules={"start": (ProductionAlt("A", 0.0),)}
             )
+        with pytest.raises(ConfigError, match="start symbol"):
+            GrammarConfig(rules={"begin": (ProductionAlt("A", 1.0),)})
+
+    def test_expansion_depth_is_the_shallowest_alternative(self, grammar):
+        # one depth rule: each nonterminal needs its shallowest alternative's levels
+        depths = grammar.expansion_depths
+        for name, alts in grammar.rules.items():
+            assert depths[name] == min(alt.depth(depths) for alt in alts), name
 
 
 class TestBatches:

@@ -464,6 +464,20 @@ class TestDemodulation:
         assert calibrated > 0
         assert abs(blind - calibrated) <= binomial_3sigma(calibrated, 20_000)
 
+    @pytest.mark.parametrize("n_symbols", [2_000, 20_000])
+    def test_ook_gain_threshold_is_the_reference_on_level(self, n_symbols):
+        # the receiver's threshold is gain * on_level / 2: the on-level it
+        # assumes equals the mean envelope of the reference's on symbols
+        cfg = SchemeConfig("ook", n_symbols=n_symbols, seed=8)
+        clean = normalize_power(modulate(cfg))
+        sps = cfg.samples_per_symbol
+        centers = np.arange(n_symbols) * sps + sps // 2
+        envelope = np.abs(scipy_hilbert(clean.samples))[centers]
+        measured = envelope[clean.origin_bits == 1].mean()
+        on_level = cfg.amplitude * np.abs(SCHEMES["ook"].alphabet).max()
+        assert clean.gain != 1.0
+        assert clean.gain * on_level == pytest.approx(measured, rel=1e-6)
+
     @pytest.mark.parametrize("scheme", ["msk", "ook", "chirp"])
     def test_complex_samples_raise(self, scheme):
         # every receiver assumes a real passband; none decides on the real part

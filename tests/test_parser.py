@@ -2,6 +2,7 @@ import random
 import string
 
 import pytest
+from hypothesis import given
 
 from modwave.dsl import (
     BinOp,
@@ -22,6 +23,8 @@ from modwave.dsl import (
 from modwave.dsl.ast import reads
 from modwave.dsl.parser import parse
 from modwave.errors import LexicalError, ParseError
+
+from conftest import FORMULA_TREES
 
 AM_TEXT = "A_c * (1 + m * cos(2*pi*f_m*t + phi_m)) * cos(2*pi*f_c*t + phi_c)"
 
@@ -141,9 +144,16 @@ def test_roundtrip_misc_shapes():
         "2 ^ (x + 1)",
         "sum(i * m, i, 1, n)",
         "integral(m(t), t) + Q(t)",
+        # constants print as plain decimals, never in exponent form
+        "0.00001 * A + 100000000000000000000",
     ):
         tree = parse_formula(text)
         assert parse_formula(to_text(tree)) == tree, text
+
+
+@given(tree=FORMULA_TREES)
+def test_roundtrip_drawn_trees(tree):
+    assert parse_formula(to_text(tree)) == tree
 
 
 def test_parser_totality_fuzz():

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,13 +14,27 @@ from modwave.dsl import (
     MISSING_QUADRATURE,
     UNDEFINED_SYMBOL,
     ZERO_LITERAL_DIVISOR,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Symbol,
     ValidationReport,
     bundled_corpus_path,
     bundled_generated_path,
+    children,
     classify,
     load_corpus,
+    op_count,
+    parse_formula,
+    to_text,
     validate,
 )
+from modwave.dsl.ast import affine_in, reads
+from modwave.dsl.symbols import resolve
+from modwave.genlab import generate_batch, load_grammar
+
+from conftest import FORMULA_TREES
 
 
 def flag_kinds(report):
@@ -83,6 +99,104 @@ def test_sum_index_is_bound():
     # the index does not leak out of the sum body
     leaky = validate("i + A * sum(m, i, 1, n)")
     assert leaky.has_flag(UNDEFINED_SYMBOL)
+
+
+# the one scoping rule, read by reads, validation, affine_in and op_count:
+# (formula, names read, names read in integral bodies, flags, affine, ops)
+SCOPING = [
+    # a sum index that shadows a stream: the body's I is the index
+    ("sum(I, I, 1, n)", {"n"}, set(), [], True, 1),
+    # the index is bound in the sum's body only
+    ("i + A * sum(m, i, 1, n)", {"i", "A", "m", "n"}, set(),
+     [(UNDEFINED_SYMBOL, (0, 1))], True, 3),
+    # nor in its own limits; flags come in preorder
+    ("sum(i, i, 1, i) + j", {"i", "j"}, set(),
+     [(UNDEFINED_SYMBOL, (13, 14)), (UNDEFINED_SYMBOL, (18, 19))], True, 2),
+    # nested sums: the outer index is bound in the inner limits, and the
+    # inner index is not bound in the outer body
+    ("sum(sum(i * j, j, 1, i) + j, i, 1, n)", {"j", "n"}, set(),
+     [(UNDEFINED_SYMBOL, (26, 27))], True, 4),
+    # an integral inside a sum
+    ("sum(integral(d, t), i, 1, n)", {"d(t)", "t", "n"}, {"d(t)"}, [], False, 2),
+    # a sum inside an integral: its body and limits are integrated, its index is no read
+    ("integral(sum(i * Q, i, 1, n), t)", {"Q(t)", "n", "t"}, {"Q(t)", "n"},
+     [(MISSING_QUADRATURE, (0, 32))], False, 3),
+]
+
+
+@pytest.mark.parametrize("text, names, integrated, flags, affine, ops", SCOPING)
+def test_scoping_rule(text, names, integrated, flags, affine, ops):
+    expr = parse_formula(text)
+    assert reads(expr) == (names, integrated)
+    assert [(f.kind, f.span) for f in validate(text).semantic_flags] == flags
+    assert affine_in(expr) == affine
+    assert op_count(expr) == ops
+
+
+def oracle(expr):
+    """reads and the validation flags by plain recursion over the tree."""
+    names, integrated, flags = set(), set(), []
+
+    def zero(node):
+        if isinstance(node, Const):
+            return node.value == 0.0
+        if isinstance(node, Neg):
+            return zero(node.operand)
+        return isinstance(node, BinOp) and node.op == "*" and (zero(node.left) or zero(node.right))
+
+    def visit(node, bound, in_integral):
+        if isinstance(node, Symbol):
+            if node.name not in bound:
+                name = resolve(node.name)
+                names.add(name or node.name)
+                if in_integral:
+                    integrated.add(name or node.name)
+                if name is None:
+                    flags.append((UNDEFINED_SYMBOL, f"undefined symbol {node.name!r}", node.span))
+            return
+        if isinstance(node, BinOp) and node.op == "/" and zero(node.right):
+            flags.append((ZERO_LITERAL_DIVISOR,
+                          "divisor is a literal zero or a product containing one",
+                          node.right.span))
+        if isinstance(node, Call) and node.func == "sum":
+            body, index, low, high = node.args
+            visit(body, bound | {index.name}, in_integral)
+            visit(low, bound, in_integral)
+            visit(high, bound, in_integral)
+        elif isinstance(node, Call) and node.func == "integral":
+            visit(node.args[0], bound, True)
+            visit(node.args[1], bound, in_integral)
+        else:
+            for kid in children(node):
+                visit(kid, bound, in_integral)
+
+    visit(expr, frozenset(), False)
+    if ("I(t)" in names) != ("Q(t)" in names):
+        present = "I(t)" if "I(t)" in names else "Q(t)"
+        flags.append((MISSING_QUADRATURE,
+                      f"only one quadrature component ({present}) is used", expr.span))
+    return (names, integrated), flags
+
+
+def assert_matches_oracle(text):
+    report = validate(text)
+    expected_reads, expected_flags = oracle(report.expr)
+    assert reads(report.expr) == expected_reads, text
+    assert [(f.kind, f.message, f.span) for f in report.semantic_flags] == expected_flags, text
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       temperature=st.sampled_from([0.8, 3.0]))
+def test_walk_matches_oracle_on_grammar_formulas(seed, temperature):
+    batch = generate_batch(8, replace(load_grammar(temperature=temperature), seed=seed))
+    for item in batch.items:
+        if item.report.syntactic_ok:
+            assert_matches_oracle(item.formula)
+
+
+@given(tree=FORMULA_TREES)
+def test_walk_matches_oracle_on_drawn_trees(tree):
+    assert_matches_oracle(to_text(tree))
 
 
 def test_integral_over_another_variable_is_invalid():
