@@ -23,7 +23,6 @@ from . import genlab
 from .config import load_config
 from .costmodel import CostInputs, latency, ops_for_waveform, power
 from .dsl.corpus import bundled_corpus_path, load_corpus, write_corpus, CorpusEntry
-from .dsl.parser import parse_formula
 from .dsl.validation import CLASS_VALID, validate
 from .errors import ConfigError, CorpusError, GenerationSourceError, ModwaveError
 from .metrics import (
@@ -216,8 +215,7 @@ def cmd_cost(args) -> int:
     derived = None
     if args.formula:
         scheme_cfg = config.scheme_config(f"formula:{args.formula}")
-        expr = parse_formula(scheme_cfg.formula_text)
-        fields["n_ops"] = float(ops_for_waveform(expr, scheme_cfg.n_samples))
+        fields["n_ops"] = float(ops_for_waveform(scheme_cfg.formula, scheme_cfg.n_samples))
         derived = {
             "formula": args.formula,
             "n_samples": scheme_cfg.n_samples,

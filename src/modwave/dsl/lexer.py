@@ -11,6 +11,7 @@ pairing may be a signal reference like d(t) or a juxtaposed product like
 A_c*(1 + x); the parser decides which.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -58,8 +59,9 @@ _VALUE_START = frozenset({NUMBER, IDENT, FUNC, LPAREN})
 def tokenize(text: str) -> list[Token]:
     """Lex a formula string into a token list with source positions.
 
-    Raises LexicalError for characters outside the alphabet, empty input,
-    or formulas above the 512-character / 128-token limits.
+    Raises LexicalError for characters outside the alphabet, a number
+    beyond the float range, empty input, or formulas above the
+    512-character / 128-token limits.
     """
     if len(text) > MAX_FORMULA_CHARS:
         raise LexicalError(
@@ -74,7 +76,10 @@ def tokenize(text: str) -> list[Token]:
             raise LexicalError(f"unexpected character {text[pos]!r}", pos)
         kind, lexeme = match.lastgroup, match.group()
         if kind == NUMBER:
-            raw.append(Token(NUMBER, lexeme, pos, value=float(lexeme)))
+            value = float(lexeme)
+            if math.isinf(value):
+                raise LexicalError("number overflows a float", pos)
+            raw.append(Token(NUMBER, lexeme, pos, value=value))
         elif kind != "ws":
             raw.append(Token(FUNC if lexeme in FUNCTION_ARITY else kind, lexeme, pos))
         pos = match.end()

@@ -26,7 +26,6 @@ from .synth import (
     candidate_bank,
     candidate_basis,
     demap_symbols,
-    formula_context,
     labels_to_bits,
     modulate,
     normalize_power,
@@ -44,6 +43,9 @@ _WINDOWS = {
 # samples transformed per block of frames: bounds the working set of Welch
 # and the spectrogram whatever the signal or frame length
 _BLOCK_SAMPLES = 1 << 18
+# candidate samples held per chunk of labels: bounds the correlation
+# receiver's bank whatever the constellation order or run length
+_BANK_SAMPLES = 1 << 23
 
 
 def _frames(samples: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -223,30 +225,30 @@ def correlation_demodulate(
     candidate waveform (the formula or scheme synthesized with that symbol
     value held constant); the closest candidate wins. A formula affine in
     its label streams is decided from its basis (synth.candidate_basis),
-    any other scheme from the full candidate bank. Both routes share the
-    one formula_context binding. The candidates are synthesized
-    unnormalized, so they take the gain that normalize_power recorded on
-    the reference; without a reference they keep gain 1.
+    any other scheme from its candidate bank (synth.candidate_bank), built
+    a chunk of at most _BANK_SAMPLES samples at a time. The candidates are
+    synthesized unnormalized, so they take the gain that normalize_power
+    recorded on the reference; without a reference they keep gain 1.
     """
     scale = 1.0 if reference is None else reference.gain
     sps = config.samples_per_symbol
     rx = _frames(received.samples, sps, sps)
-    bound = basis = None
-    if config.is_formula:
-        bound = formula_context(config, np.arange(1 << config.bits_per_symbol)[:, None])
-        basis = candidate_basis(*bound)
+    basis = candidate_basis(config) if config.is_formula else None
     if basis is not None:
         rows, values = basis
         best = _basis_labels(rx, rows * scale, values, sps)
         return labels_to_bits(best, config.bits_per_symbol)
-    bank = candidate_bank(config, bound)
-    bank *= scale
     # distances per symbol interval against each candidate row
+    order = 1 << config.bits_per_symbol
+    step = max(1, _BANK_SAMPLES // config.n_samples)
+    dist = np.empty((order, rx.shape[0]))
+    for start in range(0, order, step):
+        bank = candidate_bank(config, np.arange(start, min(start + step, order)))
+        bank *= scale
+        for m, row in enumerate(bank, start):
+            diff = rx - _frames(row, sps, sps)
+            dist[m] = np.einsum("ij,ij->i", diff, diff)
     best = np.empty(rx.shape[0], dtype=np.int64)
-    dist = np.empty((bank.shape[0], rx.shape[0]))
-    for m in range(bank.shape[0]):
-        diff = rx - _frames(bank[m], sps, sps)
-        dist[m] = np.einsum("ij,ij->i", diff, diff)
     np.argmin(dist, axis=0, out=best)
     return labels_to_bits(best, config.bits_per_symbol)
 

@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,13 @@ class SchemeConfig:
     @property
     def is_formula(self) -> bool:
         return self.scheme.startswith("formula:")
+
+    @cached_property
+    def formula(self) -> Expr:
+        """formula_text parsed, once per config object."""
+        if not self.formula_text:
+            raise SignalError("formula scheme configured without formula_text")
+        return parse_formula(self.formula_text)
 
     @property
     def sample_rate(self) -> float:
@@ -449,18 +457,16 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 def formula_context(
     cfg: SchemeConfig, labels: np.ndarray
 ) -> tuple[Expr, EvalContext, np.ndarray]:
-    """Parse a formula scheme's text and bind every name it may read.
+    """Bind every name a formula scheme may read.
 
     The quadrature, data and frequency streams come from the base scheme's
     Gray-labeled symbols. A 1-D labels array is one label per symbol, held
-    over that symbol's samples; an (order, 1) column binds one row per
+    over that symbol's samples; a (rows, 1) column binds one row per
     label, which broadcasts against the grid. Scalars come from the
-    config, and m(t) is bound only when the formula reads it. Returns the
-    expression, its context and the time grid, evaluate's three arguments.
+    config, and m(t) is bound only when the formula reads it. Returns
+    cfg.formula, its context and the time grid, evaluate's three arguments.
     """
-    if not cfg.formula_text:
-        raise SignalError("formula scheme configured without formula_text")
-    expr = parse_formula(cfg.formula_text)
+    expr = cfg.formula
     points = constellation(cfg.base_scheme)[labels]
     streams = (
         points.real,
@@ -513,31 +519,28 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     )
 
 
-def candidate_bank(
-    cfg: SchemeConfig, bound: tuple[Expr, EvalContext, np.ndarray] | None = None
-) -> np.ndarray:
+def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.ndarray:
     """Noiseless per-label waveforms for correlation demodulation.
 
-    Row m holds the full-length waveform synthesized with every symbol
-    fixed to label m. Valid for schemes without cross-symbol memory, so
-    a formula that integrates a label stream raises DemodulationError.
-    A formula bank is one evaluation: the label streams are bound as
-    (order, 1) columns, so label-invariant parts such as the carrier and
-    m(t) are computed once, and row m is bit-identical to evaluating the
-    formula with every symbol set to m. A caller that has already bound
-    that column passes formula_context's result as `bound`.
+    Row i holds the full-length waveform synthesized with every symbol
+    fixed to labels[i], or to label i when labels is None. Valid for
+    schemes without cross-symbol memory, so a formula that integrates a
+    label stream raises DemodulationError. A formula's rows are one
+    evaluation: the label streams are bound as one row per label, so
+    label-invariant parts such as the carrier and m(t) are computed once
+    per call, and each row is bit-identical to evaluating the formula with
+    every symbol set to its label. Each row depends on its own label only,
+    so a caller may build the bank a few labels at a time.
     """
-    order = 1 << cfg.bits_per_symbol
+    labels = np.arange(1 << cfg.bits_per_symbol) if labels is None else labels
     if cfg.is_formula:
-        expr, ctx, t = bound or formula_context(cfg, np.arange(order)[:, None])
-        memory = reads(expr)[1] & set(LABEL_STREAMS)
+        memory = reads(cfg.formula)[1] & set(LABEL_STREAMS)
         if memory:
             raise DemodulationError(
                 f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "
                 "have memory; no per-symbol candidate bank"
             )
-        _check_bank_size(order, cfg.n_samples)
-        return evaluate(expr, ctx, t).samples
+        return evaluate(*formula_context(cfg, labels[:, None])).samples
     scheme = SCHEMES[cfg.scheme]
     if scheme.memory:
         raise DemodulationError(
@@ -545,28 +548,26 @@ def candidate_bank(
         )
     if not scheme.bits_per_symbol:
         raise DemodulationError("analog schemes have no symbol candidates")
-    _check_bank_size(order, cfg.n_samples)
     return np.stack([
         scheme.waveform(cfg, np.full(cfg.n_symbols, label, dtype=np.int64))
-        for label in range(order)
+        for label in labels
     ])
 
 
-def candidate_basis(
-    expr: Expr, ctx: EvalContext, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def candidate_basis(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray] | None:
     """A formula's candidates as a(t) + sum_i s_i·c_i(t) in its k label streams.
 
-    Takes formula_context's binding of the (order, 1) label column. When
-    dsl.ast.affine_in says the formula is affine in the label streams, it
-    is evaluated once with the k streams it reads bound as (1 + k, 1) unit
-    columns: all zeros, then one unit vector per stream. Row 0 is a(t) and
-    row i is a(t) + c_i(t). Returns those rows and values, the (order, k)
-    stream values s_i of each label. Returns None, for the bank, when the
-    formula is not affine or the basis has a non-finite sample.
+    When dsl.ast.affine_in says the formula is affine in the label
+    streams, it is evaluated once with the k streams it reads bound as
+    (1 + k, 1) unit columns: all zeros, then one unit vector per stream.
+    Row 0 is a(t) and row i is a(t) + c_i(t). Returns those rows and
+    values, the (order, k) stream values s_i of each label. Returns None,
+    for the bank, when the formula is not affine or the basis has a
+    non-finite sample.
     """
-    if not affine_in(expr):
+    if not affine_in(cfg.formula):
         return None
+    expr, ctx, t = formula_context(cfg, np.arange(1 << cfg.bits_per_symbol)[:, None])
     names = reads(expr)[0]
     read = [i for i, name in enumerate(LABEL_STREAMS) if name in names]
     unit = np.eye(len(read) + 1)[:, 1:]
@@ -580,18 +581,6 @@ def candidate_basis(
         return None
     values = np.hstack([ctx.signals[name] for name in LABEL_STREAMS])[:, read]
     return result.samples.reshape(len(read) + 1, -1), values
-
-
-# the most samples a candidate bank may hold, over all its rows
-_MAX_BANK_SAMPLES = 200_000_000
-
-
-def _check_bank_size(order: int, n_samples: int) -> None:
-    if order * n_samples > _MAX_BANK_SAMPLES:
-        raise DemodulationError(
-            f"candidate bank of {order} x {n_samples} samples is too large for "
-            "the bank route; use a dedicated demodulator or shorter runs"
-        )
 
 
 def normalize_power(signal: SampledSignal) -> SampledSignal:

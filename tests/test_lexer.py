@@ -87,3 +87,12 @@ def test_positions_point_into_source():
     for token in tokenize(text):
         if not token.implicit:
             assert text[token.pos : token.pos + len(token.text)] == token.text
+
+
+def test_overflowing_number_rejected():
+    # 310 nines is beyond float64; it must not lex as inf
+    text = "A * " + "9" * 310
+    with pytest.raises(LexicalError) as err:
+        tokenize(text)
+    assert err.value.position == 4
+    assert tokenize("9" * 308)[0].value == float("9" * 308)

@@ -48,10 +48,10 @@ from modwave.synth import (
     SampledSignal,
     SchemeConfig,
     bits_to_labels,
+    candidate_bank,
     candidate_basis,
     constellation,
     demap_symbols,
-    formula_context,
     gen_bits,
     map_symbols,
     modulate,
@@ -593,8 +593,7 @@ def corpus_formulas():
 
 
 def uses_basis(cfg):
-    column = np.arange(1 << cfg.bits_per_symbol)[:, None]
-    return candidate_basis(*formula_context(cfg, column)) is not None
+    return candidate_basis(cfg) is not None
 
 
 def both_routes(cfg, snr_db, seed=5):
@@ -670,15 +669,69 @@ class TestBasisRoute:
         assert ber(sig.origin_bits, decided) == 0.0
 
     def test_affine_formula_has_no_bank_size_limit(self):
-        # m2 on qam256 at 20k symbols: a 256 x 960k bank is over the limit
+        # m2 on qam256 at 20k symbols takes the basis; the product, which is
+        # not affine, takes a 256 x 960k bank built a chunk of labels at a time
         channel = ChannelConfig(target_snr_db=2.0)
         m2 = SchemeConfig("formula:m2", base_scheme="qam256", n_symbols=20_000,
                           formula_text=corpus_formulas()["m2"])
         product = replace(m2, scheme="formula:iq", formula_text="I(t)*Q(t)*cos(2*pi*f_c*t)")
         rows = compare([m2, product], channel, master_seed=1)
-        assert rows[0].error is None and 0.0 < rows[0].ber < 1.0
-        assert rows[1].ber is None
-        assert "too large for the bank route" in rows[1].error
+        for row in rows:
+            assert row.error is None and 0.0 < row.ber < 1.0, row
+
+
+# formulas the affine pass sends to the bank: products of streams, a power,
+# an integral of m(t), a guarded division and a basis with a pole at t = 0
+BANK_FORMULAS = (
+    "I(t)*Q(t)*cos(2*pi*f_c*t)",
+    "A*cos(2*pi*f_c*t + pi*d(t)^2/n)",
+    "A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t))",
+    "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (A*sin(2*pi*f_c*t)) / (Q(t)*pi*0)",
+    "I(t)*cos(2*pi*f_c*t) + t^(-1)",
+    "sum(I(t)*cos(2*pi*i*f_c*t), i, 1, 2) - Q(t)/(d(t) + 1)",
+)
+
+
+class TestBankChunks:
+    """The correlation receiver builds its bank a chunk of labels at a time."""
+
+    @pytest.mark.parametrize("base", ["qam16", "qam64"])
+    @pytest.mark.parametrize("formula", BANK_FORMULAS)
+    def test_chunked_decisions_equal_one_chunk(self, formula, base):
+        cfg = SchemeConfig("formula:chunks", formula_text=formula, base_scheme=base,
+                           n_symbols=150, seed=6)
+        assert not uses_basis(cfg)
+        clean = normalize_power(modulate(cfg))
+        received = add_awgn(clean, 5.0, seed=7)
+        whole = correlation_demodulate(received, cfg, reference=clean)
+        for labels in (1, 3, 8):
+            with mock.patch.object(modwave.metrics, "_BANK_SAMPLES", labels * cfg.n_samples):
+                chunked = correlation_demodulate(received, cfg, reference=clean)
+            assert np.array_equal(chunked, whole), (formula, labels)
+
+    def test_reference_scheme_chunks(self):
+        cfg = SchemeConfig("chirp", n_symbols=200, seed=6)
+        clean = normalize_power(modulate(cfg))
+        received = add_awgn(clean, 0.0, seed=7)
+        whole = correlation_demodulate(received, cfg, reference=clean)
+        with mock.patch.object(modwave.metrics, "_BANK_SAMPLES", 1):
+            assert np.array_equal(correlation_demodulate(received, cfg, reference=clean), whole)
+
+    @pytest.mark.parametrize("formula", BANK_FORMULAS)
+    def test_bank_rows_for_labels_equal_the_full_bank(self, formula):
+        cfg = SchemeConfig("formula:rows", formula_text=formula, base_scheme="qam16",
+                           n_symbols=20)
+        labels = np.array([5, 0, 15, 3, 3])
+        assert np.array_equal(candidate_bank(cfg, labels), candidate_bank(cfg)[labels])
+
+    @pytest.mark.parametrize("formula", [corpus_formulas()["m2"], BANK_FORMULAS[0]])
+    def test_a_formula_row_parses_once(self, formula):
+        cfg = SchemeConfig("formula:once", formula_text=formula, n_symbols=100)
+        real_parse = modwave.synth.parse_formula
+        with mock.patch.object(modwave.synth, "parse_formula", side_effect=real_parse) as parse:
+            report = run_scheme(cfg, ChannelConfig(target_snr_db=10.0)).report
+        assert report.error is None
+        assert parse.call_count == 1
 
 
 class TestBer:

@@ -565,9 +565,8 @@ def assert_basis_sound(formula, base_scheme="qam16"):
     cfg = SchemeConfig(
         "formula:oracle", formula_text=formula, n_symbols=6, base_scheme=base_scheme
     )
-    bound = formula_context(cfg, np.arange(1 << cfg.bits_per_symbol)[:, None])
-    basis = candidate_basis(*bound)
-    assert (basis is not None) <= affine_in(bound[0]), formula
+    basis = candidate_basis(cfg)
+    assert (basis is not None) <= affine_in(cfg.formula), formula
     if basis is None:
         return
     rows, values = basis
@@ -612,7 +611,7 @@ class TestFormulaBasis:
 
     def test_stream_free_formula_has_one_row(self):
         cfg = SchemeConfig("formula:tone", formula_text=f"A*{self.CARRIER}", n_symbols=4)
-        rows, values = candidate_basis(*formula_context(cfg, np.arange(16)[:, None]))
+        rows, values = candidate_basis(cfg)
         assert rows.shape == (1, cfg.n_samples) and values.shape == (16, 0)
         assert np.array_equal(rows[0], modulate(cfg).samples)
 
@@ -620,6 +619,5 @@ class TestFormulaBasis:
         # t^(-1) is inf at t = 0 in every candidate, so the basis is not used
         text = f"I(t)*{self.CARRIER} + t^(-1)"
         cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4)
-        bound = formula_context(cfg, np.arange(16)[:, None])
-        assert affine_in(bound[0])
-        assert candidate_basis(*bound) is None
+        assert affine_in(cfg.formula)
+        assert candidate_basis(cfg) is None

@@ -230,6 +230,13 @@ def test_parse_error_wrapped_into_report():
     assert report.error_messages
 
 
+def test_overflowing_literal_is_a_lexical_error():
+    report = validate("A * " + "9" * 310)
+    assert not report.valid and not report.syntactic_ok
+    assert report.syntax_error_kind == "lexical"
+    assert classify(report) == CLASS_OTHER
+
+
 def test_report_serializes_to_json():
     report = validate("A / 0 + x_q")
     payload = json.loads(json.dumps(report.to_dict()))
