@@ -3,11 +3,15 @@ block fading, and realized-SNR measurement.
 
 Noise is sized against the power of the signal handed in (normalize
 first), so a target of x dB yields noise power P_signal / 10^(x/10).
-Signals are real passband, so the noise is real Gaussian.
+Signals are real passband, so the noise is real Gaussian: one
+standard-normal draw per (seed, length), kept for the last key only and
+scaled for each call, so the rows of a `compare` share one draw.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +42,9 @@ class FadingConfig:
             raise SignalError("Rayleigh scale must be positive when fading is on")
 
 
+_DIRECT_PATH = (Tap(0, 1.0, 0.0),)
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Target SNR (None = noiseless), multipath taps, optional fading.
@@ -46,20 +53,18 @@ class ChannelConfig:
     """
 
     target_snr_db: float | None = 10.0
-    taps: tuple[Tap, ...] = (Tap(0, 1.0, 0.0),)
+    taps: tuple[Tap, ...] = _DIRECT_PATH
     fading: FadingConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SignalError(f"channel seed {self.seed} is negative")
         if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
             raise SignalError("target SNR must be finite (or None for noiseless)")
         if not self.taps:
             raise SignalError("channel needs at least one tap")
         object.__setattr__(self, "taps", tuple(self.taps))
-
-
-def _derive(seed: int, *keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))
 
 
 def derive_seed(master: int, stream: int) -> int:
@@ -68,23 +73,37 @@ def derive_seed(master: int, stream: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0] % (2**63))
 
 
+@lru_cache(maxsize=1)
+def _standard_normal(seed: int | tuple[int, ...], n: int) -> np.ndarray:
+    """The first n standard normals of default_rng(seed), read-only."""
+    draw = np.random.default_rng(seed).standard_normal(n)
+    draw.flags.writeable = False
+    return draw
+
+
 def add_awgn(
     signal: SampledSignal,
     target_snr_db: float,
-    seed,
+    seed: int | tuple[int, ...],
     reference_power: float | None = None,
 ) -> SampledSignal:
     """Add white Gaussian noise sized for the target SNR.
 
-    reference_power overrides the measured signal power when the noise
-    should be calibrated against a pre-channel reference.
+    The seed is an int or a tuple of ints, the entropy of
+    default_rng(seed); anything else, a Generator included, raises
+    TypeError. The noise equals default_rng(seed).normal(0, s, n) bit for
+    bit. reference_power overrides the measured signal power when the
+    noise should be calibrated against a pre-channel reference.
     """
+    if isinstance(seed, tuple):
+        key = tuple(operator.index(k) for k in seed)
+    else:
+        key = operator.index(seed)
     power = signal.power if reference_power is None else float(reference_power)
     if power <= 0:
         raise ZeroPowerError("cannot calibrate noise against a zero-power signal")
     noise_power = power / (10.0 ** (target_snr_db / 10.0))
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, np.sqrt(noise_power), len(signal))
+    noise = _standard_normal(key, len(signal)) * np.sqrt(noise_power)
     return replace(signal, samples=signal.samples + noise)
 
 
@@ -92,8 +111,10 @@ def apply_multipath(signal: SampledSignal, taps: tuple[Tap, ...]) -> SampledSign
     """Sum delayed, scaled, phase-shifted copies; length preserved.
 
     On a real passband signal the tap phase enters as a gain factor
-    cos(phase).
+    cos(phase). The direct path alone returns the input itself.
     """
+    if taps == _DIRECT_PATH:
+        return signal
     n = len(signal)
     samples = signal.samples
     out = np.zeros(n)
@@ -144,19 +165,18 @@ def apply_channel(
     """Run the full impairment chain: multipath, fading, then AWGN.
 
     Noise is calibrated against the power of the input signal (the clean
-    pre-channel reference). Returns (received, pre_noise).
+    pre-channel reference). Returns (received, pre_noise); on the direct
+    path without fading, pre_noise is the input itself.
     """
     pre_noise = apply_multipath(signal, config.taps)
     if config.fading is not None:
-        pre_noise = apply_fading(
-            pre_noise, config.fading, _derive(config.seed, 1)
-        )
+        pre_noise = apply_fading(pre_noise, config.fading, (config.seed, 1))
     if config.target_snr_db is None:
         return pre_noise, pre_noise
     received = add_awgn(
         pre_noise,
         config.target_snr_db,
-        _derive(config.seed, 0),
+        (config.seed, 0),
         reference_power=signal.power,
     )
     return received, pre_noise

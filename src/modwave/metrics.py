@@ -523,6 +523,7 @@ def run_scheme(
 
     received, pre_noise = apply_channel(clean, channel)
     report.snr_db = measure_snr(pre_noise, received)
+    del pre_noise  # the receivers need only `received`
 
     psd = welch_psd(
         clean,

@@ -102,6 +102,8 @@ class SchemeConfig:
             raise SignalError("symbol_rate and carrier_freq must be positive")
         if self.n_symbols < 1:
             raise SignalError("n_symbols must be at least 1")
+        if self.seed < 0:
+            raise SignalError(f"bit seed {self.seed} is negative")
         if self.pulse not in ("rect", "rrc"):
             raise SignalError(f"unknown pulse shape {self.pulse!r}")
         if not 0.0 < self.rrc_rolloff <= 1.0:

@@ -9,6 +9,7 @@ from modwave.channel import (
     ChannelConfig,
     FadingConfig,
     Tap,
+    _standard_normal,
     add_awgn,
     apply_channel,
     apply_fading,
@@ -18,7 +19,7 @@ from modwave.channel import (
 from modwave.config import load_config
 from modwave.errors import SignalError, ZeroPowerError
 from modwave.metrics import welch_psd
-from modwave.synth import SampledSignal
+from modwave.synth import SampledSignal, SchemeConfig
 
 
 def unit_noise(n=100_000, seed=0, fs=48000.0):
@@ -67,11 +68,71 @@ class TestAwgn:
         assert np.max(np.abs(deviation_db)) <= 1.5
 
 
+class TestNoiseDraw:
+    """The noise is one cached standard-normal draw per (seed, length),
+    scaled per call; it must equal a fresh generator's normal draw."""
+
+    @staticmethod
+    def scale(power, snr_db):
+        return np.sqrt(power / (10.0 ** (snr_db / 10.0)))
+
+    def test_add_awgn_equals_a_fresh_normal_draw(self):
+        # alternating seeds and lengths: a stale cached draw fails
+        short, long = unit_noise(3_000, seed=1), unit_noise(5_000, seed=2)
+        for seed, clean, snr_db in [
+            (11, short, 3.0), (12, short, 3.0), (11, short, 7.5),
+            (11, long, 3.0), (11, short, 3.0), (11, long, -2.0),
+        ]:
+            received = add_awgn(clean, snr_db, seed, reference_power=2.0)
+            s = self.scale(2.0, snr_db)
+            expected = clean.samples + np.random.default_rng(seed).normal(
+                0.0, s, len(clean)
+            )
+            assert np.array_equal(received.samples, expected)
+
+    def test_apply_channel_equals_a_fresh_normal_draw(self):
+        short, long = unit_noise(3_000, seed=3), unit_noise(5_000, seed=4)
+        for seed, clean in [
+            (21, short), (22, short), (21, short), (21, long), (21, short),
+        ]:
+            received, _ = apply_channel(
+                clean, ChannelConfig(target_snr_db=4.0, seed=seed)
+            )
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            noise = rng.normal(0.0, self.scale(clean.power, 4.0), len(clean))
+            assert np.array_equal(received.samples, clean.samples + noise)
+            # an add_awgn call between rows must not leak its draw into them
+            add_awgn(clean, 4.0, seed)
+
+    def test_seed_must_be_an_int_or_a_tuple_of_ints(self):
+        clean = unit_noise(1_000, seed=5)
+        add_awgn(clean, 10.0, 5)
+        for seed in (np.random.default_rng(5), 5.0, [5, 0], (5, 0.0)):
+            for _ in range(2):  # a second call does not find a cached draw
+                with pytest.raises(TypeError):
+                    add_awgn(clean, 10.0, seed)
+
+    def test_cached_draw_is_read_only(self):
+        draw = _standard_normal(3, 100)
+        assert not draw.flags.writeable
+        with pytest.raises(ValueError):
+            draw[0] = 0.0
+        assert _standard_normal(3, 100) is draw
+
+    def test_negative_seeds_are_signal_errors(self):
+        with pytest.raises(SignalError):
+            SchemeConfig("bpsk", seed=-1)
+        with pytest.raises(SignalError):
+            ChannelConfig(seed=-3)
+
+
 class TestMultipath:
     def test_identity_tap(self):
+        # the direct path alone returns its input: no copy is made
         sig = unit_noise(1000, seed=1)
-        out = apply_multipath(sig, (Tap(0, 1.0, 0.0),))
-        assert np.array_equal(out.samples, sig.samples)
+        assert apply_multipath(sig, (Tap(0, 1.0, 0.0),)) is sig
+        _, pre_noise = apply_channel(sig, ChannelConfig())
+        assert pre_noise is sig
 
     def test_impulse_response_readout(self):
         impulse = np.zeros(64)
