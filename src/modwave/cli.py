@@ -22,8 +22,8 @@ import numpy as np
 from . import genlab
 from .config import load_config
 from .costmodel import CostInputs, latency, ops_for_waveform, power
-from .dsl.corpus import bundled_corpus_path, load_corpus, write_corpus, CorpusEntry
-from .dsl.validation import CLASS_VALID, validate
+from .dsl.corpus import bundled_corpus_path, load_corpus, write_corpus
+from .dsl.validation import validate
 from .errors import ConfigError, CorpusError, GenerationSourceError, ModwaveError
 from .metrics import (
     compare,
@@ -174,11 +174,7 @@ def cmd_generate(args) -> int:
         batch = genlab.generate_batch(args.n, grammar)
 
     _write_json(batch.to_dict(), out_dir / "generation_report.json")
-    valid_entries = [
-        CorpusEntry(f"g{item.index}", f"G{item.index}", item.formula)
-        for item in batch.items
-        if item.classification == CLASS_VALID
-    ]
+    valid_entries = batch.valid_entries()
     write_corpus(out_dir / "generated_corpus.csv", valid_entries)
     print(
         f"generated {batch.total}, valid {batch.valid}, "
@@ -188,13 +184,9 @@ def cmd_generate(args) -> int:
         print(f"  {name}: {count}")
 
     if args.evaluate and valid_entries:
-        configs = [
-            config.scheme_config({"scheme": f"formula:{e.id}", "formula_text": e.formula})
-            for e in valid_entries
-        ]
-        rows = compare(
-            configs, config.channel, params=config.metrics,
-            master_seed=config.master_seed,
+        base = config.scheme_config({"scheme": "formula:pending", "formula_text": None})
+        rows = genlab.formula_rows(
+            valid_entries, config.channel, base, config.metrics, config.master_seed
         )
         write_comparison_csv(rows, out_dir / "generated_metrics.csv")
         write_comparison_json(rows, out_dir / "generated_metrics.json")

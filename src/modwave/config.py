@@ -189,8 +189,8 @@ def load_config(
     mistyped or unknown key anywhere is a ConfigError at load; a scheme's
     value ranges are checked when scheme_config builds it."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"no config file at {path}")
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)

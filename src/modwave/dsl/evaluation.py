@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import EvaluationError
 from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol
+from .symbols import resolve
 
 MAX_SUM_ITERATIONS = 100_000
 GUARD_EPSILON = 1e-12
@@ -87,22 +88,19 @@ class _Evaluator:
         return arr
 
     def lookup(self, name: str, local: dict[str, float]) -> np.ndarray:
+        """A sum index, else the binding of the name that validation
+        resolves `name` to; a name outside the namespace binds as written."""
         if name in local:
             return np.float64(local[name])
-        if name == "t":
+        key = resolve(name) or name
+        if key == "t":
             return self.grid
-        if name == "pi":
+        if key == "pi":
             return np.float64(np.pi)
-        ctx = self.ctx
-        if name in ctx.constants:
-            return np.float64(ctx.constants[name])
-        if name in self.signals:
-            return self.signals[name]
-        alias = f"{name}(t)"
-        if alias in self.signals:
-            return self.signals[alias]
-        if alias in ctx.constants:
-            return np.float64(ctx.constants[alias])
+        if key in self.ctx.constants:
+            return np.float64(self.ctx.constants[key])
+        if key in self.signals:
+            return self.signals[key]
         raise EvaluationError(f"no binding for symbol {name!r}")
 
     def _apply(self, ufunc, *args):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelConfig, derive_seed
-from .dsl.corpus import CorpusEntry, load_corpus
+from .dsl.corpus import CorpusEntry
 from .dsl.validation import CLASSES, CLASS_VALID, ValidationReport, classify, validate
 from .errors import ConfigError, GenerationSourceError
 from .metrics import MetricsParams, MetricsReport, compare
@@ -73,8 +73,8 @@ class GrammarConfig:
             if not alts:
                 raise ConfigError(f"nonterminal {name!r} has no alternatives")
             for alt in alts:
-                if alt.weight <= 0:
-                    raise ConfigError(f"weights must be positive ({name!r})")
+                if not 0 < alt.weight < np.inf:  # NaN fails too
+                    raise ConfigError(f"weights must be positive and finite ({name!r})")
                 for ref in alt.nonterminals:
                     if ref not in self.rules:
                         raise ConfigError(
@@ -103,19 +103,39 @@ class GrammarConfig:
         return depths
 
 
+def _is_alternative(alt) -> bool:
+    return (
+        isinstance(alt, dict)
+        and alt.keys() == {"production", "weight"}
+        and isinstance(alt["production"], str)
+        and type(alt["weight"]) in (int, float)  # a bool is no number
+    )
+
+
 def load_grammar(path: str | Path | None = None, **overrides) -> GrammarConfig:
-    """Load a grammar definition file; None loads the bundled default."""
+    """Load a grammar definition file; None loads the bundled default.
+
+    The file is UTF-8 JSON that maps each nonterminal to an array of
+    objects with exactly a string "production" and a number "weight";
+    anything else is a ConfigError naming the file and the nonterminal.
+    """
     if path is None:
         path = Path(resources.files("modwave") / "data" / "grammar.json")
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"grammar file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("grammar file must map nonterminals to alternatives")
+        raise ConfigError(f"grammar file {path} must map nonterminals to alternatives")
     rules = {}
     for name, alts in raw.items():
-        rules[name] = tuple(
-            ProductionAlt(str(a["production"]), float(a["weight"])) for a in alts
-        )
+        if not isinstance(alts, list) or not all(map(_is_alternative, alts)):
+            raise ConfigError(
+                f"grammar file {path}: {name!r} must be an array of objects with "
+                'a string "production" and a number "weight"'
+            )
+        rules[name] = tuple(ProductionAlt(a["production"], float(a["weight"])) for a in alts)
     return GrammarConfig(rules=rules, **overrides)
 
 
@@ -194,6 +214,14 @@ class GenerationBatchReport:
     @property
     def valid_fraction(self) -> float:
         return self.valid / self.total if self.total else 0.0
+
+    def valid_entries(self) -> list[CorpusEntry]:
+        """The valid formulas as corpus entries g<index>, named G<index>."""
+        return [
+            CorpusEntry(f"g{item.index}", f"G{item.index}", item.formula)
+            for item in self.items
+            if item.classification == CLASS_VALID
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -368,44 +396,41 @@ def generate_batch_external(
 # generate -> validate -> evaluate pipeline
 
 
+def formula_rows(
+    entries: list[CorpusEntry],
+    channel: ChannelConfig,
+    base_config: SchemeConfig,
+    params: MetricsParams = MetricsParams(),
+    master_seed: int = 0,
+) -> list[MetricsReport]:
+    """The metric rows of formula entries, already known to be valid.
+
+    Each row runs `base_config` with the entry's formula under the scheme
+    name formula:<id>, and the rows are seeded as one compare.
+    """
+    configs = [
+        replace(base_config, scheme=f"formula:{entry.id}", formula_text=entry.formula)
+        for entry in entries
+    ]
+    return compare(configs, channel, params=params, master_seed=master_seed)
+
+
 def pipeline_run(
-    source: GrammarConfig | str | Path | list[CorpusEntry],
+    entries: list[CorpusEntry],
     n: int,
     channel: ChannelConfig,
     base_config: SchemeConfig,
     params: MetricsParams = MetricsParams(),
     master_seed: int = 0,
 ) -> tuple[list[MetricsReport], GenerationBatchReport]:
-    """Generate (or load) formulas, validate them all, and push the valid
-    ones through synthesis, channel and metrics.
+    """Validate the first n entries and push the valid ones through
+    synthesis, channel and metrics.
 
-    `source` is a GrammarConfig, a fixture corpus path, or a pre-loaded
-    entry list. Returns the metric rows for valid formulas plus the batch
-    report covering everything generated.
+    Returns the metric rows of the valid entries and the batch report
+    covering all n.
     """
-    if isinstance(source, GrammarConfig):
-        batch = generate_batch(n, replace(source, seed=master_seed))
-        named = [
-            (f"g{item.index}", item.formula)
-            for item in batch.items
-            if item.classification == CLASS_VALID
-        ]
-    else:
-        entries = source if isinstance(source, list) else load_corpus(source)
-        batch = _batch_report(len(entries), lambda i: entries[i].formula)
-        named = [
-            (entries[item.index].id, item.formula)
-            for item in batch.items
-            if item.classification == CLASS_VALID
-        ]
-
-    configs = [
-        replace(
-            base_config,
-            scheme=f"formula:{name}",
-            formula_text=formula,
-        )
-        for name, formula in named
-    ]
-    rows = compare(configs, channel, params=params, master_seed=master_seed)
-    return rows, batch
+    if not 0 <= n <= len(entries):
+        raise ConfigError(f"n = {n} is outside 0..{len(entries)}, the entry count")
+    batch = _batch_report(n, lambda i: entries[i].formula)
+    valid = [entries[item.index] for item in batch.items if item.classification == CLASS_VALID]
+    return formula_rows(valid, channel, base_config, params, master_seed), batch

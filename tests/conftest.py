@@ -26,6 +26,25 @@ SPECIAL_F32 = np.array(
     [0.1, 1.0 / 3.0, 3.4e38, 1e-45, 1e-40, -2.5, 16777217.0, 0.0], dtype=np.float32
 )
 
+# grammar files of each shape that load_grammar rejects, by what is wrong;
+# past the first two, the fault is in the alternatives of the rule "tail"
+MALFORMED_GRAMMARS = {
+    "not-json": b'{"start": [',
+    "not-utf8": b'{"start": [{"production": "A \xff", "weight": 1.0}]}',
+    **{
+        kind: b'{"start": [{"production": "A", "weight": 1.0}], "tail": ' + tail + b"}"
+        for kind, tail in {
+            "alternatives-object": b'{"production": "A", "weight": 1.0}',
+            "alternative-not-object": b'["A"]',
+            "missing-production": b'[{"weight": 1.0}]',
+            "extra-key": b'[{"production": "A", "weight": 1.0, "note": "x"}]',
+            "production-not-string": b'[{"production": 3, "weight": 1.0}]',
+            "weight-string": b'[{"production": "A", "weight": "heavy"}]',
+            "weight-bool": b'[{"production": "A", "weight": true}]',
+        }.items()
+    },
+}
+
 
 # constants as the lexer reads them, plain decimal digits: whole numbers
 # up to 1e21 and fractions down to 1e-9; names in and out of the namespace

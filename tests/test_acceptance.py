@@ -170,7 +170,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     outputs = []
     for _run in range(2):
         rows, batch = pipeline_run(
-            bundled_generated_path(),
+            load_corpus(bundled_generated_path()),
             3,
             ChannelConfig(target_snr_db=15.0),
             SchemeConfig("formula:seed", n_symbols=2_000, base_scheme="qam16"),

@@ -12,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modwave
+from modwave import genlab
 from modwave.channel import ChannelConfig, FadingConfig, Tap
 from modwave.cli import main
 from modwave.config import GeneratorSettings, load_config
 from modwave.costmodel import CostInputs
 from modwave.dsl import bundled_generated_path, op_count, parse_formula, load_corpus
 from modwave.errors import ConfigError, ModwaveError
-from modwave.metrics import MetricsParams
+from modwave.metrics import MetricsParams, write_comparison_csv, write_comparison_json
 from modwave.synth import SchemeConfig
+
+from conftest import MALFORMED_GRAMMARS
 
 
 def write_config(tmp_path, **overrides):
@@ -85,6 +88,19 @@ class TestValidateCommand:
         corpus.write_text("id,name,formula\nonly_two_fields,x\n")
         assert main(["validate", "--corpus", str(corpus)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, message", [("not-utf8", "is not UTF-8"), ("directory", "is not a file")]
+    )
+    def test_unreadable_corpus_is_a_corpus_error(self, tmp_path, capsys, kind, message):
+        corpus = tmp_path / "corpus.csv"
+        if kind == "not-utf8":
+            corpus.write_bytes(b"id,name,formula\nam,AM,A_c * cos(2*pi*f_c*t) \xff\n")
+        else:
+            corpus.mkdir()
+        assert main(["validate", "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus ") and message in err
 
 
 class TestEvalCommand:
@@ -219,6 +235,18 @@ class TestCompareCommand:
         config = write_config(tmp_path, schemes=["ook", "formula:nosuch"])
         assert main(["compare", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"id,name\n", b"id,name,formula\nfm,FM,cos(2*pi*f_c*t) \xff\n"],
+        ids=["bad-header", "not-utf8"],
+    )
+    def test_unreadable_corpus_fails_the_run(self, tmp_path, capsys, content):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(content)
+        config = write_config(tmp_path, corpus=str(corpus), schemes=["ook", "formula:fm"])
+        assert main(["compare", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_override_changes_output(self, tmp_path):
         config = write_config(tmp_path, schemes=["bpsk", "qpsk"],
                               channel={"target_snr_db": -5.0})
@@ -261,6 +289,35 @@ class TestGenerateCommand:
             (tmp_path / "out" / "generation_report.json").read_text()
         )
         assert len(metrics["rows"]) == payload["valid"]
+
+    def test_evaluated_rows_are_the_pipeline_rows(self, tmp_path):
+        config_path = write_config(
+            tmp_path, scheme_defaults={"n_symbols": 300}, base_scheme="qpsk"
+        )
+        assert main(["generate", "--config", str(config_path), "-n", "12", "--evaluate"]) == 0
+        config = load_config(config_path)
+        grammar = genlab.load_grammar(seed=config.master_seed)
+        batch = genlab.generate_batch(12, grammar)
+        entries = batch.valid_entries()
+        base = config.scheme_config({"scheme": "formula:pending", "formula_text": None})
+        rows, _ = genlab.pipeline_run(
+            entries, len(entries), config.channel, base, config.metrics, config.master_seed
+        )
+        assert len(rows) == len(entries) > 0
+        write_comparison_csv(rows, tmp_path / "pipeline.csv")
+        write_comparison_json(rows, tmp_path / "pipeline.json")
+        for suffix in ("csv", "json"):
+            written = (tmp_path / "out" / f"generated_metrics.{suffix}").read_bytes()
+            assert written == (tmp_path / f"pipeline.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("grammar", list(MALFORMED_GRAMMARS), ids=list(MALFORMED_GRAMMARS))
+    def test_malformed_grammar_is_a_config_error(self, tmp_path, capsys, grammar):
+        path = tmp_path / "grammar.json"
+        path.write_bytes(MALFORMED_GRAMMARS[grammar])
+        config = write_config(tmp_path, generator={"grammar_path": str(path)})
+        assert main(["generate", "--config", str(config), "-n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grammar file ") and str(path) in err
 
     def test_unreachable_endpoint_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODWAVE_GEN_ENDPOINT", "http://127.0.0.1:1/")
@@ -333,8 +390,10 @@ class TestConfigHandling:
         path.write_text(json.dumps({"master_seed": 1, "bogus": True}))
         assert main(["compare", "--config", str(path)]) == 2
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["compare", "--config", str(tmp_path / "none.json")]) == 2
+    def test_missing_config_file(self, tmp_path, capsys):
+        for path in (tmp_path / "none.json", tmp_path):  # a directory is no file either
+            assert main(["compare", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("config error: no config file at ")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

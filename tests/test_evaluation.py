@@ -1,9 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from modwave.dsl import EvalContext, evaluate, parse_formula
+from modwave.dsl import (
+    EvalContext,
+    bundled_corpus_path,
+    bundled_generated_path,
+    evaluate,
+    load_corpus,
+    parse_formula,
+)
+from modwave.dsl.evaluation import _Evaluator
 from modwave.errors import EvaluationError
+from modwave.genlab import generate_batch, load_grammar
+from modwave.synth import SchemeConfig, formula_context
 
 
 def grid(n, fs=48000.0):
@@ -145,6 +157,17 @@ def test_bare_name_falls_back_to_signal():
     ctx = EvalContext(signals={"Q(t)": np.full(8, 2.0)})
     result = evaluate(parse_formula("1 / Q"), ctx, t)
     assert np.allclose(result.samples, 0.5)
+
+
+def test_bare_m_is_the_modulation_index_not_the_message():
+    # validation resolves a bare m to the index, so the evaluator does too
+    t = grid(8)
+    message = {"m(t)": np.full(8, 3.0)}
+    with pytest.raises(EvaluationError, match="no binding for symbol 'm'"):
+        evaluate(parse_formula("2*m"), EvalContext(signals=message), t)
+    both = EvalContext(constants={"m": 0.5}, signals=message)
+    assert np.array_equal(evaluate(parse_formula("2*m"), both, t).samples, np.ones(8))
+    assert np.array_equal(evaluate(parse_formula("2*m(t)"), both, t).samples, np.full(8, 6.0))
 
 
 def test_undefined_symbol_raises():
@@ -291,3 +314,69 @@ class TestBroadcasting:
         ctx = EvalContext(constants={"A": 1e300})
         with pytest.raises(EvaluationError), np.errstate(over="ignore"):
             evaluate(parse_formula("sum(i, i, 1, A * A)"), ctx, grid(4))
+
+
+def _lookup_with_its_own_aliases(self, name, local):
+    """_Evaluator.lookup as it was before it took validation's rule: the
+    name as written, then name(t), among the signals and then the constants."""
+    if name in local:
+        return np.float64(local[name])
+    if name == "t":
+        return self.grid
+    if name == "pi":
+        return np.float64(np.pi)
+    ctx = self.ctx
+    if name in ctx.constants:
+        return np.float64(ctx.constants[name])
+    if name in self.signals:
+        return self.signals[name]
+    alias = f"{name}(t)"
+    if alias in self.signals:
+        return self.signals[alias]
+    if alias in ctx.constants:
+        return np.float64(ctx.constants[alias])
+    raise EvaluationError(f"no binding for symbol {name!r}")
+
+
+def _oracle_formulas():
+    texts = [
+        entry.formula
+        for path in (bundled_corpus_path(), bundled_generated_path())
+        for entry in load_corpus(path)
+    ]
+    for temperature, seed in ((0.8, 1), (1.5, 2), (3.0, 3)):
+        batch = generate_batch(40, replace(load_grammar(temperature=temperature), seed=seed))
+        texts += [item.formula for item in batch.items if item.report.syntactic_ok]
+    return list(dict.fromkeys(texts))
+
+
+def _outcome(expr, ctx, t):
+    try:
+        result = evaluate(expr, ctx, t)
+    except EvaluationError as exc:
+        return str(exc)
+    return result.samples, result.guard_count, result.invalid_mask
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["n", "rows-n"])
+def test_every_formula_context_binding_resolves_as_before(monkeypatch, rows):
+    labels = np.arange(16)[:, None] if rows else np.random.default_rng(5).integers(0, 16, 40)
+    formulas = _oracle_formulas()
+    evaluated = 0
+    for text in formulas:
+        cfg = SchemeConfig("formula:x", n_symbols=40, base_scheme="qam16", formula_text=text)
+        args = formula_context(cfg, labels)
+        now = _outcome(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Evaluator, "lookup", _lookup_with_its_own_aliases)
+            before = _outcome(*args)
+        if isinstance(now, str):
+            assert now == before, text
+            continue
+        evaluated += 1
+        samples, guards, invalid = before
+        assert samples.shape == now[0].shape == invalid.shape, text
+        assert samples.tobytes() == now[0].tobytes(), text
+        assert guards == now[1], text
+        assert np.array_equal(invalid, now[2]), text
+    assert evaluated > len(formulas) // 2

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from modwave.channel import ChannelConfig
-from modwave.dsl import CLASSES, CLASS_VALID, bundled_generated_path, validate
+from modwave.dsl import (
+    CLASSES,
+    CLASS_VALID,
+    CorpusEntry,
+    bundled_generated_path,
+    load_corpus,
+    validate,
+)
 from modwave.errors import ConfigError, GenerationSourceError
 from modwave.genlab import (
     GrammarConfig,
@@ -20,6 +27,8 @@ from modwave.genlab import (
     sample_formula,
 )
 from modwave.synth import SchemeConfig
+
+from conftest import MALFORMED_GRAMMARS
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +85,22 @@ class TestSampling:
             GrammarConfig(
                 rules={"start": (ProductionAlt("<missing>", 1.0),)}
             )
-        with pytest.raises(ConfigError):
-            GrammarConfig(
-                rules={"start": (ProductionAlt("A", 0.0),)}
-            )
+        for weight in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                GrammarConfig(rules={"start": (ProductionAlt("A", weight),)})
         with pytest.raises(ConfigError, match="start symbol"):
             GrammarConfig(rules={"begin": (ProductionAlt("A", 1.0),)})
+
+    @pytest.mark.parametrize("kind", list(MALFORMED_GRAMMARS))
+    def test_malformed_grammar_file_is_a_config_error(self, tmp_path, kind):
+        path = tmp_path / "grammar.json"
+        path.write_bytes(MALFORMED_GRAMMARS[kind])
+        with pytest.raises(ConfigError) as caught:
+            load_grammar(path)
+        message = str(caught.value)
+        assert message.startswith(f"grammar file {path}")
+        if kind not in ("not-json", "not-utf8"):
+            assert "'tail'" in message
 
     def test_expansion_depth_is_the_shallowest_alternative(self, grammar):
         # one depth rule: each nonterminal needs its shallowest alternative's levels
@@ -289,7 +308,7 @@ class TestExternalSource:
 class TestPipeline:
     def test_fixture_run_produces_three_rows(self):
         rows, batch = pipeline_run(
-            bundled_generated_path(),
+            load_corpus(bundled_generated_path()),
             3,
             ChannelConfig(target_snr_db=15.0),
             SchemeConfig("formula:base", n_symbols=1_000, base_scheme="qam16"),
@@ -315,9 +334,11 @@ class TestPipeline:
         assert rows == [] and batch.total == 0
 
     def test_grammar_run_reproducible(self, grammar):
+        batch = generate_batch(12, replace(grammar, temperature=0.8, seed=9))
+        entries = batch.valid_entries()
         args = (
-            replace(grammar, temperature=0.8),
-            12,
+            entries,
+            len(entries),
             ChannelConfig(target_snr_db=10.0),
             SchemeConfig("formula:base", n_symbols=500, base_scheme="qpsk"),
         )
@@ -327,3 +348,31 @@ class TestPipeline:
             batch_b.to_dict(), sort_keys=True
         )
         assert [r.to_dict() for r in rows_a] == [r.to_dict() for r in rows_b]
+        assert [r.scheme for r in rows_a] == [f"formula:{e.id}" for e in entries]
+
+    def test_the_valid_entries_of_the_first_n_run(self):
+        bad = CorpusEntry("bad", "Bad", "cos(")
+        entries = [bad, *load_corpus(bundled_generated_path()), bad]
+        rows, batch = pipeline_run(
+            entries, 3, ChannelConfig(target_snr_db=15.0),
+            SchemeConfig("formula:base", n_symbols=200),
+        )
+        assert batch.total == 3 and batch.valid == 2
+        assert [r.scheme for r in rows] == ["formula:m1", "formula:m2"]
+
+    def test_n_outside_the_entry_count_is_a_config_error(self):
+        entries = load_corpus(bundled_generated_path())
+        for n in (len(entries) + 1, -1):
+            with pytest.raises(ConfigError, match="outside"):
+                pipeline_run(
+                    entries, n, ChannelConfig(), SchemeConfig("formula:base", n_symbols=100)
+                )
+
+    def test_valid_entries_name_the_valid_items(self, grammar):
+        batch = generate_batch(20, replace(grammar, temperature=1.5, seed=3))
+        assert batch.valid < batch.total  # the batch has invalid items to skip
+        assert batch.valid_entries() == [
+            CorpusEntry(f"g{item.index}", f"G{item.index}", item.formula)
+            for item in batch.items
+            if item.classification == CLASS_VALID
+        ]
