@@ -14,12 +14,8 @@ a small HTTP client; its output feeds the same validation pipeline.
 """
 
 import functools
-import http.client
 import json
 import re
-import urllib.error
-import urllib.parse
-import urllib.request
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -287,22 +283,19 @@ def generate_batch(n: int, config: GrammarConfig) -> GenerationBatchReport:
 # external generation service
 
 
+# The HTTP modules are imported where they are used: through them urllib
+# loads ssl, email and calendar, which only external generation needs, so
+# `import modwave` stays without them.
+
+
 def _is_http_url(url: str) -> bool:
+    import urllib.parse
+
     try:
         parts = urllib.parse.urlsplit(url)
     except ValueError:
         return False
     return parts.scheme in ("http", "https") and bool(parts.hostname)
-
-
-class _HttpRedirects(urllib.request.HTTPRedirectHandler):
-    """Follow redirects to http(s) URLs only; urllib would also open ftp:."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if not _is_http_url(newurl):
-            fp.close()
-            raise urllib.error.URLError(f"redirect to {newurl!r} refused")
-        return super().redirect_request(req, fp, code, msg, headers, newurl)
 
 
 def external_generate(
@@ -319,6 +312,19 @@ def external_generate(
     https URLs are opened: any other endpoint, such as a file: URL, is a
     network error and is never read, and so is a redirect to one.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    class HttpRedirects(urllib.request.HTTPRedirectHandler):
+        """Follow redirects to http(s) URLs only; urllib would also open ftp:."""
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if not _is_http_url(newurl):
+                fp.close()
+                raise urllib.error.URLError(f"redirect to {newurl!r} refused")
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
     if not _is_http_url(endpoint):
         raise GenerationSourceError(
             "network", f"endpoint is not an http(s) URL with a host: {endpoint!r}"
@@ -330,7 +336,7 @@ def external_generate(
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    opener = urllib.request.build_opener(_HttpRedirects)
+    opener = urllib.request.build_opener(HttpRedirects)
     last: Exception | None = None
     for _attempt in range(2):
         try:

@@ -339,10 +339,10 @@ def _envelope_bits(
     gain normalize_power recorded on the reference (1 without one)."""
     sps = config.samples_per_symbol
     centers = np.arange(len(received) // sps) * sps + sps // 2
-    envelope = np.abs(_analytic(received.samples))
+    envelope = np.abs(_analytic(received.samples)[centers])
     on_level = config.amplitude * np.abs(SCHEMES[config.scheme].alphabet).max()
     gain = 1.0 if reference is None else reference.gain
-    return (envelope[centers] > gain * on_level / 2.0).astype(np.uint8)
+    return (envelope > gain * on_level / 2.0).astype(np.uint8)
 
 
 def _nearest_point_bits(

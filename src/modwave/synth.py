@@ -15,7 +15,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -274,8 +274,10 @@ def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
 # waveform builders
 
 
-def _time_grid(cfg: SchemeConfig) -> np.ndarray:
-    return np.arange(cfg.n_samples) / cfg.sample_rate
+def _time_grid(n_samples: int, sample_rate: float) -> np.ndarray:
+    # a float arange converts each index exactly (all below 2**53), so the
+    # grid has the bits of an int arange divided, without the int pass
+    return np.arange(n_samples, dtype=np.float64) / sample_rate
 
 
 def _hold(values: np.ndarray, sps: int) -> np.ndarray:
@@ -302,9 +304,7 @@ def _rrc_taps(beta: float, sps: int, span: int = 8) -> np.ndarray:
     return taps / np.sqrt(np.sum(taps**2))
 
 
-def _baseband_iq(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    if cfg.pulse == "rect":
-        return _hold(symbols, cfg.samples_per_symbol)
+def _rrc_baseband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     taps = _rrc_taps(cfg.rrc_rolloff, cfg.samples_per_symbol)
     up = np.zeros(symbols.size * cfg.samples_per_symbol, dtype=complex)
     up[:: cfg.samples_per_symbol] = symbols * np.sqrt(cfg.samples_per_symbol)
@@ -313,22 +313,46 @@ def _baseband_iq(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     return shaped[delay : delay + up.size]
 
 
-def _carrier_phase(cfg: SchemeConfig) -> np.ndarray:
-    return 2 * np.pi * cfg.carrier_freq * _time_grid(cfg)
+def _carrier_phase(carrier_freq: float, t: np.ndarray) -> np.ndarray:
+    return 2 * np.pi * carrier_freq * t
+
+
+@lru_cache(maxsize=1)
+def _carrier(
+    n_samples: int, sample_rate: float, carrier_freq: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos θ, sin θ) of the carrier phase θ = 2π·f_c·t.
+
+    The rows of a compare share one grid and carrier, so the last pair is
+    kept: one grid's cos and sin, 7.7 MB at 10k symbols of 48 samples.
+    The grid itself is not kept.
+    """
+    theta = _carrier_phase(carrier_freq, _time_grid(n_samples, sample_rate))
+    cos = np.cos(theta)
+    sin = np.sin(theta, out=theta)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    baseband = _baseband_iq(cfg, symbols)
-    theta = _carrier_phase(cfg)
-    # amplitude * (I cos - Q sin) in place, to hold fewer full-length
-    # temporaries per row; the products are the same bit for bit
-    wave = np.cos(theta)
-    wave *= baseband.real
-    quadrature = np.sin(theta, out=theta)
-    quadrature *= baseband.imag
-    wave -= quadrature
+    """amplitude · (I cos θ - Q sin θ) on the cached carrier.
+
+    A rectangular pulse holds each symbol over its samples, so the carrier
+    is viewed as (symbols, samples per symbol) rows and each row scaled by
+    its symbol: the full-length complex hold is never built.
+    """
+    cos, sin = _carrier(cfg.n_samples, cfg.sample_rate, cfg.carrier_freq)
+    if cfg.pulse == "rect":
+        shape = (symbols.size, cfg.samples_per_symbol)
+        i, q = symbols.real[:, None], symbols.imag[:, None]
+        cos, sin = cos.reshape(shape), sin.reshape(shape)
+    else:
+        baseband = _rrc_baseband(cfg, symbols)
+        i, q = baseband.real, baseband.imag
+    wave = cos * i
+    wave -= sin * q
     wave *= cfg.amplitude
-    return wave
+    return wave.reshape(-1)
 
 
 def _phase_from_freq(cfg: SchemeConfig, inst_freq: np.ndarray) -> np.ndarray:
@@ -354,20 +378,25 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
 
 
 def _am_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    msg = _message(cfg, _time_grid(cfg))
-    return cfg.amplitude * (1 + cfg.mod_index * msg) * np.cos(_carrier_phase(cfg))
+    msg = _message(cfg, _time_grid(cfg.n_samples, cfg.sample_rate))
+    cos = _carrier(cfg.n_samples, cfg.sample_rate, cfg.carrier_freq)[0]
+    return cfg.amplitude * (1 + cfg.mod_index * msg) * cos
 
 
 def _fm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    msg = _message(cfg, _time_grid(cfg))
+    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    msg = _message(cfg, t)
     dt = 1.0 / cfg.sample_rate
     running = np.concatenate(([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) * dt))
-    return cfg.amplitude * np.cos(_carrier_phase(cfg) + cfg.freq_dev * running)
+    return cfg.amplitude * np.cos(
+        _carrier_phase(cfg.carrier_freq, t) + cfg.freq_dev * running
+    )
 
 
 def _pm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    msg = _message(cfg, _time_grid(cfg))
-    return cfg.amplitude * np.cos(_carrier_phase(cfg) + cfg.phase_dev * msg)
+    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    msg = _message(cfg, t)
+    return cfg.amplitude * np.cos(_carrier_phase(cfg.carrier_freq, t) + cfg.phase_dev * msg)
 
 
 def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
@@ -377,7 +406,7 @@ def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 def _fsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     # literal instantaneous-frequency form with absolute time
     tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
-    t = _time_grid(cfg)
+    t = _time_grid(cfg.n_samples, cfg.sample_rate)
     return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, cfg.samples_per_symbol) * t)
 
 
@@ -479,7 +508,7 @@ def formula_context(
     signals = dict(zip(LABEL_STREAMS, streams))
     if labels.ndim == 1:
         signals = {name: _hold(v, cfg.samples_per_symbol) for name, v in signals.items()}
-    t = _time_grid(cfg)
+    t = _time_grid(cfg.n_samples, cfg.sample_rate)
     if "m(t)" in reads(expr)[0]:
         signals["m(t)"] = _message(cfg, t)
     constants = {

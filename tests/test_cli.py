@@ -611,14 +611,16 @@ def _at(node, path):
     return node
 
 
-def test_runtime_imports_neither_scipy_nor_requests():
-    # the runtime needs numpy only; scipy is a test oracle
+def test_runtime_imports_neither_scipy_nor_requests_nor_the_http_client():
+    # the runtime needs numpy only; scipy is a test oracle, and the HTTP
+    # client (with the ssl it loads) comes in with external generation only
     src = str(Path(modwave.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     probe = (
         "import sys, modwave, modwave.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests') "
+        "or m in ('urllib.request', 'http.client', 'ssl')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -478,6 +478,18 @@ class TestDemodulation:
         assert clean.gain != 1.0
         assert clean.gain * on_level == pytest.approx(measured, rel=1e-6)
 
+    @pytest.mark.parametrize("snr_db", [-3.0, 4.0, None])
+    def test_ook_envelope_at_the_centers_decides_as_the_full_envelope(self, snr_db):
+        cfg = SchemeConfig("ook", n_symbols=5_000, seed=8)
+        clean = normalize_power(modulate(cfg))
+        received = clean if snr_db is None else add_awgn(clean, snr_db, seed=17)
+        sps = cfg.samples_per_symbol
+        centers = np.arange(cfg.n_symbols) * sps + sps // 2
+        envelope = np.abs(modwave.metrics._analytic(received.samples))[centers]
+        on_level = cfg.amplitude * np.abs(SCHEMES["ook"].alphabet).max()
+        expected = (envelope > clean.gain * on_level / 2.0).astype(np.uint8)
+        assert np.array_equal(demodulate(received, cfg, reference=clean), expected)
+
     @pytest.mark.parametrize("scheme", ["msk", "ook", "chirp"])
     def test_complex_samples_raise(self, scheme):
         # every receiver assumes a real passband; none decides on the real part

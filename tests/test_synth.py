@@ -25,6 +25,10 @@ from modwave.synth import (
     SCHEMES,
     SampledSignal,
     SchemeConfig,
+    _carrier,
+    _rrc_baseband,
+    _time_grid,
+    bits_to_labels,
     candidate_bank,
     candidate_basis,
     constellation,
@@ -248,6 +252,80 @@ class TestReferenceWaveforms:
         obw_rect = occupied_bandwidth(welch_psd(rect, segment_length=2048))
         obw_rrc = occupied_bandwidth(welch_psd(rrc, segment_length=2048))
         assert obw_rrc < 0.5 * obw_rect
+
+
+def oracle_quadrature_passband(cfg, symbols):
+    """The quadrature builder before the cached carrier: a full-length
+    complex hold (or the rrc-shaped baseband) on an int grid, then cos and
+    sin of the phase in place."""
+    if cfg.pulse == "rect":
+        baseband = np.repeat(symbols, cfg.samples_per_symbol)
+    else:
+        baseband = _rrc_baseband(cfg, symbols)
+    theta = 2 * np.pi * cfg.carrier_freq * (np.arange(cfg.n_samples) / cfg.sample_rate)
+    wave = np.cos(theta)
+    wave *= baseband.real
+    quadrature = np.sin(theta, out=theta)
+    quadrature *= baseband.imag
+    wave -= quadrature
+    wave *= cfg.amplitude
+    return wave
+
+
+def oracle_am(cfg):
+    t = np.arange(cfg.n_samples) / cfg.sample_rate
+    msg = np.cos(2 * np.pi * cfg.message_freq * t)
+    return cfg.amplitude * (1 + cfg.mod_index * msg) * np.cos(2 * np.pi * cfg.carrier_freq * t)
+
+
+def assert_carrier_rows_match_the_oracle(cfg):
+    signal = modulate(cfg)
+    if cfg.scheme == "am":
+        expected = oracle_am(cfg)
+    else:
+        labels = bits_to_labels(signal.origin_bits, cfg.bits_per_symbol)
+        expected = oracle_quadrature_passband(cfg, constellation(cfg.scheme)[labels])
+    assert signal.samples.flags.writeable, cfg
+    assert signal.samples.tobytes() == expected.tobytes(), cfg
+
+
+class TestCarrier:
+    """Rows on the cached carrier against the builder that computed its own."""
+
+    @pytest.mark.parametrize("pulse", ["rect", "rrc"])
+    @pytest.mark.parametrize(
+        "scheme", [name for name, s in SCHEMES.items() if s.alphabet is not None]
+    )
+    def test_alphabet_rows_equal_the_oracle(self, scheme, pulse):
+        assert_carrier_rows_match_the_oracle(
+            SchemeConfig(scheme, n_symbols=300, seed=3, pulse=pulse)
+        )
+
+    def test_alternating_grids_never_reuse_a_stale_carrier(self):
+        configs = [
+            SchemeConfig("qpsk", n_symbols=400, seed=1),
+            SchemeConfig("qpsk", n_symbols=250, seed=1),
+            SchemeConfig("qam16", n_symbols=400, seed=2, carrier_freq=5000.0),
+            SchemeConfig("am", n_symbols=400, carrier_freq=7000.0),
+            SchemeConfig("am", n_symbols=400),
+            SchemeConfig("ook", n_symbols=400, seed=3, amplitude=2.5),
+            SchemeConfig("ook", n_symbols=400, seed=3),
+            SchemeConfig("psk8", n_symbols=400, seed=4, symbol_rate=1200.0),
+            SchemeConfig("qam64", n_symbols=400, seed=5, pulse="rrc", carrier_freq=5000.0),
+        ]
+        for cfg in configs + configs[::-1] + configs:
+            assert_carrier_rows_match_the_oracle(cfg)
+
+    def test_cached_carrier_is_read_only(self):
+        for array in _carrier(480, 48_000.0, 6000.0):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 7, 48_000, 480_001])
+    @pytest.mark.parametrize("sample_rate", [48_000.0, 14_400.0, 44_100.0, 12_345.678])
+    def test_float_time_grid_has_the_int_grid_bits(self, n, sample_rate):
+        expected = np.arange(n) / sample_rate
+        assert _time_grid(n, sample_rate).tobytes() == expected.tobytes()
 
 
 class TestFormulaSynthesis:
