@@ -17,8 +17,17 @@ guarded: samples whose divisor magnitude falls below GUARD_EPSILON
 evaluate to 0 and are counted once per output sample they reach, which
 lets formulas with degenerate denominators run end to end while staying
 honest about how often the guard fired.
+
+A label-invariant subtree, one that reads the time axis and otherwise
+only pi and bound scalars, has the same value in every call on the same
+grid: modulate and the receiver of one row both compute its carrier. So
+the values of such subtrees are kept for the last grid (see _Memo) and
+handed out read-only. The evaluator writes into an argument only when it
+is writeable: the grid, the bound signals and memo values are read-only
+views, so none of them is ever overwritten.
 """
 
+import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -26,11 +35,12 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import EvaluationError
-from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol
+from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol, _scoped
 from .symbols import resolve
 
 MAX_SUM_ITERATIONS = 100_000
 GUARD_EPSILON = 1e-12
+MEMO_SLOTS = 4
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
@@ -61,10 +71,101 @@ class EvalResult:
     invalid_mask: np.ndarray
 
 
+def _bits(value) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _invariant_subtrees(expr: Expr, constants: Mapping[str, float]) -> dict[int, object]:
+    """The memo key of each maximal label-invariant subtree, by node id.
+
+    Such a subtree reads t, and otherwise only pi and the bound scalars;
+    it is not the root, not a lone symbol, and not inside a sum body. Its
+    key is its structure with every scalar taken by its bits, so equal
+    subtrees share a key while 0.0 and -0.0 do not. A scalar is keyed by
+    its value, not its name: A and A_c bound to one value are read as one
+    float64. Names resolve in the order lookup binds them. One bottom-up
+    walk returns each subtree's (key or None, reads t).
+    """
+    found = {}
+
+    def visit(node: Expr, bound: frozenset[str]) -> tuple[object, bool]:
+        if isinstance(node, Const):
+            return _bits(node.value), False
+        if isinstance(node, Symbol):
+            name = None if node.name in bound else resolve(node.name) or node.name
+            if name == "t":
+                return "t", True
+            if name == "pi":
+                return _bits(np.pi), False
+            if name in constants:
+                return _bits(np.float64(constants[name])), False
+            return None, False
+        kids = [(kid, kid_bound, *visit(kid, kid_bound)) for kid, kid_bound in _scoped(node, bound)]
+        keys = [key for _, _, key, _ in kids]
+        if None not in keys:
+            tag = node.op if isinstance(node, BinOp) else getattr(node, "func", type(node).__name__)
+            return (tag, *keys), any(reads_t for *_, reads_t in kids)
+        for kid, kid_bound, key, reads_t in kids:
+            if key is not None and reads_t and not kid_bound and not isinstance(kid, Symbol):
+                found[id(kid)] = key
+        return None, False
+
+    visit(expr, frozenset())
+    return found
+
+
+class _Memo:
+    """Values of label-invariant subtrees on the last grid.
+
+    The grid is kept as a private copy and compared bit for bit, so a
+    grid that changes in place is a new grid. Values live in one
+    (MEMO_SLOTS, n) block, filled first come and never overwritten until
+    the grid changes, and are handed out as read-only views. Each entry
+    keeps the guard hits its subtree counted, (hits, divisor size) per
+    guarded division, to replay on a hit.
+    """
+
+    def __init__(self):
+        self.grid = np.empty(0)
+        self.block = None
+        self.entries: dict[object, tuple[np.ndarray, tuple]] = {}
+
+    def holds(self, grid: np.ndarray) -> bool:
+        """Whether grid is the kept grid bit for bit."""
+        return grid.shape == self.grid.shape and np.array_equal(
+            grid.view(np.int64), self.grid.view(np.int64)
+        )
+
+    def reset(self, grid: np.ndarray) -> None:
+        self.grid = grid.copy()
+        self.block = None
+        self.entries = {}
+
+    def store(self, key, value: np.ndarray, hits: tuple) -> None:
+        if len(self.entries) == MEMO_SLOTS or np.shape(value) != self.grid.shape:
+            return
+        if self.block is None:
+            self.block = np.empty((MEMO_SLOTS, self.grid.size))
+        kept = self.block[len(self.entries)]
+        kept[...] = value
+        kept.flags.writeable = False
+        self.entries[key] = kept, hits
+
+
+_MEMO = _Memo()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class _Evaluator:
-    def __init__(self, ctx: EvalContext, grid: np.ndarray):
+    def __init__(self, ctx: EvalContext, grid: np.ndarray, invariant: Mapping[int, object]):
         self.ctx = ctx
-        self.grid = grid
+        self.invariant = invariant  # memo key by node id, _invariant_subtrees
+        self.grid = _read_only(grid)
         self.n = grid.size
         self.signals = {
             name: self._signal(name, value) for name, value in ctx.signals.items()
@@ -76,7 +177,12 @@ class _Evaluator:
         except ValueError as exc:
             raise EvaluationError(f"signals disagree on their row count: {exc}") from exc
         self.size = int(np.prod(self.shape))
-        self.guards = 0
+        self.hits: list[tuple[int, int]] = []  # (guarded samples, divisor size)
+
+    @property
+    def guards(self) -> int:
+        """Guarded output samples: each divisor value reaches size / its size."""
+        return sum(hits * (self.size // den_size) for hits, den_size in self.hits)
 
     def _signal(self, name: str, value) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
@@ -85,7 +191,7 @@ class _Evaluator:
                 f"signal {name!r} has shape {arr.shape}, grid has {self.n} "
                 "samples; bind (n,) or (rows, 1)"
             )
-        return arr
+        return _read_only(arr)
 
     def lookup(self, name: str, local: dict[str, float]) -> np.ndarray:
         """A sum index, else the binding of the name that validation
@@ -104,26 +210,36 @@ class _Evaluator:
         raise EvaluationError(f"no binding for symbol {name!r}")
 
     def _apply(self, ufunc, *args):
-        """ufunc(*args), written over an argument that is a temporary of the
-        result's shape when there is one.
+        """ufunc(*args), written over a writeable argument of the result's
+        shape when there is one.
 
         Each (rows, n) temporary of a candidate bank is as large as the
-        bank, so reusing them bounds the evaluator's memory. Every value
-        that is not a bound input is made by one node and read by one
-        parent, so overwriting it is safe.
+        bank, so reusing them bounds the evaluator's memory. The grid, the
+        bound signals and memo values are read-only; every writeable value
+        is made by one node and read by one parent, so overwriting it is
+        safe.
         """
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
         for arg in args:
-            if (
-                isinstance(arg, np.ndarray)
-                and arg.shape == shape
-                and arg is not self.grid
-                and not any(arg is s for s in self.signals.values())
-            ):
+            if isinstance(arg, np.ndarray) and arg.shape == shape and arg.flags.writeable:
                 return ufunc(*args, out=arg)
         return ufunc(*args)
 
     def eval(self, expr: Expr, local: dict[str, float]) -> np.ndarray:
+        key = self.invariant.get(id(expr))
+        if key is None:
+            return self._node(expr, local)
+        entry = _MEMO.entries.get(key)
+        if entry is not None:
+            value, hits = entry
+            self.hits.extend(hits)
+            return value
+        start = len(self.hits)
+        value = self._node(expr, local)
+        _MEMO.store(key, value, tuple(self.hits[start:]))
+        return value
+
+    def _node(self, expr: Expr, local: dict[str, float]) -> np.ndarray:
         if isinstance(expr, Const):
             return np.float64(expr.value)
         if isinstance(expr, Symbol):
@@ -151,11 +267,10 @@ class _Evaluator:
     def _divide(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         guarded = np.abs(den) < GUARD_EPSILON
         hits = int(np.count_nonzero(guarded))
-        # each divisor value reaches size / den.size output samples
-        self.guards += hits * (self.size // np.size(den))
         if not hits:
             with np.errstate(all="ignore"):
                 return self._apply(np.divide, num, den)
+        self.hits.append((hits, np.size(den)))
         safe = np.where(guarded, 1.0, den)
         with np.errstate(all="ignore"):
             out = self._apply(np.divide, num, safe)
@@ -220,13 +335,16 @@ def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2:
         raise EvaluationError("grid must be one-dimensional with at least 2 samples")
-    steps = np.diff(grid)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise EvaluationError("grid must be uniformly spaced and increasing")
+    if not _MEMO.holds(grid):
+        steps = np.diff(grid)
+        if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise EvaluationError("grid must be uniformly spaced and increasing")
+        _MEMO.reset(grid)
 
-    engine = _Evaluator(ctx, grid)
+    engine = _Evaluator(ctx, grid, _invariant_subtrees(expr, ctx.constants))
     samples = engine.eval(expr, {})
-    if np.shape(samples) != engine.shape:
+    # a bare t or signal is a read-only input: the caller gets its own copy
+    if np.shape(samples) != engine.shape or not samples.flags.writeable:
         samples = np.broadcast_to(samples, engine.shape).copy()
     invalid = ~np.isfinite(samples)
     if invalid.any():

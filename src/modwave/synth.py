@@ -14,7 +14,7 @@ receivers assume rectangular pulses, so demodulating an rrc run raises.
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -96,6 +96,11 @@ class SchemeConfig:
         object.__setattr__(
             self, "base_scheme", normalize_scheme_id(self.base_scheme)
         )
+        # NaN fails every range check below without raising
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SignalError(f"{f.name} {value} is not a finite number")
         if self.samples_per_symbol < 4:
             raise SignalError("samples_per_symbol must be at least 4")
         if self.symbol_rate <= 0 or self.carrier_freq <= 0:

@@ -231,6 +231,16 @@ class TestCompareCommand:
         assert rows[2]["error"] is None
         assert 0.0 <= rows[2]["ber"] <= 1.0
 
+    @pytest.mark.parametrize("key", ["amplitude", "carrier_freq", "gmsk_bt"])
+    def test_nan_scheme_parameter_is_config_error(self, tmp_path, capsys, key):
+        config = write_config(
+            tmp_path, schemes=["qpsk", "ook"],
+            scheme_defaults={"n_symbols": 200, key: float("nan")},
+        )
+        assert main(["compare", "--config", str(config)]) == 2
+        assert f"{key} nan is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_formula_id_is_config_error(self, tmp_path):
         config = write_config(tmp_path, schemes=["ook", "formula:nosuch"])
         assert main(["compare", "--config", str(config)]) == 2

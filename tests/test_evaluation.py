@@ -1,14 +1,23 @@
 from dataclasses import replace
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from modwave.dsl import (
+    BinOp,
+    Call,
+    Const,
     EvalContext,
+    Symbol,
     bundled_corpus_path,
     bundled_generated_path,
     evaluate,
+    evaluation,
     load_corpus,
     parse_formula,
 )
@@ -16,6 +25,8 @@ from modwave.dsl.evaluation import _Evaluator
 from modwave.errors import EvaluationError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import SchemeConfig, formula_context
+
+from conftest import FORMULA_TREES
 
 
 def grid(n, fs=48000.0):
@@ -258,17 +269,27 @@ class TestBroadcasting:
         assert together.guard_count == guards
 
     @pytest.mark.parametrize(
-        "formula", ["-m(t)", "sin(t)", "I(t) + t", "m(t) * m(t) - t", "t / I(t)", "sum(m(t), i, 1, 2)"]
+        "formula",
+        [
+            "-m(t)", "sin(t)", "I(t) + t", "m(t) * m(t) - t", "t / I(t)", "sum(m(t), i, 1, 2)",
+            # memo values of the result's shape, as arguments of one ufunc
+            "m(t) * sin(t)", "cos(t) - m(t) + cos(t)", "-(sin(t) / m(t))", "m(t) ^ sin(t)",
+        ],
     )
     def test_bound_inputs_are_never_written(self, rng, formula):
         t = grid(32)
         signals = {"m(t)": rng.normal(size=t.size), "I(t)": rng.uniform(1, 2, (3, 1))}
         before = {name: value.copy() for name, value in signals.items()}
         grid_before = t.copy()
-        evaluate(parse_formula(formula), EvalContext(signals=signals), t)
+        expr = parse_formula(formula)
+        evaluate(expr, EvalContext(signals=signals), t)
+        kept = {key: value.copy() for key, (value, _) in evaluation._MEMO.entries.items()}
+        evaluate(expr, EvalContext(signals=signals), t)
         assert np.array_equal(t, grid_before)
         for name, value in signals.items():
             assert np.array_equal(value, before[name]), name
+        for key, value in kept.items():
+            assert evaluation._MEMO.entries[key][0].tobytes() == value.tobytes(), key
 
     def test_constant_formula_fills_the_grid(self):
         result = evaluate(parse_formula("A * pi"), EvalContext(constants={"A": 2.0}), grid(6))
@@ -380,3 +401,151 @@ def test_every_formula_context_binding_resolves_as_before(monkeypatch, rows):
         assert guards == now[1], text
         assert np.array_equal(invalid, now[2]), text
     assert evaluated > len(formulas) // 2
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    memo = evaluation._Memo()
+    monkeypatch.setattr(evaluation, "_MEMO", memo)
+    return memo
+
+
+def _fresh(expr, ctx, t):
+    """The outcome of an evaluation that keeps and serves no subtree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_invariant_subtrees", lambda expr, constants: {})
+        return _outcome(expr, ctx, t)
+
+
+def _assert_same_outcome(got, want, what):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want, what
+        return
+    assert got[0].shape == want[0].shape, what
+    assert got[0].tobytes() == want[0].tobytes(), what
+    assert got[1] == want[1], what
+    assert np.array_equal(got[2], want[2]), what
+
+
+@lru_cache(maxsize=1)
+def _grammar_trees():
+    return tuple(parse_formula(text) for text in _oracle_formulas())
+
+
+class TestMemo:
+    """Label-invariant subtrees kept for the last grid give the bits, guard
+    counts and invalid masks of an evaluation that keeps nothing."""
+
+    CONSTANTS = {"A": 0.7, "A_c": 0.7, "m": 0.5, "k_f": 500.0, "k_p": 1.0, "f_m": 200.0,
+                 "phi": 0.0, "phi_c": 0.0, "phi_m": 0.0, "n": 3.0}
+
+    def context(self, t, f_c, rows):
+        rng = np.random.default_rng(7)
+        shape = (4, 1) if rows else t.shape
+        streams = {name: rng.uniform(-1, 1, shape) for name in ("I(t)", "Q(t)", "f(t)")}
+        streams["d(t)"] = rng.integers(0, 4, shape).astype(float)
+        return EvalContext(
+            constants={**self.CONSTANTS, "f_c": f_c},
+            signals={**streams, "m(t)": np.cos(2 * np.pi * 200.0 * t)},
+        )
+
+    @given(
+        trees=st.lists(FORMULA_TREES, min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+        rows=st.booleans(),
+    )
+    def test_a_warm_memo_gives_the_fresh_outcome(self, trees, picks, rows):
+        grammar = _grammar_trees()
+        trees = trees + [grammar[i % len(grammar)] for i in picks]
+        grids = (grid(40), grid(40, fs=24000.0))
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            # nested sums of drawn bounds stay small
+            patch.setattr(evaluation, "MAX_SUM_ITERATIONS", 50)
+            for t in grids * 2:
+                for f_c in (6000.0, 4000.0):
+                    ctx = self.context(t, f_c, rows)
+                    for expr in trees:
+                        warm = _outcome(expr, ctx, t)
+                        _assert_same_outcome(warm, _fresh(expr, ctx, t), expr)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["n", "rows-n"])
+    def test_every_grammar_formula_interleaved(self, rows):
+        grids = (grid(96), grid(96, fs=24000.0))
+        trees = _grammar_trees()
+        for t in grids:
+            for f_c in (6000.0, 4000.0, 6000.0):
+                ctx = self.context(t, f_c, rows)
+                for expr in trees:
+                    _assert_same_outcome(_outcome(expr, ctx, t), _fresh(expr, ctx, t), expr)
+
+    def test_signed_zero_constants_are_distinct_keys(self, empty_memo):
+        t = grid(16)
+        ctx = EvalContext(signals={"I(t)": np.linspace(0.5, 1.5, 16)})
+        for c in (0.0, -0.0, 0.0):
+            expr = BinOp("*", Symbol("I(t)"), Call("sin", (BinOp("*", Symbol("t"), Const(c)),)))
+            warm = evaluate(expr, ctx, t).samples
+            assert warm.tobytes() == _fresh(expr, ctx, t)[0].tobytes(), c
+            assert np.signbit(warm).all() == np.signbit(c)
+        assert len(empty_memo.entries) == 2
+
+    def test_more_invariant_subtrees_than_slots(self, empty_memo):
+        text = " + ".join(f"I(t) * sin({k} * t)" for k in range(1, 8))
+        expr = parse_formula(text)
+        ctx = EvalContext(signals={"I(t)": np.linspace(-1, 1, 4)[:, None]})
+        t = grid(64)
+        for _ in range(2):
+            _assert_same_outcome(_outcome(expr, ctx, t), _fresh(expr, ctx, t), text)
+        assert len(empty_memo.entries) == evaluation.MEMO_SLOTS
+
+    def test_repeated_subtree_is_computed_once(self, empty_memo, monkeypatch):
+        text = "I(t)*cos(2*pi*f_c*t) + (A*cos(2*pi*f_c*t + phi)) + (A*cos(2*pi*f_c*t + phi))"
+        ctx = EvalContext(constants={"A": 0.7, "f_c": 6000.0, "phi": 0.0},
+                          signals={"I(t)": np.ones(32)})
+        stored = []
+        store = empty_memo.store
+
+        def counting_store(key, value, hits):
+            stored.append(key)
+            store(key, value, hits)
+
+        monkeypatch.setattr(empty_memo, "store", counting_store)
+        evaluate(parse_formula(text), ctx, grid(32))
+        assert len(stored) == len(set(stored)) == 2
+
+    def test_a_stream_free_result_is_the_callers_own(self):
+        am = next(e for e in load_corpus(bundled_corpus_path()) if e.id == "am")
+        cfg = SchemeConfig("formula:am", n_symbols=20, formula_text=am.formula)
+        args = formula_context(cfg, np.zeros(20, dtype=int))
+        first = evaluate(*args).samples
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 123.0
+        assert evaluate(*args).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("divisor, per_row", [("t", 1), ("0", 32)])
+    @pytest.mark.parametrize("rows", [None, 16])
+    def test_guards_replay_on_a_hit(self, empty_memo, divisor, per_row, rows):
+        # 1/t is guarded at t = 0 alone; t/0 at every sample of a scalar divisor
+        expr = parse_formula(f"I(t) * (f_c * t / {divisor} + 1)")
+        shape = (32,) if rows is None else (rows, 1)
+        ctx = EvalContext(constants={"f_c": 6000.0}, signals={"I(t)": np.ones(shape)})
+        t = grid(32)
+        counts = []
+        for _ in range(2):
+            counts.append(evaluate(expr, ctx, t).guard_count)
+            assert len(empty_memo.entries) == 1
+        assert counts == [per_row * (rows or 1)] * 2 == [_fresh(expr, ctx, t)[1]] * 2
+
+    def test_a_grid_one_bit_apart_clears_the_memo(self, empty_memo):
+        expr = parse_formula("I(t) * cos(2*pi*f_c*t)")
+        ctx = EvalContext(constants={"f_c": 6000.0}, signals={"I(t)": np.ones((2, 1))})
+        t = grid(64)
+        evaluate(expr, ctx, t)
+        apart = t.copy()
+        apart.view(np.int64)[9] += 1
+        got = evaluate(expr, ctx, apart).samples
+        assert got.tobytes() == _fresh(expr, ctx, apart)[0].tobytes()
+        assert got.tobytes() != evaluate(expr, ctx, t).samples.tobytes()
+        # the same array written in place is a new grid too
+        t.view(np.int64)[9] += 1
+        assert evaluate(expr, ctx, t).samples.tobytes() == got.tobytes()

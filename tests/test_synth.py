@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ class TestSchemeConfig:
     def test_rrc_rolloff_outside_unit_interval(self, rolloff):
         with pytest.raises(SignalError):
             SchemeConfig("qam16", pulse="rrc", rrc_rolloff=rolloff)
+
+    FLOAT_FIELDS = [f.name for f in fields(SchemeConfig) if f.type is float]
+
+    def test_float_fields_are_the_scheme_parameters(self):
+        assert set(self.FLOAT_FIELDS) == {
+            "carrier_freq", "symbol_rate", "amplitude", "mod_index", "freq_dev",
+            "phase_dev", "message_freq", "gmsk_bt", "rrc_rolloff",
+        }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_field_raises(self, name, value):
+        # NaN fails every range check, so without this it ran to plausible BERs
+        for scheme in ("qpsk", "formula:x"):
+            with pytest.raises(SignalError, match=f"{name} .* not a finite number"):
+                SchemeConfig(scheme, formula_text="I(t)", **{name: value})
 
     def test_scheme_id_normalization(self):
         assert normalize_scheme_id("16-QAM") == "qam16"
