@@ -4,18 +4,19 @@ block fading, and realized-SNR measurement.
 Noise is sized against the power of the signal handed in (normalize
 first), so a target of x dB yields noise power P_signal / 10^(x/10).
 Signals are real passband, so the noise is real Gaussian: one
-standard-normal draw per (seed, length), kept for the last key only and
-scaled for each call, so the rows of a `compare` share one draw.
+standard-normal draw per seed, kept in the store of the signal's grid
+(modwave.grid) and scaled for each call, so the rows of a `compare` share
+one draw.
 """
 
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SignalError, ZeroPowerError
+from .grid import grid
 from .synth import SampledSignal
 
 
@@ -73,14 +74,6 @@ def derive_seed(master: int, stream: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0] % (2**63))
 
 
-@lru_cache(maxsize=1)
-def _standard_normal(seed: int | tuple[int, ...], n: int) -> np.ndarray:
-    """The first n standard normals of default_rng(seed), read-only."""
-    draw = np.random.default_rng(seed).standard_normal(n)
-    draw.flags.writeable = False
-    return draw
-
-
 def add_awgn(
     signal: SampledSignal,
     target_snr_db: float,
@@ -92,8 +85,11 @@ def add_awgn(
     The seed is an int or a tuple of ints, the entropy of
     default_rng(seed); anything else, a Generator included, raises
     TypeError. The noise equals default_rng(seed).normal(0, s, n) bit for
-    bit. reference_power overrides the measured signal power when the
-    noise should be calibrated against a pre-channel reference.
+    bit: it scales default_rng(seed).standard_normal(n), which the store of
+    the signal's grid keeps under ("standard_normal", seed), so calls with
+    one seed on one grid draw once. reference_power overrides the measured
+    signal power when the noise should be calibrated against a pre-channel
+    reference.
     """
     if isinstance(seed, tuple):
         key = tuple(operator.index(k) for k in seed)
@@ -103,7 +99,10 @@ def add_awgn(
     if power <= 0:
         raise ZeroPowerError("cannot calibrate noise against a zero-power signal")
     noise_power = power / (10.0 ** (target_snr_db / 10.0))
-    noise = _standard_normal(key, len(signal)) * np.sqrt(noise_power)
+    draw = grid(len(signal), signal.sample_rate).value(
+        ("standard_normal", key), lambda: np.random.default_rng(key).standard_normal(len(signal))
+    )
+    noise = draw * np.sqrt(noise_power)
     return replace(signal, samples=signal.samples + noise)
 
 

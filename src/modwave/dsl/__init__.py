@@ -38,46 +38,3 @@ from .validation import (
     classify,
     validate,
 )
-
-__all__ = [
-    "BinOp",
-    "CLASSES",
-    "CLASS_ARITY",
-    "CLASS_OTHER",
-    "CLASS_UNBALANCED",
-    "CLASS_UNDEFINED",
-    "CLASS_VALID",
-    "Call",
-    "Const",
-    "CorpusEntry",
-    "DEFAULT_MAX_DEPTH",
-    "EvalContext",
-    "EvalResult",
-    "Expr",
-    "FUNCTION_ARITY",
-    "MAX_FORMULA_CHARS",
-    "MAX_FORMULA_TOKENS",
-    "MISSING_QUADRATURE",
-    "Neg",
-    "Pow",
-    "Symbol",
-    "Token",
-    "UNDEFINED_SYMBOL",
-    "ValidationFlag",
-    "ValidationReport",
-    "ZERO_LITERAL_DIVISOR",
-    "bundled_corpus_path",
-    "bundled_generated_path",
-    "children",
-    "classify",
-    "depth",
-    "evaluate",
-    "load_corpus",
-    "op_count",
-    "parse",
-    "parse_formula",
-    "to_text",
-    "tokenize",
-    "validate",
-    "write_corpus",
-]

@@ -20,27 +20,27 @@ honest about how often the guard fired.
 
 A label-invariant subtree, one that reads the time axis and otherwise
 only pi and bound scalars, has the same value in every call on the same
-grid: modulate and the receiver of one row both compute its carrier. So
-the values of such subtrees are kept for the last grid (see _Memo) and
-handed out read-only. The evaluator writes into an argument only when it
-is writeable: the grid, the bound signals and memo values are read-only
-views, so none of them is ever overwritten.
+grid: modulate and the receiver of one row both compute its carrier. On
+the axis of the last grid's store (modwave.grid) their values are kept
+there by invariant_key, as synth keeps the carrier. The evaluator writes
+into an argument only when it is writeable: the grid, the bound signals
+and stored values are read-only, so none of them is ever overwritten.
 """
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
+from .. import grid as grids
 from ..errors import EvaluationError
 from .ast import BinOp, Call, Const, Expr, Neg, Pow, Symbol, _scoped
 from .symbols import resolve
 
 MAX_SUM_ITERATIONS = 100_000
 GUARD_EPSILON = 1e-12
-MEMO_SLOTS = 4
 _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
@@ -75,84 +75,39 @@ def _bits(value) -> int:
     return struct.unpack("<q", struct.pack("<d", value))[0]
 
 
-def _invariant_subtrees(expr: Expr, constants: Mapping[str, float]) -> dict[int, object]:
-    """The memo key of each maximal label-invariant subtree, by node id.
-
-    Such a subtree reads t, and otherwise only pi and the bound scalars;
-    it is not the root, not a lone symbol, and not inside a sum body. Its
-    key is its structure with every scalar taken by its bits, so equal
-    subtrees share a key while 0.0 and -0.0 do not. A scalar is keyed by
-    its value, not its name: A and A_c bound to one value are read as one
-    float64. Names resolve in the order lookup binds them. One bottom-up
-    walk returns each subtree's (key or None, reads t).
-    """
-    found = {}
-
-    def visit(node: Expr, bound: frozenset[str]) -> tuple[object, bool]:
-        if isinstance(node, Const):
-            return _bits(node.value), False
-        if isinstance(node, Symbol):
-            name = None if node.name in bound else resolve(node.name) or node.name
-            if name == "t":
-                return "t", True
-            if name == "pi":
-                return _bits(np.pi), False
-            if name in constants:
-                return _bits(np.float64(constants[name])), False
-            return None, False
-        kids = [(kid, kid_bound, *visit(kid, kid_bound)) for kid, kid_bound in _scoped(node, bound)]
-        keys = [key for _, _, key, _ in kids]
-        if None not in keys:
-            tag = node.op if isinstance(node, BinOp) else getattr(node, "func", type(node).__name__)
-            return (tag, *keys), any(reads_t for *_, reads_t in kids)
-        for kid, kid_bound, key, reads_t in kids:
-            if key is not None and reads_t and not kid_bound and not isinstance(kid, Symbol):
-                found[id(kid)] = key
+def _key(node: Expr, bound: frozenset[str], constants: Mapping[str, float], found: dict):
+    """(invariant_key or None, reads t) of node. Each maximal label-invariant
+    subtree below it that reads t, is no lone symbol and is not in a sum
+    body goes into found, its key by its node id."""
+    if isinstance(node, Const):
+        return _bits(node.value), False
+    if isinstance(node, Symbol):
+        name = None if node.name in bound else resolve(node.name) or node.name
+        if name == "t":
+            return "t", True
+        if name == "pi":
+            return _bits(np.pi), False
+        if name in constants:
+            return _bits(np.float64(constants[name])), False
         return None, False
-
-    visit(expr, frozenset())
-    return found
-
-
-class _Memo:
-    """Values of label-invariant subtrees on the last grid.
-
-    The grid is kept as a private copy and compared bit for bit, so a
-    grid that changes in place is a new grid. Values live in one
-    (MEMO_SLOTS, n) block, filled first come and never overwritten until
-    the grid changes, and are handed out as read-only views. Each entry
-    keeps the guard hits its subtree counted, (hits, divisor size) per
-    guarded division, to replay on a hit.
-    """
-
-    def __init__(self):
-        self.grid = np.empty(0)
-        self.block = None
-        self.entries: dict[object, tuple[np.ndarray, tuple]] = {}
-
-    def holds(self, grid: np.ndarray) -> bool:
-        """Whether grid is the kept grid bit for bit."""
-        return grid.shape == self.grid.shape and np.array_equal(
-            grid.view(np.int64), self.grid.view(np.int64)
-        )
-
-    def reset(self, grid: np.ndarray) -> None:
-        self.grid = grid.copy()
-        self.block = None
-        self.entries = {}
-
-    def store(self, key, value: np.ndarray, hits: tuple) -> None:
-        if len(self.entries) == MEMO_SLOTS or np.shape(value) != self.grid.shape:
-            return
-        if self.block is None:
-            self.block = np.empty((MEMO_SLOTS, self.grid.size))
-        kept = self.block[len(self.entries)]
-        kept[...] = value
-        kept.flags.writeable = False
-        self.entries[key] = kept, hits
+    kids = [(kid, kid_bound, *_key(kid, kid_bound, constants, found))
+            for kid, kid_bound in _scoped(node, bound)]
+    keys = [key for _, _, key, _ in kids]
+    if None not in keys:
+        tag = node.op if isinstance(node, BinOp) else getattr(node, "func", type(node).__name__)
+        return (tag, *keys), any(reads_t for *_, reads_t in kids)
+    for kid, kid_bound, key, reads_t in kids:
+        if key is not None and reads_t and not kid_bound and not isinstance(kid, Symbol):
+            found[id(kid)] = key
+    return None, False
 
 
-_MEMO = _Memo()
+def invariant_key(expr: Expr, constants: Mapping[str, float]):
+    """The store key of a tree that reads only t, pi and bound scalars, else
+    None: its structure with every scalar by its bits, so 0.0 and -0.0 are
+    two keys, and by value, not name: A and A_c of one value are one float64.
+    Names resolve in the order lookup binds them."""
+    return _key(expr, frozenset(), constants, {})[0]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -162,9 +117,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class _Evaluator:
-    def __init__(self, ctx: EvalContext, grid: np.ndarray, invariant: Mapping[int, object]):
+    def __init__(self, expr: Expr, ctx: EvalContext, grid: np.ndarray,
+                 store: grids.GridStore | None):
         self.ctx = ctx
-        self.invariant = invariant  # memo key by node id, _invariant_subtrees
+        self.store = store  # the store whose axis is grid, or None
+        self.invariant = {}  # store key by node id of the subtrees it serves
+        if store is not None:
+            _key(expr, frozenset(), ctx.constants, self.invariant)
         self.grid = _read_only(grid)
         self.n = grid.size
         self.signals = {
@@ -215,9 +174,10 @@ class _Evaluator:
 
         Each (rows, n) temporary of a candidate bank is as large as the
         bank, so reusing them bounds the evaluator's memory. The grid, the
-        bound signals and memo values are read-only; every writeable value
-        is made by one node and read by one parent, so overwriting it is
-        safe.
+        bound signals and the store's values are read-only: a value goes
+        into the store read-only, so no later step writes over it. Every
+        writeable value is made by one node and read by one parent, so
+        overwriting it is safe.
         """
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
         for arg in args:
@@ -229,15 +189,13 @@ class _Evaluator:
         key = self.invariant.get(id(expr))
         if key is None:
             return self._node(expr, local)
-        entry = _MEMO.entries.get(key)
+        entry = self.store.get(key)
         if entry is not None:
             value, hits = entry
             self.hits.extend(hits)
             return value
         start = len(self.hits)
-        value = self._node(expr, local)
-        _MEMO.store(key, value, tuple(self.hits[start:]))
-        return value
+        return self.store.put(key, self._node(expr, local), tuple(self.hits[start:]))
 
     def _node(self, expr: Expr, local: dict[str, float]) -> np.ndarray:
         if isinstance(expr, Const):
@@ -330,18 +288,21 @@ def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
 
     Returns the samples, shape (n,) or (rows, n) when a signal is bound
     with a label axis, the number of guarded output samples, and a mask
-    of samples that came out non-finite and were zeroed.
+    of samples that came out non-finite and were zeroed. When grid is the
+    axis of the last grid's store, label-invariant subtrees are served from
+    and kept in that store; any other grid is checked and keeps nothing.
     """
-    grid = np.asarray(grid, dtype=np.float64)
+    store = grids.last()
+    if store is None or grid is not store.t:
+        store, grid = None, np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2:
         raise EvaluationError("grid must be one-dimensional with at least 2 samples")
-    if not _MEMO.holds(grid):
+    if store is None:  # the store's axis is uniform by construction
         steps = np.diff(grid)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise EvaluationError("grid must be uniformly spaced and increasing")
-        _MEMO.reset(grid)
 
-    engine = _Evaluator(ctx, grid, _invariant_subtrees(expr, ctx.constants))
+    engine = _Evaluator(expr, ctx, grid, store)
     samples = engine.eval(expr, {})
     # a bare t or signal is a read-only input: the caller gets its own copy
     if np.shape(samples) != engine.shape or not samples.flags.writeable:

@@ -15,16 +15,17 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dsl.ast import Expr, affine_in, reads
-from .dsl.evaluation import EvalContext, evaluate
+from .dsl.evaluation import EvalContext, evaluate, invariant_key
 from .dsl.parser import parse_formula
 from .dsl.symbols import LABEL_STREAMS
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
+from .grid import grid
 
 
 def normalize_scheme_id(scheme: str) -> str:
@@ -279,10 +280,9 @@ def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
 # waveform builders
 
 
-def _time_grid(n_samples: int, sample_rate: float) -> np.ndarray:
-    # a float arange converts each index exactly (all below 2**53), so the
-    # grid has the bits of an int arange divided, without the int pass
-    return np.arange(n_samples, dtype=np.float64) / sample_rate
+def _time_grid(cfg: SchemeConfig) -> np.ndarray:
+    """The read-only time axis of cfg's grid, from the grid's store."""
+    return grid(cfg.n_samples, cfg.sample_rate).t
 
 
 def _hold(values: np.ndarray, sps: int) -> np.ndarray:
@@ -322,31 +322,29 @@ def _carrier_phase(carrier_freq: float, t: np.ndarray) -> np.ndarray:
     return 2 * np.pi * carrier_freq * t
 
 
-@lru_cache(maxsize=1)
-def _carrier(
-    n_samples: int, sample_rate: float, carrier_freq: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cos θ, sin θ) of the carrier phase θ = 2π·f_c·t.
+# the carrier pair is the value of these trees, and is keyed as they are
+_CARRIER_TREES = (parse_formula("cos(2*pi*f_c*t)"), parse_formula("sin(2*pi*f_c*t)"))
 
-    The rows of a compare share one grid and carrier, so the last pair is
-    kept: one grid's cos and sin, 7.7 MB at 10k symbols of 48 samples.
-    The grid itself is not kept.
-    """
-    theta = _carrier_phase(carrier_freq, _time_grid(n_samples, sample_rate))
-    cos = np.cos(theta)
-    sin = np.sin(theta, out=theta)
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
+
+def _carrier(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos θ, sin θ) of the carrier phase θ = 2π·f_c·t, kept in
+    the grid's store: 7.7 MB at 10k symbols of 48 samples."""
+    store = grid(cfg.n_samples, cfg.sample_rate)
+    return tuple(
+        store.value(invariant_key(tree, {"f_c": cfg.carrier_freq}),
+                    lambda: ufunc(_carrier_phase(cfg.carrier_freq, store.t)))
+        for tree, ufunc in zip(_CARRIER_TREES, (np.cos, np.sin))
+    )
 
 
 def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    """amplitude · (I cos θ - Q sin θ) on the cached carrier.
+    """amplitude · (I cos θ - Q sin θ) on the stored carrier.
 
     A rectangular pulse holds each symbol over its samples, so the carrier
     is viewed as (symbols, samples per symbol) rows and each row scaled by
     its symbol: the full-length complex hold is never built.
     """
-    cos, sin = _carrier(cfg.n_samples, cfg.sample_rate, cfg.carrier_freq)
+    cos, sin = _carrier(cfg)
     if cfg.pulse == "rect":
         shape = (symbols.size, cfg.samples_per_symbol)
         i, q = symbols.real[:, None], symbols.imag[:, None]
@@ -383,13 +381,13 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
 
 
 def _am_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    msg = _message(cfg, _time_grid(cfg.n_samples, cfg.sample_rate))
-    cos = _carrier(cfg.n_samples, cfg.sample_rate, cfg.carrier_freq)[0]
+    msg = _message(cfg, _time_grid(cfg))
+    cos = _carrier(cfg)[0]
     return cfg.amplitude * (1 + cfg.mod_index * msg) * cos
 
 
 def _fm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    t = _time_grid(cfg)
     msg = _message(cfg, t)
     dt = 1.0 / cfg.sample_rate
     running = np.concatenate(([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) * dt))
@@ -399,7 +397,7 @@ def _fm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
 
 
 def _pm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    t = _time_grid(cfg)
     msg = _message(cfg, t)
     return cfg.amplitude * np.cos(_carrier_phase(cfg.carrier_freq, t) + cfg.phase_dev * msg)
 
@@ -411,7 +409,7 @@ def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 def _fsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     # literal instantaneous-frequency form with absolute time
     tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
-    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    t = _time_grid(cfg)
     return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, cfg.samples_per_symbol) * t)
 
 
@@ -513,7 +511,7 @@ def formula_context(
     signals = dict(zip(LABEL_STREAMS, streams))
     if labels.ndim == 1:
         signals = {name: _hold(v, cfg.samples_per_symbol) for name, v in signals.items()}
-    t = _time_grid(cfg.n_samples, cfg.sample_rate)
+    t = _time_grid(cfg)
     if "m(t)" in reads(expr)[0]:
         signals["m(t)"] = _message(cfg, t)
     constants = {

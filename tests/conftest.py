@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from modwave import grid as grids
 from modwave.dsl import BinOp, Call, Const, Neg, Pow, Symbol
 from modwave.dsl.symbols import NAMES
 
@@ -13,6 +15,14 @@ settings.register_profile(
     "modwave", derandomize=True, max_examples=20, deadline=None, database=None
 )
 settings.load_profile("modwave")
+
+
+@contextlib.contextmanager
+def cold_store():
+    """Run the body on an empty grid store; the store before it comes back after."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grids, "_LAST", None)
+        yield
 
 
 # values a number formatter must spell right: signed zeros, infinities,

@@ -9,7 +9,6 @@ from modwave.channel import (
     ChannelConfig,
     FadingConfig,
     Tap,
-    _standard_normal,
     add_awgn,
     apply_channel,
     apply_fading,
@@ -18,6 +17,7 @@ from modwave.channel import (
 )
 from modwave.config import load_config
 from modwave.errors import SignalError, ZeroPowerError
+from modwave.grid import grid
 from modwave.metrics import welch_psd
 from modwave.synth import SampledSignal, SchemeConfig
 
@@ -113,11 +113,16 @@ class TestNoiseDraw:
                     add_awgn(clean, 10.0, seed)
 
     def test_cached_draw_is_read_only(self):
-        draw = _standard_normal(3, 100)
-        assert not draw.flags.writeable
+        clean = unit_noise(100, seed=1)
+        add_awgn(clean, 10.0, 3)
+        store = grid(100, clean.sample_rate)
+        draw, hits = store.get(("standard_normal", 3))
+        assert hits == () and not draw.flags.writeable
         with pytest.raises(ValueError):
             draw[0] = 0.0
-        assert _standard_normal(3, 100) is draw
+        assert draw.tobytes() == np.random.default_rng(3).standard_normal(100).tobytes()
+        add_awgn(clean, 10.0, 3)
+        assert store.get(("standard_normal", 3))[0] is draw
 
     def test_negative_seeds_are_signal_errors(self):
         with pytest.raises(SignalError):

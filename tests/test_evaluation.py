@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from modwave import grid as grids
 from modwave.dsl import (
     BinOp,
     Call,
@@ -26,7 +27,7 @@ from modwave.errors import EvaluationError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.synth import SchemeConfig, formula_context
 
-from conftest import FORMULA_TREES
+from conftest import FORMULA_TREES, cold_store
 
 
 def grid(n, fs=48000.0):
@@ -277,19 +278,20 @@ class TestBroadcasting:
         ],
     )
     def test_bound_inputs_are_never_written(self, rng, formula):
-        t = grid(32)
+        store = grids.grid(32, 48000.0)
+        t = store.t
         signals = {"m(t)": rng.normal(size=t.size), "I(t)": rng.uniform(1, 2, (3, 1))}
         before = {name: value.copy() for name, value in signals.items()}
         grid_before = t.copy()
         expr = parse_formula(formula)
         evaluate(expr, EvalContext(signals=signals), t)
-        kept = {key: value.copy() for key, (value, _) in evaluation._MEMO.entries.items()}
+        kept = {key: value.copy() for key, (value, _) in store.entries.items()}
         evaluate(expr, EvalContext(signals=signals), t)
         assert np.array_equal(t, grid_before)
         for name, value in signals.items():
             assert np.array_equal(value, before[name]), name
         for key, value in kept.items():
-            assert evaluation._MEMO.entries[key][0].tobytes() == value.tobytes(), key
+            assert store.entries[key][0].tobytes() == value.tobytes(), key
 
     def test_constant_formula_fills_the_grid(self):
         result = evaluate(parse_formula("A * pi"), EvalContext(constants={"A": 2.0}), grid(6))
@@ -404,17 +406,16 @@ def test_every_formula_context_binding_resolves_as_before(monkeypatch, rows):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    memo = evaluation._Memo()
-    monkeypatch.setattr(evaluation, "_MEMO", memo)
-    return memo
+def empty_store():
+    """store(n, fs): the store of that grid, empty at its first call."""
+    with cold_store():
+        yield lambda n, fs=48000.0: grids.grid(n, fs)
 
 
 def _fresh(expr, ctx, t):
-    """The outcome of an evaluation that keeps and serves no subtree."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_invariant_subtrees", lambda expr, constants: {})
-        return _outcome(expr, ctx, t)
+    """The outcome of an evaluation that keeps and serves no subtree: on a
+    copy of the grid, which is no store's axis."""
+    return _outcome(expr, ctx, np.array(t))
 
 
 def _assert_same_outcome(got, want, what):
@@ -432,8 +433,8 @@ def _grammar_trees():
     return tuple(parse_formula(text) for text in _oracle_formulas())
 
 
-class TestMemo:
-    """Label-invariant subtrees kept for the last grid give the bits, guard
+class TestStore:
+    """Label-invariant subtrees kept in the grid's store give the bits, guard
     counts and invalid masks of an evaluation that keeps nothing."""
 
     CONSTANTS = {"A": 0.7, "A_c": 0.7, "m": 0.5, "k_f": 500.0, "k_p": 1.0, "f_m": 200.0,
@@ -454,14 +455,14 @@ class TestMemo:
         picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
         rows=st.booleans(),
     )
-    def test_a_warm_memo_gives_the_fresh_outcome(self, trees, picks, rows):
+    def test_a_warm_store_gives_the_fresh_outcome(self, trees, picks, rows):
         grammar = _grammar_trees()
         trees = trees + [grammar[i % len(grammar)] for i in picks]
-        grids = (grid(40), grid(40, fs=24000.0))
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
             # nested sums of drawn bounds stay small
             patch.setattr(evaluation, "MAX_SUM_ITERATIONS", 50)
-            for t in grids * 2:
+            for fs in (48000.0, 24000.0) * 2:
+                t = grids.grid(40, fs).t
                 for f_c in (6000.0, 4000.0):
                     ctx = self.context(t, f_c, rows)
                     for expr in trees:
@@ -470,46 +471,68 @@ class TestMemo:
 
     @pytest.mark.parametrize("rows", [False, True], ids=["n", "rows-n"])
     def test_every_grammar_formula_interleaved(self, rows):
-        grids = (grid(96), grid(96, fs=24000.0))
         trees = _grammar_trees()
-        for t in grids:
+        for fs in (48000.0, 24000.0):
+            t = grids.grid(96, fs).t
             for f_c in (6000.0, 4000.0, 6000.0):
                 ctx = self.context(t, f_c, rows)
                 for expr in trees:
                     _assert_same_outcome(_outcome(expr, ctx, t), _fresh(expr, ctx, t), expr)
 
-    def test_signed_zero_constants_are_distinct_keys(self, empty_memo):
-        t = grid(16)
+    def test_signed_zero_constants_are_distinct_keys(self, empty_store):
+        store = empty_store(16)
         ctx = EvalContext(signals={"I(t)": np.linspace(0.5, 1.5, 16)})
         for c in (0.0, -0.0, 0.0):
             expr = BinOp("*", Symbol("I(t)"), Call("sin", (BinOp("*", Symbol("t"), Const(c)),)))
-            warm = evaluate(expr, ctx, t).samples
-            assert warm.tobytes() == _fresh(expr, ctx, t)[0].tobytes(), c
+            warm = evaluate(expr, ctx, store.t).samples
+            assert warm.tobytes() == _fresh(expr, ctx, store.t)[0].tobytes(), c
             assert np.signbit(warm).all() == np.signbit(c)
-        assert len(empty_memo.entries) == 2
+        assert len(store.entries) == 2
 
-    def test_more_invariant_subtrees_than_slots(self, empty_memo):
-        text = " + ".join(f"I(t) * sin({k} * t)" for k in range(1, 8))
+    def test_more_invariant_subtrees_than_slots(self, empty_store, monkeypatch):
+        # cos(t) is held while the sum's subtrees evict its entry
+        terms = " + ".join(f"I(t) * sin({k} * t)" for k in range(1, grids.SLOTS + 4))
+        text = f"cos(t) * ({terms})"
         expr = parse_formula(text)
         ctx = EvalContext(signals={"I(t)": np.linspace(-1, 1, 4)[:, None]})
-        t = grid(64)
-        for _ in range(2):
-            _assert_same_outcome(_outcome(expr, ctx, t), _fresh(expr, ctx, t), text)
-        assert len(empty_memo.entries) == evaluation.MEMO_SLOTS
+        store = empty_store(64)
+        put = store.put
 
-    def test_repeated_subtree_is_computed_once(self, empty_memo, monkeypatch):
+        def bounded_put(*args):
+            value = put(*args)
+            assert len(store.entries) <= grids.SLOTS
+            return value
+
+        monkeypatch.setattr(store, "put", bounded_put)
+        for _ in range(2):
+            _assert_same_outcome(_outcome(expr, ctx, store.t), _fresh(expr, ctx, store.t), text)
+        assert len(store.entries) == grids.SLOTS
+
+    def test_the_least_recently_used_entry_goes(self, empty_store):
+        store = empty_store(8)
+        arrays = [np.full(8, float(k)) for k in range(grids.SLOTS + 1)]
+        for k, array in enumerate(arrays[:-1]):
+            assert store.put(k, array) is array and not array.flags.writeable
+        assert store.get(0)[0] is arrays[0]  # now the most recent: 1 is the least
+        store.put(grids.SLOTS, arrays[-1])
+        assert list(store.entries) == [*range(2, grids.SLOTS), 0, grids.SLOTS]
+        # the evicted array is dropped, not written
+        assert np.array_equal(arrays[1], np.full(8, 1.0))
+
+    def test_repeated_subtree_is_computed_once(self, empty_store, monkeypatch):
         text = "I(t)*cos(2*pi*f_c*t) + (A*cos(2*pi*f_c*t + phi)) + (A*cos(2*pi*f_c*t + phi))"
         ctx = EvalContext(constants={"A": 0.7, "f_c": 6000.0, "phi": 0.0},
                           signals={"I(t)": np.ones(32)})
+        store = empty_store(32)
         stored = []
-        store = empty_memo.store
+        put = store.put
 
-        def counting_store(key, value, hits):
+        def counting_put(key, value, hits):
             stored.append(key)
-            store(key, value, hits)
+            return put(key, value, hits)
 
-        monkeypatch.setattr(empty_memo, "store", counting_store)
-        evaluate(parse_formula(text), ctx, grid(32))
+        monkeypatch.setattr(store, "put", counting_put)
+        evaluate(parse_formula(text), ctx, store.t)
         assert len(stored) == len(set(stored)) == 2
 
     def test_a_stream_free_result_is_the_callers_own(self):
@@ -524,28 +547,37 @@ class TestMemo:
 
     @pytest.mark.parametrize("divisor, per_row", [("t", 1), ("0", 32)])
     @pytest.mark.parametrize("rows", [None, 16])
-    def test_guards_replay_on_a_hit(self, empty_memo, divisor, per_row, rows):
+    def test_guards_replay_on_a_hit(self, empty_store, divisor, per_row, rows):
         # 1/t is guarded at t = 0 alone; t/0 at every sample of a scalar divisor
         expr = parse_formula(f"I(t) * (f_c * t / {divisor} + 1)")
         shape = (32,) if rows is None else (rows, 1)
         ctx = EvalContext(constants={"f_c": 6000.0}, signals={"I(t)": np.ones(shape)})
-        t = grid(32)
+        store = empty_store(32)
         counts = []
         for _ in range(2):
-            counts.append(evaluate(expr, ctx, t).guard_count)
-            assert len(empty_memo.entries) == 1
-        assert counts == [per_row * (rows or 1)] * 2 == [_fresh(expr, ctx, t)[1]] * 2
+            counts.append(evaluate(expr, ctx, store.t).guard_count)
+            assert len(store.entries) == 1
+        assert counts == [per_row * (rows or 1)] * 2 == [_fresh(expr, ctx, store.t)[1]] * 2
 
-    def test_a_grid_one_bit_apart_clears_the_memo(self, empty_memo):
+    def test_only_the_stores_axis_is_served(self, empty_store):
         expr = parse_formula("I(t) * cos(2*pi*f_c*t)")
         ctx = EvalContext(constants={"f_c": 6000.0}, signals={"I(t)": np.ones((2, 1))})
-        t = grid(64)
+        store = empty_store(64)
+        t = store.t
         evaluate(expr, ctx, t)
+        (key, (value, _)), = store.entries.items()
+        # another grid, one bit apart or an equal copy, reads and keeps nothing
         apart = t.copy()
         apart.view(np.int64)[9] += 1
-        got = evaluate(expr, ctx, apart).samples
-        assert got.tobytes() == _fresh(expr, ctx, apart)[0].tobytes()
-        assert got.tobytes() != evaluate(expr, ctx, t).samples.tobytes()
-        # the same array written in place is a new grid too
-        t.view(np.int64)[9] += 1
-        assert evaluate(expr, ctx, t).samples.tobytes() == got.tobytes()
+        for other in (apart, t.copy()):
+            got = evaluate(expr, ctx, other).samples
+            assert got.tobytes() == np.tile(np.cos(2 * np.pi * 6000.0 * other), (2, 1)).tobytes()
+            assert list(store.entries) == [key] and store.entries[key][0] is value
+        on_axis = evaluate(expr, ctx, t).samples
+        assert evaluate(expr, ctx, apart).samples.tobytes() != on_axis.tobytes()
+        # the axis cannot change in place, and a grid the store does not own is checked
+        with pytest.raises(ValueError):
+            t[9] = 0.0
+        apart[40] = 1.0
+        with pytest.raises(EvaluationError):
+            evaluate(expr, ctx, apart)

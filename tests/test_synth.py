@@ -1,12 +1,16 @@
 import csv
 import math
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import modwave
+from modwave import grid as grids
 from modwave.dsl import (
     CLASS_VALID,
     EvalContext,
@@ -17,18 +21,21 @@ from modwave.dsl import (
     parse_formula,
     validate,
 )
+from modwave.channel import ChannelConfig, add_awgn
 from modwave.dsl.ast import affine_in, reads
+from modwave.dsl.evaluation import invariant_key
 from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
+from modwave.metrics import compare
 from modwave.synth import (
     REFERENCE_SCHEMES,
     SCHEMES,
     SampledSignal,
     SchemeConfig,
+    _CARRIER_TREES,
     _carrier,
     _rrc_baseband,
-    _time_grid,
     bits_to_labels,
     candidate_bank,
     candidate_basis,
@@ -45,7 +52,7 @@ from modwave.synth import (
     write_waveform,
 )
 
-from conftest import SPECIAL, SPECIAL_F32
+from conftest import SPECIAL, SPECIAL_F32, cold_store
 
 # the special values a float32 dump can hold: the finite ones beyond its range raise
 WRITABLE = SPECIAL[~(np.isfinite(SPECIAL) & (np.abs(SPECIAL) > np.finfo(np.float32).max))]
@@ -318,6 +325,14 @@ class TestCarrier:
             SchemeConfig(scheme, n_symbols=300, seed=3, pulse=pulse)
         )
 
+    # formula rows on the stored carrier: its subtrees, a guarded divisor in
+    # an invariant subtree, and samples that go non-finite
+    FORMULAS = (
+        "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (A*cos(2*pi*f_c*t))",
+        "Q(t) * (sin(2*pi*f_c*t) / t + 1)",
+        "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (I(t))^0.5",
+    )
+
     def test_alternating_grids_never_reuse_a_stale_carrier(self):
         configs = [
             SchemeConfig("qpsk", n_symbols=400, seed=1),
@@ -330,11 +345,32 @@ class TestCarrier:
             SchemeConfig("psk8", n_symbols=400, seed=4, symbol_rate=1200.0),
             SchemeConfig("qam64", n_symbols=400, seed=5, pulse="rrc", carrier_freq=5000.0),
         ]
-        for cfg in configs + configs[::-1] + configs:
+        for i, cfg in enumerate(configs + configs[::-1] + configs):
             assert_carrier_rows_match_the_oracle(cfg)
+            formula = SchemeConfig(
+                "formula:x", n_symbols=cfg.n_symbols, seed=i, base_scheme="qam16",
+                carrier_freq=cfg.carrier_freq, symbol_rate=cfg.symbol_rate,
+                formula_text=self.FORMULAS[i % len(self.FORMULAS)],
+            )
+            for labels in (gen_bits(cfg.n_symbols, i) * 15, np.arange(16)[:, None]):
+                warm = evaluate(*formula_context(formula, labels))
+                with cold_store():
+                    fresh = evaluate(*formula_context(formula, labels))
+                assert warm.samples.tobytes() == fresh.samples.tobytes(), formula
+                assert warm.guard_count == fresh.guard_count, formula
+                assert np.array_equal(warm.invalid_mask, fresh.invalid_mask), formula
+            clean = modulate(cfg)
+            scale = math.sqrt(clean.power / 10**0.3)
+            noise = np.random.default_rng(i % 3).normal(0.0, scale, clean.samples.size)
+            noisy = add_awgn(clean, 3.0, i % 3).samples
+            assert noisy.tobytes() == (clean.samples + noise).tobytes(), cfg
 
     def test_cached_carrier_is_read_only(self):
-        for array in _carrier(480, 48_000.0, 6000.0):
+        cfg = SchemeConfig("qam16", n_symbols=10)
+        pair = _carrier(cfg)
+        store = grids.grid(cfg.n_samples, cfg.sample_rate)
+        for tree, array in zip(_CARRIER_TREES, pair):
+            assert store.get(invariant_key(tree, {"f_c": cfg.carrier_freq}))[0] is array
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -342,7 +378,43 @@ class TestCarrier:
     @pytest.mark.parametrize("sample_rate", [48_000.0, 14_400.0, 44_100.0, 12_345.678])
     def test_float_time_grid_has_the_int_grid_bits(self, n, sample_rate):
         expected = np.arange(n) / sample_rate
-        assert _time_grid(n, sample_rate).tobytes() == expected.tobytes()
+        assert grids.grid(n, sample_rate).t.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("formula_first", [False, True])
+    def test_qam16_and_a_formula_share_one_carrier_pair(self, formula_first):
+        qam16 = SchemeConfig("qam16", n_symbols=200, seed=4)
+        formula = SchemeConfig(
+            "formula:x", n_symbols=200, seed=5, base_scheme="qam16",
+            formula_text="I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)",
+        )
+        rows = [formula, qam16] if formula_first else [qam16, formula]
+        with cold_store():
+            compare(rows, ChannelConfig(target_snr_db=5.0))
+            store = grids.last()
+            cos, sin = _carrier(qam16)
+            # the formula read the pair qam16 scaled: a recomputed value
+            # would have replaced the entry, not shared it
+            assert sum(value is cos or value is sin for value, _ in store.entries.values()) == 2
+            wanted = {cos.tobytes(), sin.tobytes()}
+            assert sum(value.tobytes() in wanted for value, _ in store.entries.values()) == 2
+            assert len(store.entries) == 3  # cos, sin and the noise draw
+            labels = bits_to_labels(modulate(formula).origin_bits, 4)
+            points = constellation("qam16")[labels]
+            sps = formula.samples_per_symbol
+            i, q = np.repeat(points.real, sps), np.repeat(points.imag, sps)
+            assert modulate(formula).samples.tobytes() == (i * cos - q * sin).tobytes()
+
+    def test_no_module_keeps_arrays_after_a_compare(self):
+        compare([SchemeConfig(s, n_symbols=100) for s in ("qam16", "am", "fsk")]
+                + [SchemeConfig("formula:m2", n_symbols=100)], ChannelConfig())
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "modwave"]
+        assert grids in modules and len(modules) > 10
+        for module in modules:
+            for name, value in vars(module).items():
+                assert not isinstance(value, np.ndarray), (module.__name__, name)
+                assert not hasattr(value, "cache_info"), (module.__name__, name)
+        for path in Path(modwave.__file__).parent.rglob("*.py"):
+            assert "lru_cache" not in path.read_text(), path
 
 
 class TestFormulaSynthesis:
