@@ -88,10 +88,11 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    # the config's own object for this scheme first, as compare runs it
+    # the config's first entry for this scheme, string or object, as compare
+    # orders its rows
     wanted = normalize_scheme_id(args.scheme)
-    entry = next((s for s in config.schemes if isinstance(s, dict)
-                  and normalize_scheme_id(s["scheme"]) == wanted), args.scheme)
+    entry = next((s for s in config.schemes if normalize_scheme_id(
+        s["scheme"] if isinstance(s, dict) else s) == wanted), args.scheme)
     scheme_cfg, channel = seed_row(
         config.scheme_config(entry), config.channel, config.master_seed
     )

@@ -111,10 +111,10 @@ def welch_psd(
 
     accum = np.zeros(segment_length // 2 + 1)
     for _, power in _frame_power(frames, taps):
-        # the running total joins the first frame and accumulate adds row
-        # after row, so the sum is the frame-by-frame loop's, bit for bit
+        # the running total joins the first frame and a reduce over rows adds
+        # row after row, so the sum is the frame-by-frame loop's, bit for bit
         power[0] += accum
-        accum = np.add.accumulate(power, axis=0)[-1]
+        accum = np.add.reduce(power, axis=0)
     density = accum / (len(frames) * fs * compensation)
     # fold negative frequencies into the interior bins
     if segment_length % 2 == 0:

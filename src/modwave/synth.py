@@ -58,8 +58,10 @@ class SampledSignal:
                 f"a real passband needs real samples, got {self.samples.dtype}"
             )
 
-    @property
+    @cached_property
     def power(self) -> float:
+        """Mean square of the samples, measured once per signal. A signal
+        built with replace measures its own."""
         return float(np.mean(self.samples**2))
 
     def __len__(self) -> int:
@@ -265,14 +267,21 @@ def map_symbols(bits: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
-    """Minimum-distance decisions back to bits, a block of points at a time."""
+    """Minimum-distance decisions back to bits, a block of points at a time.
+
+    |p - c|² = |p|² - 2·Re(p·conj(c)) + |c|², and |p|² is the same for
+    every point c, so each decision is the argmin of the score
+    [Re p, Im p, 1] · [-2·Re c, -2·Im c, |c|²]: one product per block.
+    """
     scheme = normalize_scheme_id(scheme)
     points = constellation(scheme)
+    weights = np.stack([-2.0 * points.real, -2.0 * points.imag, np.abs(points) ** 2])
     labels = np.empty(points_rx.size, dtype=np.int64)
     step = max(1, (1 << 16) // points.size)
     for start in range(0, points_rx.size, step):
-        block = points_rx[start : start + step, None]
-        labels[start : start + step] = np.argmin(np.abs(block - points), axis=1)
+        block = points_rx[start : start + step]
+        features = np.column_stack([block.real, block.imag, np.ones(block.size)])
+        np.argmin(features @ weights, axis=1, out=labels[start : start + step])
     return labels_to_bits(labels, _bits_per_symbol(scheme))
 
 
@@ -430,13 +439,14 @@ def _gmsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 
 
 def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    # binary up/down linear sweeps over +-symbol_rate, phase reset per symbol
+    # binary up/down linear sweeps over +-symbol_rate, phase reset per symbol:
+    # the two one-symbol sweeps, gathered by label
     tau = np.arange(cfg.samples_per_symbol) / cfg.sample_rate
-    direction = (2.0 * labels - 1.0)[:, None]
+    direction = np.array([-1.0, 1.0])[:, None]
     sweep = cfg.symbol_rate * (2 * tau * cfg.symbol_rate - 1)
     inst = cfg.carrier_freq + direction * sweep[None, :]
     phase = 2 * np.pi * np.cumsum(inst, axis=1) / cfg.sample_rate
-    return cfg.amplitude * np.cos(phase).reshape(-1)
+    return (cfg.amplitude * np.cos(phase))[labels].reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,13 +633,17 @@ def normalize_power(signal: SampledSignal) -> SampledSignal:
     The result's gain records the realized amplitude ratio
     sqrt(scaled power / input power), compounded with the input's gain, so
     receivers can scale noiseless candidates without synthesizing again.
+    The result carries the scaled power it measured as its power, which the
+    channel's noise calibration and SNR measurement read.
     """
     current = signal.power
     if current <= 0:
         raise ZeroPowerError("cannot normalize a zero-power signal")
-    scaled = replace(signal, samples=signal.samples * float(np.sqrt(1.0 / current)))
-    gain = float(np.sqrt(scaled.power / current))
-    return replace(scaled, gain=signal.gain * gain)
+    samples = signal.samples * float(np.sqrt(1.0 / current))
+    power = float(np.mean(samples**2))
+    scaled = replace(signal, samples=samples, gain=signal.gain * float(np.sqrt(power / current)))
+    scaled.__dict__["power"] = power  # the cached_property's slot
+    return scaled
 
 
 def write_json(payload, path) -> None:

@@ -158,6 +158,18 @@ class TestEvalCommand:
             assert report["report"] == row, scheme
             assert report["channel"]["seed"] == row["seeds"]["channel"], scheme
 
+    def test_the_first_entry_for_a_scheme_runs(self, tmp_path):
+        # a plain "qpsk" listed before a qpsk object is the row eval runs, as
+        # compare orders them; the rrc object would have no receiver
+        schemes = ["qpsk", {"scheme": "qpsk", "pulse": "rrc"}]
+        config = write_config(tmp_path, schemes=schemes, scheme_defaults={"n_symbols": 500})
+        assert main(["compare", "--config", str(config)]) == 0
+        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
+        assert rows[0]["error"] is None and rows[1]["error"] is not None
+        assert main(["eval", "--config", str(config), "--scheme", "qpsk"]) == 0
+        report = json.loads((tmp_path / "out" / "qpsk_report.json").read_text())
+        assert report["report"] == rows[0]
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         main(["eval", "--config", str(config), "--scheme", "bpsk"])

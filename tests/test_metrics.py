@@ -886,6 +886,24 @@ class TestCompare:
         # m(t) for the waveform and for the candidate bank, or not at all
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("scheme", ["qpsk", "chirp", "msk", "am"])
+    def test_direct_path_measures_the_clean_power_once(self, monkeypatch, scheme):
+        cfg = SchemeConfig(scheme, n_symbols=300, seed=2)
+        squares = normalize_power(modulate(cfg)).samples ** 2
+        measured = []
+        mean = np.mean
+
+        def counting(values, *args, **kwargs):
+            if np.shape(values) == squares.shape and np.array_equal(values, squares):
+                measured.append(1)
+            return mean(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "mean", counting)
+        report = run_scheme(cfg, ChannelConfig(target_snr_db=5.0, seed=3)).report
+        assert report.error is None and report.snr_db is not None
+        # normalize_power measures it; the noise calibration and SNR read it
+        assert len(measured) == 1
+
     def test_program_fault_is_raised_not_recorded(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("unsupported operand")

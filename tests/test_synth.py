@@ -43,6 +43,7 @@ from modwave.synth import (
     demap_symbols,
     formula_context,
     gen_bits,
+    labels_to_bits,
     map_symbols,
     modulate,
     normalize_power,
@@ -59,6 +60,37 @@ WRITABLE = SPECIAL[~(np.isfinite(SPECIAL) & (np.abs(SPECIAL) > np.finfo(np.float
 
 
 DIGITAL = [s for s in REFERENCE_SCHEMES if s not in ("am", "fm", "pm")]
+ALPHABETS = [name for name, s in SCHEMES.items() if s.alphabet is not None]
+
+
+def oracle_demap_labels(rx, points):
+    """The distance demapper: argmin |p - c| over every point c, in blocks."""
+    labels = np.empty(rx.size, dtype=np.int64)
+    step = max(1, (1 << 16) // points.size)
+    for start in range(0, rx.size, step):
+        block = rx[start : start + step, None]
+        labels[start : start + step] = np.argmin(np.abs(block - points), axis=1)
+    return labels
+
+
+def oracle_chirp_wave(cfg, labels):
+    """The per-symbol chirp: every symbol's sweep computed again."""
+    tau = np.arange(cfg.samples_per_symbol) / cfg.sample_rate
+    direction = (2.0 * labels - 1.0)[:, None]
+    sweep = cfg.symbol_rate * (2 * tau * cfg.symbol_rate - 1)
+    inst = cfg.carrier_freq + direction * sweep[None, :]
+    phase = 2 * np.pi * np.cumsum(inst, axis=1) / cfg.sample_rate
+    return cfg.amplitude * np.cos(phase).reshape(-1)
+
+
+# the default grid, an off-cycle carrier at 10 samples per symbol, odd
+# sample counts per symbol and a non-unit amplitude
+CHIRP_GEOMETRIES = [
+    {},
+    {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
+    {"carrier_freq": 2100.0, "symbol_rate": 1000.0, "samples_per_symbol": 9, "amplitude": 2.5},
+    {"carrier_freq": 8500.0, "symbol_rate": 2000.0, "samples_per_symbol": 13},
+]
 
 
 class TestBits:
@@ -149,18 +181,35 @@ class TestSymbolMaps:
             symbols = map_symbols(bits, scheme)
             assert np.array_equal(demap_symbols(symbols, scheme), bits), scheme
 
-    @pytest.mark.parametrize("scheme", ["psk8", "qam128", "qam256"])
+    @pytest.mark.parametrize("scheme", ALPHABETS)
     def test_blocked_demap_decides_as_the_full_distance_table(self, scheme):
-        # noisy points spanning many blocks and a partial last one
-        rng = np.random.default_rng(5)
+        # 1,000,002 noisy points, a third each at 0, 10 and 20 dB: many
+        # blocks and a partial last one
+        rng = np.random.default_rng(11)
         points = constellation(scheme)
-        rx = points[rng.integers(0, points.size, 3001)]
-        rx = rx + 0.2 * (rng.standard_normal(rx.size) + 1j * rng.standard_normal(rx.size))
-        labels = np.argmin(np.abs(rx[:, None] - points[None, :]), axis=1)
-        bps = points.size.bit_length() - 1
-        expected = ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
-        assert np.array_equal(demap_symbols(rx, scheme), expected)
+        for snr_db in (0.0, 10.0, 20.0):
+            sent = points[rng.integers(0, points.size, 333_334)]
+            noise = rng.standard_normal(2 * sent.size).view(complex)  # unit power per part
+            rx = sent + math.sqrt(10 ** (-snr_db / 10) / 2) * noise
+            labels = oracle_demap_labels(rx, points)
+            expected = labels_to_bits(labels, SCHEMES[scheme].bits_per_symbol)
+            assert np.array_equal(demap_symbols(rx, scheme), expected), (scheme, snr_db)
         assert demap_symbols(rx[:0], scheme).size == 0
+
+    @given(
+        scheme=st.sampled_from(ALPHABETS),
+        coords=st.lists(
+            st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=1, max_size=64
+        ),
+    )
+    def test_score_product_decides_as_the_distance_oracle(self, scheme, coords):
+        rx = np.array([complex(re, im) for re, im in coords])
+        points = constellation(scheme)
+        # two nearest points within rounding of each other are a tie either way
+        nearest = np.sort(np.abs(rx[:, None] - points) ** 2, axis=1)[:, :2]
+        rx = rx[nearest[:, 1] - nearest[:, 0] >= 1e-9 * nearest[:, 1]]
+        expected = labels_to_bits(oracle_demap_labels(rx, points), SCHEMES[scheme].bits_per_symbol)
+        assert np.array_equal(demap_symbols(rx, scheme), expected)
 
     def test_indivisible_bit_count_rejected(self):
         with pytest.raises(SignalError):
@@ -254,6 +303,21 @@ class TestReferenceWaveforms:
             cfg = SchemeConfig(scheme, n_symbols=50, seed=13)
             one, two = modulate(cfg), modulate(cfg)
             assert np.array_equal(one.samples, two.samples), scheme
+
+    @given(
+        geometry=st.sampled_from(CHIRP_GEOMETRIES),
+        n_symbols=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chirp_equals_the_per_symbol_oracle(self, geometry, n_symbols, seed):
+        cfg = SchemeConfig("chirp", n_symbols=n_symbols, seed=seed, **geometry)
+        signal = modulate(cfg)
+        expected = oracle_chirp_wave(cfg, signal.origin_bits.astype(np.int64))
+        assert signal.samples.tobytes() == expected.tobytes()
+        bank = candidate_bank(cfg)
+        for label, row in enumerate(bank):
+            held = np.full(n_symbols, label, dtype=np.int64)
+            assert row.tobytes() == oracle_chirp_wave(cfg, held).tobytes(), label
 
     def test_all_waveforms_finite_and_sized(self):
         for scheme in REFERENCE_SCHEMES:
@@ -544,6 +608,8 @@ class TestNormalizePower:
             cfg = SchemeConfig(scheme, n_symbols=200, seed=3, amplitude=2.5)
             out = normalize_power(modulate(cfg))
             assert out.power == pytest.approx(1.0, rel=1e-6), scheme
+            # the power it carries is a fresh measurement's, bit for bit
+            assert out.power == float(np.mean(out.samples**2)), scheme
 
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
@@ -557,6 +623,19 @@ class TestNormalizePower:
             out = normalize_power(raw)
             assert out.gain == float(np.sqrt(out.power / raw.power)), scheme
             assert out.gain == pytest.approx(1.0 / np.sqrt(raw.power), rel=1e-12), scheme
+
+    def test_a_replaced_signal_measures_its_own_power(self):
+        once = normalize_power(SampledSignal(np.array([2.0, -2.0, 2.0, -2.0]), 48000.0))
+        assert once.power == 1.0
+        tripled = replace(once, samples=once.samples * 3.0)
+        assert tripled.power == 9.0
+        # a replace that keeps the samples measures them again too
+        regained = replace(once, gain=1.0)
+        assert "power" not in vars(regained) and regained.power == 1.0
+        # the noise is calibrated against the replaced signal's own power
+        noisy = add_awgn(tripled, 0.0, 4)
+        noise = np.random.default_rng(4).normal(0.0, 3.0, 4)
+        assert noisy.samples.tobytes() == (tripled.samples + noise).tobytes()
 
     def test_gain_compounds(self):
         sig = SampledSignal(np.array([2.0, -2.0, 2.0, -2.0]), 48000.0)
