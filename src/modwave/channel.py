@@ -133,12 +133,16 @@ def apply_multipath(signal: SampledSignal, taps: tuple[Tap, ...]) -> SampledSign
 def apply_fading(
     signal: SampledSignal, fading: FadingConfig, seed
 ) -> SampledSignal:
-    """Per-block multiplicative Rayleigh attenuation, constant in-block."""
+    """Per-block multiplicative Rayleigh attenuation, constant in-block.
+
+    A block longer than the signal is one block of the signal's length, so
+    the gain never holds more samples than the signal and its last block.
+    """
     rng = np.random.default_rng(seed)
     n = len(signal)
     n_blocks = -(-n // fading.block_length_samples)
     draws = rng.rayleigh(fading.sigma, n_blocks)
-    gain = np.repeat(draws, fading.block_length_samples)[:n]
+    gain = np.repeat(draws, min(fading.block_length_samples, n))[:n]
     return replace(signal, samples=signal.samples * gain)
 
 

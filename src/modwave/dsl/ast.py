@@ -134,36 +134,108 @@ def reads(expr: Expr) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(names), frozenset(integrated)
 
 
-def affine_in(expr: Expr) -> bool:
-    """Whether the tree is a(t) + sum_i c_i(t)*s_i(t) in the label streams.
+def _terms(node: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
+    """The signed additive terms of a tree: a - (b + c) is +a, -b, -c."""
+    if isinstance(node, BinOp) and node.op in "+-":
+        flip = sign if node.op == "+" else -sign
+        return _terms(node.left, sign) + _terms(node.right, flip)
+    return [(sign, node)]
 
-    Conservative: True only for a subtree that reads no stream, a stream
-    symbol, negations, sums and differences of such terms, products in
-    which at most one factor reads a stream, and division by a divisor
-    that reads none. A power, sin, cos, sum or integral of a stream is
-    never affine. Names resolve as in reads, so a bare Q is Q(t). One
-    bottom-up walk returns each subtree's (reads a stream, affine).
+
+def _signed_sum(terms: list[tuple[int, Expr]]) -> Expr:
+    (sign, out), *rest = terms
+    out = out if sign > 0 else Neg(out)
+    for sign, term in rest:
+        out = BinOp("+" if sign > 0 else "-", out, term)
+    return out
+
+
+def separable_in(expr: Expr) -> tuple[Expr, dict[str, Expr]] | None:
+    """The tree as a(t) + sum_j c_j(t)*h_j(labels), or None for the bank.
+
+    Returns (rewritten, features). rewritten is affine in the label streams
+    it reads and in feature streams named #0, #1, ..., and features maps
+    each name to h_j, a tree that reads label streams and otherwise only pi
+    and scalars. Bound to the h_j's values, rewritten equals the tree. A
+    tree affine in the streams comes back unchanged, with no features.
+
+    One bottom-up walk classes each subtree by whether it reads a label
+    stream and whether it reads time (t, m(t) or an undefined name):
+    - a maximal subtree that reads streams but not time becomes a feature,
+      unless it is affine in the streams, like (I - Q)/2, which stays;
+    - negations, sums and differences, products in which at most one
+      factor reads a stream, and division by a divisor that reads none
+      keep the tree affine;
+    - cos(a + b) and sin(a + b), where the additive terms of a read no
+      stream and those of b no time, become cos a*h_cos - sin a*h_sin
+      and sin a*h_cos + cos a*h_sin, with h_cos = cos b and h_sin = sin b.
+    Anything else is None: a product of two stream terms, a power of a
+    term that reads both, a stream times t inside a phase, and a stream
+    in a sum or integral. Names resolve as in reads, so a bare Q is Q(t).
     """
+    features: dict[Expr, Symbol] = {}
+    seen: dict[int, tuple[bool, bool, bool]] = {}  # (stream, time, affine) by node id
 
-    def visit(node: Expr, bound: frozenset[str]) -> tuple[bool, bool]:
-        if isinstance(node, Symbol):
-            hit = node.name not in bound and resolve(node.name) in LABEL_STREAMS
-            return hit, True
-        kids = [visit(kid, kid_bound) for kid, kid_bound in _scoped(node, bound)]
-        if not any(hit for hit, _ in kids):
-            return False, True
+    def visit(node: Expr, bound: frozenset[str]) -> bool:
+        """Whether the node is separable; records its class in seen."""
+        if isinstance(node, (Const, Symbol)):
+            stream = time = False
+            if isinstance(node, Symbol) and node.name not in bound:
+                name = resolve(node.name)
+                stream = name in LABEL_STREAMS
+                time = not stream and (name is None or name == "t" or name.endswith("(t)"))
+            seen[id(node)] = stream, time, True
+            return True
+        scoped = _scoped(node, bound)
+        if not all(visit(kid, kid_bound) for kid, kid_bound in scoped):
+            return False
+        classes = [seen[id(kid)] for kid, _ in scoped]
+        stream = any(c[0] for c in classes)
+        time = any(c[1] for c in classes)
+        linear = True  # the node keeps its stream terms affine
+        if stream:
+            if isinstance(node, Call) and node.func in ("sum", "integral"):
+                return False
+            if isinstance(node, BinOp) and node.op == "*":
+                linear = not (classes[0][0] and classes[1][0])
+            elif isinstance(node, BinOp) and node.op == "/":
+                linear = not classes[1][0]
+            else:
+                linear = isinstance(node, (Neg, BinOp))
+        seen[id(node)] = stream, time, linear and all(c[2] for c in classes)
+        if not (stream and time):
+            return True
+        if isinstance(node, Call):  # sin or cos: no additive term may read both
+            return all(not all(seen[id(term)][:2]) for _, term in _terms(node.args[0]))
+        return linear
+
+    def feature(tree: Expr) -> Symbol:  # #j: a name no formula can spell
+        return features.setdefault(tree, Symbol(f"#{len(features)}"))
+
+    def rewrite(node: Expr) -> Expr:
+        stream, time, affine = seen[id(node)]
+        if not stream or (not time and affine):
+            return node
+        if not time:
+            return feature(node)
         if isinstance(node, Neg):
-            return True, kids[0][1]
+            return Neg(rewrite(node.operand))
         if isinstance(node, BinOp):
-            (left_hit, left), (right_hit, right) = kids
-            if node.op in "+-":
-                return True, left and right
-            if node.op == "*":
-                return True, left and right and not (left_hit and right_hit)
-            return True, left and not right_hit
-        return True, False
+            return BinOp(node.op, rewrite(node.left), rewrite(node.right))
+        a, b = [], []
+        for sign, term in _terms(node.args[0]):
+            (b if seen[id(term)][0] else a).append((sign, term))
+        a, b = _signed_sum(a), _signed_sum(b)
+        h_cos, h_sin = feature(Call("cos", (b,))), feature(Call("sin", (b,)))
+        cos_a, sin_a = Call("cos", (a,)), Call("sin", (a,))
+        if node.func == "cos":
+            return BinOp("-", BinOp("*", cos_a, h_cos), BinOp("*", sin_a, h_sin))
+        return BinOp("+", BinOp("*", sin_a, h_cos), BinOp("*", cos_a, h_sin))
 
-    return visit(expr, frozenset())[1]
+    if not visit(expr, frozenset()):
+        return None
+    new = rewrite(expr)
+    return new, {symbol.name: tree for tree, symbol in features.items()}
 
 
 _PREC_ADD = 1

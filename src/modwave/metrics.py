@@ -46,6 +46,10 @@ _BLOCK_SAMPLES = 1 << 18
 # candidate samples held per chunk of labels: bounds the correlation
 # receiver's bank whatever the constellation order or run length
 _BANK_SAMPLES = 1 << 23
+# the correlation receiver decides the lowest label whose score is within
+# TIE_FRACTION of the symbol's received energy of the best score: candidates
+# that differ only by rounding, such as aliased labels, are one decision
+TIE_FRACTION = 1e-9
 
 
 def _frames(samples: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -223,10 +227,11 @@ def correlation_demodulate(
 
     Each symbol interval is compared with the same interval of every
     candidate waveform (the formula or scheme synthesized with that symbol
-    value held constant); the closest candidate wins. A formula affine in
-    its label streams is decided from its basis (synth.candidate_basis),
-    any other scheme from its candidate bank (synth.candidate_bank), built
-    a chunk of at most _BANK_SAMPLES samples at a time. The candidates are
+    value held constant); the closest candidate wins, and _decide breaks
+    ties to rounding alike on both routes. A formula separable in its label
+    streams is decided from its basis (synth.candidate_basis), any other
+    scheme from its candidate bank (synth.candidate_bank), built a chunk of
+    at most _BANK_SAMPLES samples at a time. The candidates are
     synthesized unnormalized, so they take the gain that normalize_power
     recorded on the reference; without a reference they keep gain 1.
     """
@@ -249,8 +254,16 @@ def correlation_demodulate(
             diff = rx - _frames(row, sps, sps)
             dist[m] = np.einsum("ij,ij->i", diff, diff)
     best = np.empty(rx.shape[0], dtype=np.int64)
-    np.argmin(dist, axis=0, out=best)
+    _decide(dist, np.einsum("ij,ij->i", rx, rx), best)
     return labels_to_bits(best, config.bits_per_symbol)
+
+
+def _decide(scores: np.ndarray, energy: np.ndarray, out: np.ndarray) -> None:
+    """Write into out, per symbol column of scores, the lowest label whose
+    score is within TIE_FRACTION·energy of the column's least score."""
+    bound = scores.min(axis=0)
+    bound += TIE_FRACTION * energy
+    np.argmax(scores <= bound, axis=0, out=out)
 
 
 def _basis_labels(
@@ -258,11 +271,12 @@ def _basis_labels(
 ) -> np.ndarray:
     """Minimum-distance labels against the candidates a + sum_i s_mi·c_i.
 
-    rows are candidate_basis's a and a + c_i, values[m] label m's s_m.
-    Over one symbol, |r - a - c·s_m|² = |r - a|² - 2·s_m·<r - a, c> +
-    s_mᵀ·G·s_m, where G is the symbol's Gram matrix of the c_i; the first
-    term is the same for every label. So each score is label m's features
-    [s_m, s_m s_mᵀ] against the symbol's weights [-2<r - a, c>, G].
+    rows are candidate_basis's a and a + c_i, values[m] label m's s_m, its
+    stream and feature values. Over one symbol, |r - a - c·s_m|² =
+    |r - a|² - 2·s_m·<r - a, c> + s_mᵀ·G·s_m, where G is the symbol's Gram
+    matrix of the c_i; the first term is the same for every label. So each
+    score is label m's features [s_m, s_m s_mᵀ] against the symbol's
+    weights [-2<r - a, c>, G], and _decide takes the label from the scores.
     """
     a = _frames(rows[0], sps, sps)
     error = rx - a
@@ -272,11 +286,12 @@ def _basis_labels(
     weights = np.reshape(weights, (-1, rx.shape[0]))
     outer = values[:, :, None] * values[:, None, :]
     features = np.hstack([values, outer.reshape(len(values), -1)])
+    energy = np.einsum("ij,ij->i", rx, rx)
     best = np.empty(rx.shape[0], dtype=np.int64)
     step = max(1, (1 << 16) // len(values))  # symbols per block of scores
     for start in range(0, rx.shape[0], step):
-        scores = features @ weights[:, start : start + step]
-        np.argmin(scores, axis=0, out=best[start : start + step])
+        block = slice(start, start + step)
+        _decide(features @ weights[:, block], energy[block], best[block])
     return best
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsl.ast import Expr, affine_in, reads
+from .dsl.ast import Expr, reads, separable_in
 from .dsl.evaluation import EvalContext, evaluate, invariant_key
 from .dsl.parser import parse_formula
 from .dsl.symbols import LABEL_STREAMS
@@ -599,32 +599,42 @@ def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.nd
 
 
 def candidate_basis(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """A formula's candidates as a(t) + sum_i s_i·c_i(t) in its k label streams.
+    """A formula's candidates as a(t) + sum_j v_j·c_j(t), one column j per
+    label stream it reads and per feature.
 
-    When dsl.ast.affine_in says the formula is affine in the label
-    streams, it is evaluated once with the k streams it reads bound as
-    (1 + k, 1) unit columns: all zeros, then one unit vector per stream.
-    Row 0 is a(t) and row i is a(t) + c_i(t). Returns those rows and
-    values, the (order, k) stream values s_i of each label. Returns None,
-    for the bank, when the formula is not affine or the basis has a
-    non-finite sample.
+    dsl.ast.separable_in rewrites the formula as affine in those columns:
+    the streams, then the features h_j, trees of the streams alone such as
+    cos(pi*d(t)). The rewritten tree is evaluated once with the K columns
+    bound as (1 + K, 1) unit columns: all zeros, then one unit vector per
+    column. Row 0 is a(t) and row j is a(t) + c_j(t). The features are
+    evaluated once at the labels, on two samples of the grid, since they
+    read no time. Returns those rows and values, the (order, K) column
+    values of each label. Returns None, for the bank, when the formula is
+    not separable, or the basis or a feature has a non-finite value.
     """
-    if not affine_in(cfg.formula):
+    split = separable_in(cfg.formula)
+    if split is None:
         return None
-    expr, ctx, t = formula_context(cfg, np.arange(1 << cfg.bits_per_symbol)[:, None])
+    expr, features = split
+    order = 1 << cfg.bits_per_symbol
+    _, ctx, t = formula_context(cfg, np.arange(order)[:, None])
     names = reads(expr)[0]
-    read = [i for i, name in enumerate(LABEL_STREAMS) if name in names]
-    unit = np.eye(len(read) + 1)[:, 1:]
-    signals = {
-        name: value for name, value in ctx.signals.items() if name not in LABEL_STREAMS
-    }
-    for column, i in enumerate(read):
-        signals[LABEL_STREAMS[i]] = unit[:, [column]]
+    streams = {name: ctx.signals[name] for name in LABEL_STREAMS}
+    columns = {name: streams[name] for name in LABEL_STREAMS if name in names}
+    for name, tree in features.items():
+        result = evaluate(tree, EvalContext(ctx.constants, streams), t[:2])
+        if result.invalid_mask.any():
+            return None
+        columns[name] = result.samples[:, :1]
+    unit = np.eye(len(columns) + 1)[:, 1:]
+    signals = {name: value for name, value in ctx.signals.items() if name not in streams}
+    for j, name in enumerate(columns):
+        signals[name] = unit[:, [j]]
     result = evaluate(expr, EvalContext(ctx.constants, signals), t)
     if result.invalid_mask.any():
         return None
-    values = np.hstack([ctx.signals[name] for name in LABEL_STREAMS])[:, read]
-    return result.samples.reshape(len(read) + 1, -1), values
+    values = np.hstack([np.empty((order, 0)), *columns.values()])
+    return result.samples.reshape(len(columns) + 1, -1), values
 
 
 def normalize_power(signal: SampledSignal) -> SampledSignal:

@@ -192,6 +192,13 @@ class TestFading:
         ratio = out.samples / sig.samples
         assert np.allclose(ratio, ratio[0])
 
+    def test_a_block_longer_than_any_grid_is_one_block(self):
+        # the gain holds one value per sample, never one per block sample
+        sig = unit_noise(5_000, seed=7)
+        out = apply_fading(sig, FadingConfig(2**62, 0.7), seed=2)
+        same = apply_fading(sig, FadingConfig(5_000, 0.7), seed=2)
+        assert np.array_equal(out.samples, same.samples)
+
     def test_rayleigh_second_moment(self):
         # E[a^2] = 2 sigma^2 = 1 for sigma = 1/sqrt(2)
         sig = SampledSignal(np.ones(100_000), 48000.0)

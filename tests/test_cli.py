@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from modwave.config import GeneratorSettings, load_config
 from modwave.costmodel import CostInputs
 from modwave.dsl import bundled_generated_path, op_count, parse_formula, load_corpus
 from modwave.errors import ConfigError, ModwaveError
-from modwave.metrics import MetricsParams, write_comparison_csv, write_comparison_json
+from modwave.metrics import MetricsParams, compare, write_comparison_csv, write_comparison_json
 from modwave.synth import SchemeConfig
 
 from conftest import MALFORMED_GRAMMARS
@@ -582,9 +582,17 @@ class TestConfigHandling:
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(json.dumps(config))
         try:
-            load_config(path).scheme_configs()
+            loaded = load_config(path)
+            rows = loaded.scheme_configs()
         except ConfigError:
-            pass  # any other exception fails the test
+            return  # any other exception fails the test
+        # every accepted row runs, at 8 symbols, to a report: compare turns a
+        # ModwaveError into the row's error and lets any other exception out.
+        # A grid above 2^16 samples is not run, to bound the test's memory.
+        small = [replace(row, n_symbols=min(row.n_symbols, 8)) for row in rows]
+        small = [row for row in small if row.n_samples <= 1 << 16]
+        reports = compare(small, loaded.channel, loaded.metrics, loaded.master_seed)
+        assert [report.scheme for report in reports] == [row.scheme for row in small]
 
 
 # a config that uses every section; the property test above mutates it

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
@@ -53,6 +53,7 @@ from modwave.synth import (
     constellation,
     demap_symbols,
     gen_bits,
+    labels_to_bits,
     map_symbols,
     modulate,
     normalize_power,
@@ -74,6 +75,32 @@ class TestWelch:
         unit = normalize_power(x)
         psd = welch_psd(unit)
         assert psd.total_power() == pytest.approx(1.0, rel=0.02)
+
+    # the drawn space: 16,384 to 65,536 samples at 48 kHz; one to three tones
+    # of amplitude 0.1 to 10 at any phase, each 3 to 125 bins of the 256-point
+    # segment from DC (562.5 Hz to 23.4375 kHz), no two of them 1.5 to 2.5
+    # bins apart; white noise of std 0 to 1. Hann frames at 50% overlap weight
+    # the samples by a ripple of 2 bins (period 128 samples), which a tone
+    # 1 bin from DC or Nyquist, or a pair of tones 2 bins apart, beats against:
+    # tones at bins 3 and 5 read 17% high.
+    @given(
+        length=st.integers(16_384, 65_536),
+        tones=st.lists(
+            st.tuples(st.floats(0.1, 10.0), st.floats(3.0, 125.0), st.floats(0.0, 2 * np.pi)),
+            min_size=1, max_size=3,
+        ),
+        noise_std=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parseval_on_drawn_signals(self, length, tones, noise_std, seed):
+        bins = [tone[1] for tone in tones]
+        assume(all(abs(abs(u - v) - 2.0) >= 0.5 for u in bins for v in bins))
+        t = np.arange(length) / FS
+        x = noise_std * np.random.default_rng(seed).standard_normal(length)
+        for amplitude, bins, phase in tones:
+            x += amplitude * np.cos(2 * np.pi * bins * (FS / 256) * t + phase)
+        psd = welch_psd(SampledSignal(x, FS))
+        assert psd.total_power() == pytest.approx(float(np.mean(x**2)), rel=0.02)
 
     def test_parseval_against_direct_periodogram(self, rng):
         # oracle: single full-length periodogram, no segmentation
@@ -609,13 +636,36 @@ def uses_basis(cfg):
 
 
 def both_routes(cfg, snr_db, seed=5):
-    """The correlation receiver's bits on its own route and on the bank route."""
+    """The correlation receiver's bits on its own route and on the bank route,
+    over AWGN at snr_db, or no noise when snr_db is None."""
     clean = normalize_power(modulate(cfg))
-    received = add_awgn(clean, snr_db, seed=seed)
+    received = clean if snr_db is None else add_awgn(clean, snr_db, seed=seed)
     chosen = correlation_demodulate(received, cfg, reference=clean)
     with mock.patch.object(modwave.metrics, "candidate_basis", lambda *bound: None):
         bank = correlation_demodulate(received, cfg, reference=clean)
     return chosen, bank
+
+
+# formulas that take the bank: a guarded division by a stream, a basis with
+# a pole at t = 0, a stream inside a sum, and a stream times t in a phase
+BANK_FORMULAS = (
+    "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (A*sin(2*pi*f_c*t)) / (Q(t)*pi*0)",
+    "I(t)*cos(2*pi*f_c*t) + t^(-1)",
+    "sum(I(t)*cos(2*pi*i*f_c*t), i, 1, 2) - Q(t)/(d(t) + 1)",
+    "A*cos(2*pi*(f_c + 10*d(t))*t)",
+)
+
+# formulas that took the bank before the separable pass: a stream product,
+# a power and an integral of m(t) beside a phase-keyed stream, the corpus
+# qpsk shape, a sin form with a feature beside it, and a product in a phase
+SEPARABLE_FORMULAS = (
+    "I(t)*Q(t)*cos(2*pi*f_c*t)",
+    "A*cos(2*pi*f_c*t + pi*d(t)^2/n)",
+    "A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t))",
+    "A_c*cos(2*pi*f_c*t + (pi/2)*d(t))",
+    "A*sin(2*pi*f_c*t - pi*d(t)/4) + Q(t)/(d(t) + 1)*cos(2*pi*f_c*t)",
+    "A_c*cos(2*pi*f_c*t + pi*I(t)*Q(t)) + k_p*m(t)",
+)
 
 
 class TestBasisRoute:
@@ -681,45 +731,104 @@ class TestBasisRoute:
         assert ber(sig.origin_bits, decided) == 0.0
 
     def test_affine_formula_has_no_bank_size_limit(self):
-        # m2 on qam256 at 20k symbols takes the basis; the product, which is
-        # not affine, takes a 256 x 960k bank built a chunk of labels at a time
+        # m2 on qam256 at 20k symbols takes the basis; a formula with a pole at
+        # t = 0 takes a 256 x 960k bank, built a chunk of labels at a time
         channel = ChannelConfig(target_snr_db=2.0)
         m2 = SchemeConfig("formula:m2", base_scheme="qam256", n_symbols=20_000,
                           formula_text=corpus_formulas()["m2"])
-        product = replace(m2, scheme="formula:iq", formula_text="I(t)*Q(t)*cos(2*pi*f_c*t)")
-        rows = compare([m2, product], channel, master_seed=1)
+        pole = replace(m2, scheme="formula:pole", formula_text=BANK_FORMULAS[1])
+        assert not uses_basis(replace(pole, n_symbols=4))
+        rows = compare([m2, pole], channel, master_seed=1)
         for row in rows:
             assert row.error is None and 0.0 < row.ber < 1.0, row
 
+    @pytest.mark.parametrize("snr_db", [2.0, 30.0])
+    @pytest.mark.parametrize("base", ["qpsk", "qam16", "qam64"])
+    @pytest.mark.parametrize("formula", SEPARABLE_FORMULAS)
+    def test_separable_decisions_equal_the_bank(self, formula, base, snr_db):
+        cfg = SchemeConfig("formula:sep", formula_text=formula, base_scheme=base,
+                           n_symbols=1000, seed=8)
+        assert uses_basis(cfg)
+        chosen, bank = both_routes(cfg, snr_db)
+        assert np.array_equal(chosen, bank)
 
-# formulas the affine pass sends to the bank: products of streams, a power,
-# an integral of m(t), a guarded division and a basis with a pole at t = 0
-BANK_FORMULAS = (
-    "I(t)*Q(t)*cos(2*pi*f_c*t)",
-    "A*cos(2*pi*f_c*t + pi*d(t)^2/n)",
-    "A_c*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t))",
-    "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + (A*sin(2*pi*f_c*t)) / (Q(t)*pi*0)",
-    "I(t)*cos(2*pi*f_c*t) + t^(-1)",
-    "sum(I(t)*cos(2*pi*i*f_c*t), i, 1, 2) - Q(t)/(d(t) + 1)",
-)
+    @pytest.mark.parametrize("period, formula", [
+        (4, "A_c*cos(2*pi*f_c*t + (pi/2)*d(t))"), (2, "A_c*cos(2*pi*f_c*t + pi*d(t))"),
+    ])
+    def test_aliased_labels_decide_the_lowest(self, period, formula):
+        # labels d and d + period send one waveform: the tie step decides d mod period
+        cfg = SchemeConfig("formula:alias", formula_text=formula, n_symbols=2000, seed=9)
+        clean = normalize_power(modulate(cfg))
+        expected = labels_to_bits(bits_to_labels(clean.origin_bits, 4) % period, 4)
+        chosen, bank = both_routes(cfg, None)
+        assert np.array_equal(chosen, expected)
+        assert np.array_equal(bank, expected)
+
+    def test_the_tie_step_is_scale_free(self):
+        # scaling by a power of two scales every score and the received energy
+        # exactly, so the tie window keeps its decisions on both routes
+        cfg = SchemeConfig("formula:alias", formula_text="A_c*cos(2*pi*f_c*t + pi*d(t))",
+                           n_symbols=1000, seed=9)
+        clean = normalize_power(modulate(cfg))
+        received = add_awgn(clean, 2.0, seed=5)
+        scale = 2.0**20
+        loud = replace(received, samples=received.samples * scale)
+        loud_reference = replace(clean, gain=clean.gain * scale)
+        decided = []
+        for basis in (candidate_basis, lambda *bound: None):
+            with mock.patch.object(modwave.metrics, "candidate_basis", basis):
+                decided.append(correlation_demodulate(received, cfg, reference=clean))
+                decided.append(correlation_demodulate(loud, cfg, reference=loud_reference))
+        for bits in decided[1:]:
+            assert np.array_equal(bits, decided[0])
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_corpus_psk_formulas_decide_as_the_reference(self, scheme):
+        # on its own base, a phase-keyed corpus row decides as the nearest receiver
+        reference = SchemeConfig(scheme, n_symbols=2000, seed=10)
+        formula = replace(reference, scheme=f"formula:{scheme}", base_scheme=scheme,
+                          formula_text=corpus_formulas()[scheme])
+        assert uses_basis(formula)
+        clean = normalize_power(modulate(reference))
+        nearest = demodulate(clean, reference, reference=clean)
+        assert np.array_equal(nearest, clean.origin_bits)
+        for bits in both_routes(formula, None):
+            assert np.array_equal(bits, nearest)
+
+    def test_the_seeded_batch_takes_no_bank(self):
+        # generate -n 50 at master seed 2024: the phase-keyed rows take the basis too
+        batch = generate_batch(50, load_grammar(seed=2024))
+        valid = [item.formula for item in batch.items if item.classification == CLASS_VALID]
+        assert len(valid) == 45
+        for formula in valid:
+            assert uses_basis(SchemeConfig("formula:g", formula_text=formula, n_symbols=20)), formula
+
+    def test_the_tie_fraction(self):
+        assert modwave.metrics.TIE_FRACTION == 1e-9
 
 
 class TestBankChunks:
     """The correlation receiver builds its bank a chunk of labels at a time."""
 
-    @pytest.mark.parametrize("base", ["qam16", "qam64"])
     @pytest.mark.parametrize("formula", BANK_FORMULAS)
+    def test_bank_formulas_take_the_bank(self, formula):
+        cfg = SchemeConfig("formula:bank", formula_text=formula, n_symbols=4)
+        assert not uses_basis(cfg)
+
+    @pytest.mark.parametrize("base", ["qam16", "qam64"])
+    @pytest.mark.parametrize("formula", BANK_FORMULAS + SEPARABLE_FORMULAS[:3])
     def test_chunked_decisions_equal_one_chunk(self, formula, base):
+        # the separable formulas are held to the bank route here
         cfg = SchemeConfig("formula:chunks", formula_text=formula, base_scheme=base,
                            n_symbols=150, seed=6)
-        assert not uses_basis(cfg)
         clean = normalize_power(modulate(cfg))
         received = add_awgn(clean, 5.0, seed=7)
-        whole = correlation_demodulate(received, cfg, reference=clean)
-        for labels in (1, 3, 8):
-            with mock.patch.object(modwave.metrics, "_BANK_SAMPLES", labels * cfg.n_samples):
-                chunked = correlation_demodulate(received, cfg, reference=clean)
-            assert np.array_equal(chunked, whole), (formula, labels)
+        with mock.patch.object(modwave.metrics, "candidate_basis", lambda *bound: None):
+            whole = correlation_demodulate(received, cfg, reference=clean)
+            for labels in (1, 3, 8):
+                with mock.patch.object(modwave.metrics, "_BANK_SAMPLES", labels * cfg.n_samples):
+                    chunked = correlation_demodulate(received, cfg, reference=clean)
+                assert np.array_equal(chunked, whole), (formula, labels)
 
     def test_reference_scheme_chunks(self):
         cfg = SchemeConfig("chirp", n_symbols=200, seed=6)
@@ -729,14 +838,16 @@ class TestBankChunks:
         with mock.patch.object(modwave.metrics, "_BANK_SAMPLES", 1):
             assert np.array_equal(correlation_demodulate(received, cfg, reference=clean), whole)
 
-    @pytest.mark.parametrize("formula", BANK_FORMULAS)
+    @pytest.mark.parametrize("formula", BANK_FORMULAS + SEPARABLE_FORMULAS[:3])
     def test_bank_rows_for_labels_equal_the_full_bank(self, formula):
         cfg = SchemeConfig("formula:rows", formula_text=formula, base_scheme="qam16",
                            n_symbols=20)
         labels = np.array([5, 0, 15, 3, 3])
         assert np.array_equal(candidate_bank(cfg, labels), candidate_bank(cfg)[labels])
 
-    @pytest.mark.parametrize("formula", [corpus_formulas()["m2"], BANK_FORMULAS[0]])
+    @pytest.mark.parametrize(
+        "formula", [corpus_formulas()["m2"], SEPARABLE_FORMULAS[0], BANK_FORMULAS[0]]
+    )
     def test_a_formula_row_parses_once(self, formula):
         cfg = SchemeConfig("formula:once", formula_text=formula, n_symbols=100)
         real_parse = modwave.synth.parse_formula

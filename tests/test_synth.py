@@ -22,7 +22,8 @@ from modwave.dsl import (
     validate,
 )
 from modwave.channel import ChannelConfig, add_awgn
-from modwave.dsl.ast import affine_in, reads
+from modwave.dsl import to_text
+from modwave.dsl.ast import reads, separable_in
 from modwave.dsl.evaluation import invariant_key
 from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
@@ -807,12 +808,13 @@ class TestFormulaBank:
 
 
 def assert_basis_sound(formula, base_scheme="qam16"):
-    """Whenever affine_in says affine, every bank row is a + sum_i s_i*c_i."""
+    """Whenever separable_in rewrites the formula, every bank row is
+    a + sum_j v_j*c_j of its basis."""
     cfg = SchemeConfig(
         "formula:oracle", formula_text=formula, n_symbols=6, base_scheme=base_scheme
     )
     basis = candidate_basis(cfg)
-    assert (basis is not None) <= affine_in(cfg.formula), formula
+    assert (basis is not None) <= (separable_in(cfg.formula) is not None), formula
     if basis is None:
         return
     rows, values = basis
@@ -824,7 +826,7 @@ def assert_basis_sound(formula, base_scheme="qam16"):
 
 
 class TestFormulaBasis:
-    """The affine pass and the basis it licenses, against the bank."""
+    """The separable pass and the basis it licenses, against the bank."""
 
     CARRIER = "cos(2*pi*f_c*t)"
 
@@ -833,7 +835,9 @@ class TestFormulaBasis:
         "2^d", "(I + 1)*(Q + 1)", "f_c/(f(t) + 1)", "-(I*Q)",
     ])
     def test_never_affine(self, formula):
-        assert not affine_in(parse_formula(formula))
+        # not affine in the streams alone: a feature, or the bank
+        split = separable_in(parse_formula(formula))
+        assert split is None or split[1]
 
     @pytest.mark.parametrize("formula", [
         "I/2", f"-(I)*{CARRIER}", f"(I+1)*{CARRIER}", f"A*{CARRIER}",
@@ -841,7 +845,46 @@ class TestFormulaBasis:
         "sum(I, I, 1, n)", f"{CARRIER}^2 + integral(m(t), t)*I",
     ])
     def test_affine(self, formula):
-        assert affine_in(parse_formula(formula))
+        # an affine tree comes back as it is, so its basis keeps its bits
+        expr = parse_formula(formula)
+        assert separable_in(expr) == (expr, {})
+
+    @pytest.mark.parametrize("formula, rewritten, features", [
+        ("A_c*cos(2*pi*f_c*t + (pi/2)*d(t))",
+         "A_c * (cos(2 * pi * f_c * t) * #0 - sin(2 * pi * f_c * t) * #1)",
+         ["cos(pi / 2 * d(t))", "sin(pi / 2 * d(t))"]),
+        ("sin(2*pi*f_c*t - pi*d + phi)",
+         "sin(2 * pi * f_c * t + phi) * #0 + cos(2 * pi * f_c * t + phi) * #1",
+         ["cos(-(pi * d))", "sin(-(pi * d))"]),
+        ("A*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t)^2/n)",
+         "A * (cos(2 * pi * f_c * t + k_f * integral(m(t), t)) * #0"
+         " - sin(2 * pi * f_c * t + k_f * integral(m(t), t)) * #1)",
+         ["cos(pi * d(t)^2 / n)", "sin(pi * d(t)^2 / n)"]),
+        # a maximal stream-only subtree is one feature; an affine one stays
+        (f"I(t)*Q(t)*{CARRIER} + (I - Q)/2*{CARRIER}",
+         "#0 * cos(2 * pi * f_c * t) + (I - Q) / 2 * cos(2 * pi * f_c * t)", ["I(t) * Q(t)"]),
+        (f"Q/(d + 1)*{CARRIER}", "#0 * cos(2 * pi * f_c * t)", ["Q / (d + 1)"]),
+        ("I*Q", "#0", ["I * Q"]),
+        # a repeated feature is one column
+        ("cos(2*pi*f_c*t + pi*d) + sin(2*pi*f_m*t + pi*d)",
+         "cos(2 * pi * f_c * t) * #0 - sin(2 * pi * f_c * t) * #1"
+         " + (sin(2 * pi * f_m * t) * #0 + cos(2 * pi * f_m * t) * #1)",
+         ["cos(pi * d)", "sin(pi * d)"]),
+    ])
+    def test_separable(self, formula, rewritten, features):
+        expr, trees = separable_in(parse_formula(formula))
+        assert to_text(expr) == rewritten
+        assert list(trees) == [f"#{j}" for j in range(len(features))]
+        assert [to_text(tree) for tree in trees.values()] == features
+        assert_basis_sound(formula)
+
+    @pytest.mark.parametrize("formula", [
+        "A_c*cos(2*pi*f(t)*t + phi)", "A*cos(2*pi*(f_c + d)*t)", f"{CARRIER}^I",
+        f"I*{CARRIER}*Q", f"sum(I*cos(2*pi*i*f_c*t), i, 1, 2)", f"{CARRIER}/I",
+        f"integral(d, t)*{CARRIER}", f"cos(2*pi*f_c*t + I*{CARRIER})",
+    ])
+    def test_takes_the_bank(self, formula):
+        assert separable_in(parse_formula(formula)) is None
 
     @pytest.mark.parametrize("formula", _bundled_formulas())
     @pytest.mark.parametrize("base", ["qpsk", "qam16", "qam256"])
@@ -855,6 +898,14 @@ class TestFormulaBasis:
             if item.classification == CLASS_VALID:
                 assert_basis_sound(item.formula)
 
+    @pytest.mark.parametrize("temperature", [0.5, 0.8, 1.2])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_rewritten_candidates_match_the_bank(self, temperature, seed):
+        grammar = replace(load_grammar(temperature=temperature), seed=seed)
+        for item in generate_batch(4, grammar).items:
+            if item.classification == CLASS_VALID:
+                assert_basis_sound(item.formula, "qpsk")
+
     def test_stream_free_formula_has_one_row(self):
         cfg = SchemeConfig("formula:tone", formula_text=f"A*{self.CARRIER}", n_symbols=4)
         rows, values = candidate_basis(cfg)
@@ -865,5 +916,12 @@ class TestFormulaBasis:
         # t^(-1) is inf at t = 0 in every candidate, so the basis is not used
         text = f"I(t)*{self.CARRIER} + t^(-1)"
         cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4)
-        assert affine_in(cfg.formula)
+        assert separable_in(cfg.formula) is not None
+        assert candidate_basis(cfg) is None
+
+    def test_non_finite_feature_is_none(self):
+        # I^(-1) is inf at I = 0, in the feature alone
+        text = f"I(t)^(-1)*{self.CARRIER}"
+        cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4, base_scheme="ook")
+        assert separable_in(cfg.formula) is not None
         assert candidate_basis(cfg) is None

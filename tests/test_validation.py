@@ -30,7 +30,7 @@ from modwave.dsl import (
     to_text,
     validate,
 )
-from modwave.dsl.ast import affine_in, reads
+from modwave.dsl.ast import reads, separable_in
 from modwave.dsl.symbols import resolve
 from modwave.genlab import generate_batch, load_grammar
 
@@ -101,7 +101,7 @@ def test_sum_index_is_bound():
     assert leaky.has_flag(UNDEFINED_SYMBOL)
 
 
-# the one scoping rule, read by reads, validation, affine_in and op_count:
+# the one scoping rule, read by reads, validation, separable_in and op_count:
 # (formula, names read, names read in integral bodies, flags, affine, ops)
 SCOPING = [
     # a sum index that shadows a stream: the body's I is the index
@@ -129,7 +129,7 @@ def test_scoping_rule(text, names, integrated, flags, affine, ops):
     expr = parse_formula(text)
     assert reads(expr) == (names, integrated)
     assert [(f.kind, f.span) for f in validate(text).semantic_flags] == flags
-    assert affine_in(expr) == affine
+    assert (separable_in(expr) == (expr, {})) == affine
     assert op_count(expr) == ops
 
 
