@@ -32,7 +32,8 @@ from .metrics import (
     write_comparison_csv,
     write_comparison_json,
 )
-from .synth import normalize_scheme_id, write_json as _write_json, write_table
+from .synth import normalize_scheme_id, write_json as _write_json
+from .table import write_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,8 +42,7 @@ EXIT_EXTERNAL = 3
 
 
 def _points_csv(points: np.ndarray, path: Path) -> None:
-    rows = zip(points.real.tolist(), points.imag.tolist())
-    write_table(path, "i,q", "%.10g,%.10g", rows, newline="\n")
+    write_table(path, b"i,q", np.column_stack((points.real, points.imag)), newline="\n")
 
 
 # ---------------------------------------------------------------------------

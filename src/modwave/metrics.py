@@ -4,9 +4,12 @@ spectral efficiency, and side-by-side comparison tables.
 
 The Welch estimator averages modified periodograms over overlapping
 windowed segments with window-power compensation, so the integral of the
-density over frequency recovers the time-domain power. Occupied bandwidth
-is the 99 percent power bandwidth by default: the band left after
-trimming half the excluded power from each spectral tail.
+density over frequency recovers the time-domain power. The exception:
+Hann frames at 50% overlap weight the samples by a ripple with a period
+of two bins, so tones 2 bins apart, or 1 bin from DC or Nyquist, read up
+to 17% high. Occupied bandwidth is the 99 percent power bandwidth by
+default: the band left after trimming half the excluded power from each
+spectral tail.
 """
 
 import csv
@@ -30,8 +33,8 @@ from .synth import (
     modulate,
     normalize_power,
     write_json,
-    write_table,
 )
+from .table import format_table, write_table
 
 _WINDOWS = {
     "hann": np.hanning,
@@ -85,8 +88,12 @@ class PsdEstimate:
         return float(np.sum(self.density) * self.resolution)
 
     def write_csv(self, path: str | Path) -> None:
-        rows = zip(self.frequencies.tolist(), self.density.tolist())
-        write_table(path, "freq_hz,power_density", "%.10g,%.10g", rows)
+        table = np.column_stack((self.frequencies, self.density))
+        write_table(path, b"freq_hz,power_density", table)
+
+
+def _welch_hop(segment_length: int, overlap_fraction: float) -> int:
+    return max(1, int(round(segment_length * (1.0 - overlap_fraction))))
 
 
 def welch_psd(
@@ -94,9 +101,16 @@ def welch_psd(
     segment_length: int = 256,
     overlap_fraction: float = 0.5,
     window: str = "hann",
+    frame_power: np.ndarray | None = None,
 ) -> PsdEstimate:
     """Averaged-periodogram PSD with density scaling: a one-sided spectrum
-    over [0, fs/2] with the interior bins doubled."""
+    over [0, fs/2] with the interior bins doubled.
+
+    frame_power, when given, is the C-ordered (frames, bins) |rfft|^2 of
+    the signal's windowed frames under these parameters, such as a
+    spectrogram's power.T; it is summed instead of transforming the frames
+    again, and left unchanged.
+    """
     n = len(signal)
     if segment_length > n:
         raise SignalError(
@@ -110,14 +124,21 @@ def welch_psd(
     fs = signal.sample_rate
     taps = _WINDOWS[window](segment_length)
     compensation = float(np.sum(taps**2))  # window power correction
-    hop = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
-    frames = _frames(signal.samples, segment_length, hop)
+    frames = _frames(signal.samples, segment_length, _welch_hop(segment_length, overlap_fraction))
+    if frame_power is None:
+        blocks = (power for _, power in _frame_power(frames, taps))
+    elif frame_power.shape == (len(frames), segment_length // 2 + 1):
+        blocks = [frame_power]
+    else:
+        raise SignalError(f"frame power of shape {frame_power.shape} is not these frames'")
 
-    accum = np.zeros(segment_length // 2 + 1)
-    for _, power in _frame_power(frames, taps):
-        # the running total joins the first frame and a reduce over rows adds
-        # row after row, so the sum is the frame-by-frame loop's, bit for bit
-        power[0] += accum
+    accum = None
+    for power in blocks:
+        # the running total joins a later block's first frame and a reduce over
+        # rows adds row after row, so the sum is the frame-by-frame loop's, bit
+        # for bit; the first block is only read
+        if accum is not None:
+            power[0] += accum
         accum = np.add.reduce(power, axis=0)
     density = accum / (len(frames) * fs * compensation)
     # fold negative frequencies into the interior bins
@@ -164,10 +185,9 @@ class Spectrogram:
     power: np.ndarray  # rows: frequency bins, columns: frames
 
     def write_csv(self, path: str | Path) -> None:
-        cells = ",%.10g" * len(self.frame_times)
-        header = "freq_hz" + cells % tuple(self.frame_times.tolist())
-        rows = np.column_stack((self.frequencies, self.power)).tolist()
-        write_table(path, header, "%.10g" + cells, rows)
+        times = format_table(self.frame_times[None, :], newline="")
+        header = b"freq_hz," + times if times else b"freq_hz"
+        write_table(path, header, np.column_stack((self.frequencies, self.power)))
 
 
 def spectrogram(
@@ -182,12 +202,13 @@ def spectrogram(
     fs = signal.sample_rate
     taps = np.hanning(fft_length)
     frames = _frames(signal.samples, fft_length, hop)
-    power = np.empty((fft_length // 2 + 1, len(frames)))
+    rows = np.empty((len(frames), fft_length // 2 + 1))
     for start, block in _frame_power(frames, taps):
-        power[:, start : start + block.shape[0]] = block.T
+        rows[start : start + block.shape[0]] = block
     freqs = np.fft.rfftfreq(fft_length, d=1.0 / fs)
     times = (np.arange(len(frames)) * hop + fft_length / 2) / fs
-    return Spectrogram(frequencies=freqs, frame_times=times, power=power)
+    # power.T is the C-ordered (frames, bins) table that welch_psd can sum
+    return Spectrogram(frequencies=freqs, frame_times=times, power=rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +561,22 @@ def run_scheme(
     report.snr_db = measure_snr(pre_noise, received)
     del pre_noise  # the receivers need only `received`
 
+    # with the default parameters the spectrogram's frames, Hann taps and hop
+    # are Welch's, so its power gives Welch's density: one transform for both
+    # (a signal shorter than a frame is left to welch_psd's error)
+    welch_frames = params.welch_window, params.welch_segment, _welch_hop(
+        params.welch_segment, params.welch_overlap
+    )
+    same_frames = welch_frames == ("hann", params.spectrogram_fft, params.spectrogram_hop)
+    spectro = None
+    if collect and same_frames and len(clean) >= params.spectrogram_fft:
+        spectro = spectrogram(clean, fft_length=params.spectrogram_fft, hop=params.spectrogram_hop)
     psd = welch_psd(
         clean,
         segment_length=params.welch_segment,
         overlap_fraction=params.welch_overlap,
         window=params.welch_window,
+        frame_power=None if spectro is None else spectro.power.T,
     )
     report.occupied_bandwidth_hz = occupied_bandwidth(psd, params.obw_fraction)
 
@@ -562,9 +594,9 @@ def run_scheme(
 
     if collect:
         artifacts.psd = psd
-        artifacts.spectro = spectrogram(
-            clean, fft_length=params.spectrogram_fft, hop=params.spectrogram_hop
-        )
+        if spectro is None:
+            spectro = spectrogram(clean, fft_length=params.spectrogram_fft, hop=params.spectrogram_hop)
+        artifacts.spectro = spectro
         if config.bits_per_symbol:
             artifacts.points = extract_constellation(received, config)
     return artifacts

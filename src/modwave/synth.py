@@ -544,15 +544,19 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     """Synthesize any configured scheme, reference or formula-driven.
 
     A digital scheme or formula sends cfg.n_symbols labels drawn from
-    cfg.seed; their bits are the signal's origin_bits.
+    cfg.seed; their bits are the signal's origin_bits. A grid too large to
+    allocate raises SignalError.
     """
     bps = cfg.bits_per_symbol
-    bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
-    labels = None if bits is None else bits_to_labels(bits, bps)
-    if not cfg.is_formula:
-        samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
-        return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
-    result = evaluate(*formula_context(cfg, labels))
+    try:
+        bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
+        labels = None if bits is None else bits_to_labels(bits, bps)
+        if not cfg.is_formula:
+            samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
+            return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
+        result = evaluate(*formula_context(cfg, labels))
+    except MemoryError:
+        raise SignalError(f"a grid of {cfg.n_samples} samples cannot be allocated") from None
     return SampledSignal(
         samples=result.samples,
         sample_rate=cfg.sample_rate,
@@ -679,18 +683,6 @@ def write_json(payload, path) -> None:
         handle.write("\n")
 
 
-def write_table(path, header: str, row_format: str, rows, newline: str = "\r\n") -> None:
-    """Write a text table: the header line, then `row_format % row` per row.
-
-    Rows of Python numbers (`ndarray.tolist()`) format fastest, as bytes:
-    `b'%.10g' % x` spells `f"{x:.10g}"`, so CRLF tables match `csv.writer`.
-    """
-    line = (row_format + newline).encode()
-    with open(path, "wb") as handle:
-        handle.write((header + newline).encode())
-        handle.writelines(line % tuple(row) for row in rows)
-
-
 def write_waveform(
     signal: SampledSignal,
     path,
@@ -713,7 +705,9 @@ def write_waveform(
     if overflow.any():
         raise SignalError(f"sample {np.argmax(overflow)} is beyond the float32 range")
     if fmt == "csv":
-        write_table(path, "index,i,q", "%d,%.8g,0", enumerate(i.tolist()))
+        with open(path, "wb") as handle:
+            handle.write(b"index,i,q\r\n")
+            handle.writelines(b"%d,%.8g,0\r\n" % row for row in enumerate(i.tolist()))
     elif fmt == "f32":
         interleaved = np.zeros(2 * x.size, dtype="<f4")
         interleaved[0::2] = i

@@ -36,6 +36,50 @@ SPECIAL_F32 = np.array(
     [0.1, 1.0 / 3.0, 3.4e38, 1e-45, 1e-40, -2.5, 16777217.0, 0.0], dtype=np.float32
 )
 
+
+def row_writer(path, header: str, row_format: str, rows, newline: str = "\r\n") -> None:
+    """The row-at-a-time table writer, `row_format % row` per row: the
+    oracle for modwave.table, which formats whole blocks of cells."""
+    line = (row_format + newline).encode()
+    with open(path, "wb") as handle:
+        handle.write((header + newline).encode())
+        handle.writelines(line % tuple(row) for row in rows)
+
+
+def row_bytes(table, newline: str = "\r\n") -> bytes:
+    """A 2-D float table at %.10g, comma-separated, one `%` per row."""
+    table = np.asarray(table, dtype=np.float64)
+    line = (",".join(["%.10g"] * table.shape[1]) + newline).encode()
+    return b"".join(line % tuple(row) for row in table.tolist())
+
+
+def table_edges() -> np.ndarray:
+    """Values a %.10g formatter gets wrong first, each also negated."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    rng = np.random.default_rng(24)
+    mantissas = rng.integers(10**9, 10**10, 3000).astype(float)
+    scales = np.array([float(f"1e{k}") for k in rng.integers(-300, 290, 3000)])
+    switches = [
+        # carries across a notation switch, and both sides of each switch
+        9.9999999996e-05, 9.9999999995e-05, 9.9999999994e-05, 1e-05, 9.999999999e-06,
+        0.0001, 0.00010000000005, 9999999999.6, 9999999999.5, 9999999999.4, 1e10,
+        999999999.96, 1e9, 99999.999995, 0.00099999999995,
+        # the ends of float64, and of the range formatted in numpy
+        5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+        1e-280, 1e280, 0.0, math.inf, math.nan,
+    ]
+    values = np.concatenate([
+        powers,
+        np.nextafter(powers, 0.0),
+        np.nextafter(powers, math.inf),
+        # 11th-digit ties: exact in binary up to 2**53, rounded beyond it
+        mantissas + 0.5,
+        (mantissas * 10 + 5) * 10.0 ** rng.integers(-12, 4, 3000),
+        (mantissas + 0.5) * scales,
+        switches,
+    ])
+    return np.concatenate([values, -values])
+
 # grammar files of each shape that load_grammar rejects, by what is wrong;
 # past the first two, the fault is in the alternatives of the rule "tail"
 MALFORMED_GRAMMARS = {

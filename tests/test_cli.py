@@ -186,6 +186,17 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_grid_fails_the_run(self, tmp_path, capsys):
+        # 2**50 samples (8 PiB) lie beyond any address space: the allocation
+        # fails at once, whatever the overcommit setting
+        config = write_config(
+            tmp_path, scheme_defaults={"n_symbols": 1, "samples_per_symbol": 2**50}
+        )
+        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a grid of {2**50} samples cannot be allocated\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["eval", "--config", str(config), "--scheme", "warble"]) == 2

@@ -58,8 +58,9 @@ from modwave.synth import (
     modulate,
     normalize_power,
 )
+from modwave.table import write_table
 
-from conftest import SPECIAL, SPECIAL_F32, binomial_3sigma, qfunc
+from conftest import SPECIAL, SPECIAL_F32, binomial_3sigma, qfunc, row_writer
 
 FS = 48000.0
 
@@ -338,6 +339,64 @@ class TestFraming:
         assert np.array_equal(psd.density, loop_welch_density(x, 256, 0.5, "hann"))
         spec = spectrogram(SampledSignal(x, FS), fft_length=256, hop=128)
         assert np.array_equal(spec.power, loop_spectrogram_power(x, 256, 128))
+
+    @pytest.mark.parametrize("n_symbols", [2_000, 10_000])
+    @pytest.mark.parametrize("scheme", ["ook", "qpsk", "gmsk", "formula:m2"])
+    def test_eval_welch_is_welch_bit_for_bit(self, scheme, n_symbols):
+        # at 10k symbols Welch transforms 3,749 frames in four blocks, and the
+        # spectrogram's power is summed in one
+        cfg = replace(self.scheme_config(scheme), n_symbols=n_symbols)
+        channel = ChannelConfig(target_snr_db=10.0)
+        artifacts = run_scheme(cfg, channel, collect=True)
+        clean = normalize_power(modulate(cfg))
+        assert np.array_equal(artifacts.psd.density, welch_psd(clean).density)
+        assert np.array_equal(artifacts.spectro.power, spectrogram(clean).power)
+        assert artifacts.report == run_scheme(cfg, channel).report
+
+    @staticmethod
+    def scheme_config(scheme):
+        m2 = next(e for e in load_corpus(bundled_generated_path()) if e.id == "m2")
+        text = m2.formula if scheme == "formula:m2" else None
+        return SchemeConfig(scheme, formula_text=text, n_symbols=2_000, seed=3)
+
+    @pytest.mark.parametrize(
+        "params, transforms",
+        [
+            (MetricsParams(), 1),
+            (MetricsParams(welch_segment=512), 2),
+            (MetricsParams(welch_window="hamming"), 2),
+            (MetricsParams(welch_overlap=0.75), 2),
+            (MetricsParams(spectrogram_hop=64), 2),
+        ],
+        ids=["default", "segment", "window", "overlap", "hop"],
+    )
+    def test_eval_transforms_the_frames_once_when_they_match(self, monkeypatch, params, transforms):
+        calls = []
+        frame_power = modwave.metrics._frame_power
+        monkeypatch.setattr(
+            modwave.metrics, "_frame_power", lambda *a: calls.append(1) or frame_power(*a)
+        )
+        cfg = self.scheme_config("qpsk")
+        artifacts = run_scheme(cfg, ChannelConfig(target_snr_db=10.0), params, collect=True)
+        assert len(calls) == transforms
+        clean = normalize_power(modulate(cfg))
+        welch = welch_psd(clean, params.welch_segment, params.welch_overlap, params.welch_window)
+        assert np.array_equal(artifacts.psd.density, welch.density)
+
+    def test_a_signal_shorter_than_a_frame_keeps_welchs_error(self):
+        cfg = SchemeConfig("qpsk", n_symbols=2)  # 96 samples
+        with pytest.raises(SignalError, match="segment length 256 exceeds signal length 96"):
+            run_scheme(cfg, ChannelConfig(target_snr_db=10.0), collect=True)
+
+    def test_given_frame_power_is_only_read(self):
+        sig = SampledSignal(np.random.default_rng(4).normal(size=10_007), FS)
+        spec = spectrogram(sig)
+        before = spec.power.copy()
+        psd = welch_psd(sig, frame_power=spec.power.T)
+        assert np.array_equal(spec.power, before)
+        assert np.array_equal(psd.density, welch_psd(sig).density)
+        with pytest.raises(SignalError, match="is not these frames'"):
+            welch_psd(sig, segment_length=512, frame_power=spec.power.T)
 
     @pytest.mark.parametrize("n", [3, 47, 48, 49, 480])
     def test_symbol_frames_are_whole_intervals(self, n):
@@ -944,6 +1003,19 @@ class TestCompare:
         assert rows[0].error is None
         assert rows[1].error is not None
 
+    @pytest.mark.parametrize("scheme", ["bpsk", "gmsk", "chirp", "formula:m2"])
+    def test_an_unallocatable_grid_is_an_error_row(self, scheme):
+        # 2**50 samples (8 PiB) lie beyond any address space, so the first
+        # full-length array fails at once without touching memory
+        huge = SchemeConfig(scheme, samples_per_symbol=2**50, n_symbols=1, formula_text=(
+            "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)" if scheme == "formula:m2" else None))
+        message = f"a grid of {2**50} samples cannot be allocated"
+        with pytest.raises(SignalError, match=message):
+            run_scheme(huge, ChannelConfig(target_snr_db=10.0))
+        rows = compare([huge, SchemeConfig("qpsk", n_symbols=100)], ChannelConfig(target_snr_db=10.0))
+        assert rows[0].error == f"SignalError: {message}"
+        assert rows[1].error is None
+
     def test_zero_gain_channel_is_an_error_row(self):
         silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 0.0),))
         with pytest.raises(ZeroPowerError):
@@ -1128,15 +1200,42 @@ class TestArtifactWriters:
         assert (tmp_path / "psd.csv").read_bytes() == psd_bytes
         assert (tmp_path / "points.csv").read_bytes() == b"i,q\n1,1\n"
 
-    @pytest.mark.parametrize("scheme", ["ook", "qpsk", "gmsk", "formula:m2"])
-    def test_eval_artifacts_equal_the_cell_writer(self, tmp_path, scheme):
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_special_table_bytes_equal_the_row_writer(self, tmp_path, newline):
+        with np.errstate(all="ignore"):  # inf * 0 is meant
+            table = np.outer(SPECIAL, [1.0, -1.0, 0.0, np.nan, -np.inf])
+        assert_same_bytes(
+            lambda t, path: write_table(path, b"a,b,c,d,e", t, newline),
+            lambda t, path: row_writer(path, "a,b,c,d,e", ",".join(["%.10g"] * 5), t.tolist(), newline),
+            table,
+            tmp_path,
+        )
+
+    @pytest.mark.parametrize("scheme", ["ook", "qpsk", "qam16", "gmsk", "formula:m2"])
+    def test_workload_artifacts_equal_the_cell_writer(self, tmp_path, scheme):
+        # the benchmark's eval rows: 2,000 symbols on the multipath preset;
+        # gmsk's cells mostly take exponent notation
+        config = load_config(self.workload_config(tmp_path))
+        cfg, channel = seed_row(config.scheme_config(scheme), config.channel, config.master_seed)
+        artifacts = run_scheme(cfg, channel, config.metrics, collect=True)
+        assert_same_bytes(PsdEstimate.write_csv, oracle_psd_csv, artifacts.psd, tmp_path)
+        assert_same_bytes(Spectrogram.write_csv, oracle_spectrogram_csv, artifacts.spectro, tmp_path)
+        assert_same_bytes(_points_csv, oracle_points_csv, artifacts.points, tmp_path)
+
+    @staticmethod
+    def workload_config(tmp_path, n_symbols=2_000):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({
             "master_seed": 2024,
             "out_dir": str(tmp_path / "eval"),
-            "scheme_defaults": {"n_symbols": 400},
+            "scheme_defaults": {"n_symbols": n_symbols},
             "channel": {"preset": "multipath"},
         }))
+        return config_path
+
+    @pytest.mark.parametrize("scheme", ["ook", "qpsk", "qam16", "gmsk", "formula:m2"])
+    def test_eval_artifacts_equal_the_cell_writer(self, tmp_path, scheme):
+        config_path = self.workload_config(tmp_path, n_symbols=400)
         assert main(["eval", "--config", str(config_path), "--scheme", scheme]) == 0
         config = load_config(config_path)
         cfg, channel = seed_row(config.scheme_config(scheme), config.channel, config.master_seed)
