@@ -24,7 +24,7 @@ from .config import load_config
 from .costmodel import CostInputs, latency, ops_for_waveform, power
 from .dsl.corpus import bundled_corpus_path, load_corpus, write_corpus
 from .dsl.validation import validate
-from .errors import ConfigError, CorpusError, GenerationSourceError, ModwaveError
+from .errors import ConfigError, CorpusError, GenerationSourceError, GridSizeError, ModwaveError
 from .metrics import (
     compare,
     run_scheme,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, GridSizeError) as exc:  # a grid too large is the config's
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GenerationSourceError as exc:

@@ -41,6 +41,10 @@ class ZeroPowerError(SignalError):
     """Operation requires a signal with nonzero power."""
 
 
+class GridSizeError(SignalError):
+    """A row's arrays do not fit in memory: its configured grid is too large."""
+
+
 class NyquistError(SignalError):
     """Scheme configuration violates the sampling-rate headroom rule."""
 

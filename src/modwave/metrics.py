@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelConfig, apply_channel, derive_seed, measure_snr
-from .errors import DemodulationError, ModwaveError, SignalError
+from .errors import DemodulationError, GridSizeError, ModwaveError, SignalError
 from .synth import (
     SCHEMES,
     SampledSignal,
@@ -42,6 +42,7 @@ _WINDOWS = {
     "blackman": np.blackman,
     "boxcar": np.ones,
 }
+_SPECTROGRAM_WINDOW = "hann"
 
 # samples transformed per block of frames: bounds the working set of Welch
 # and the spectrogram whatever the signal or frame length
@@ -92,24 +93,19 @@ class PsdEstimate:
         write_table(path, b"freq_hz,power_density", table)
 
 
-def _welch_hop(segment_length: int, overlap_fraction: float) -> int:
-    return max(1, int(round(segment_length * (1.0 - overlap_fraction))))
-
-
 def welch_psd(
     signal: SampledSignal,
     segment_length: int = 256,
     overlap_fraction: float = 0.5,
     window: str = "hann",
-    frame_power: np.ndarray | None = None,
+    spectro: "Spectrogram | None" = None,
 ) -> PsdEstimate:
     """Averaged-periodogram PSD with density scaling: a one-sided spectrum
     over [0, fs/2] with the interior bins doubled.
 
-    frame_power, when given, is the C-ordered (frames, bins) |rfft|^2 of
-    the signal's windowed frames under these parameters, such as a
-    spectrogram's power.T; it is summed instead of transforming the frames
-    again, and left unchanged.
+    spectro, when given, is a spectrogram of this signal. When its frames,
+    window and hop are these, its power is summed instead of transforming
+    the frames again, and left unchanged; otherwise it is not read.
     """
     n = len(signal)
     if segment_length > n:
@@ -124,13 +120,14 @@ def welch_psd(
     fs = signal.sample_rate
     taps = _WINDOWS[window](segment_length)
     compensation = float(np.sum(taps**2))  # window power correction
-    frames = _frames(signal.samples, segment_length, _welch_hop(segment_length, overlap_fraction))
-    if frame_power is None:
-        blocks = (power for _, power in _frame_power(frames, taps))
-    elif frame_power.shape == (len(frames), segment_length // 2 + 1):
-        blocks = [frame_power]
+    hop = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
+    frames = _frames(signal.samples, segment_length, hop)
+    if spectro is not None and (window, segment_length, hop, len(frames)) == (
+        _SPECTROGRAM_WINDOW, spectro.fft_length, spectro.hop, spectro.power.shape[1]
+    ):
+        blocks = [spectro.power.T]  # C-ordered (frames, bins)
     else:
-        raise SignalError(f"frame power of shape {frame_power.shape} is not these frames'")
+        blocks = (power for _, power in _frame_power(frames, taps))
 
     accum = None
     for power in blocks:
@@ -183,6 +180,8 @@ class Spectrogram:
     frequencies: np.ndarray
     frame_times: np.ndarray
     power: np.ndarray  # rows: frequency bins, columns: frames
+    fft_length: int
+    hop: int
 
     def write_csv(self, path: str | Path) -> None:
         times = format_table(self.frame_times[None, :], newline="")
@@ -200,7 +199,7 @@ def spectrogram(
     if hop < 1:
         raise SignalError("hop must be at least 1")
     fs = signal.sample_rate
-    taps = np.hanning(fft_length)
+    taps = _WINDOWS[_SPECTROGRAM_WINDOW](fft_length)
     frames = _frames(signal.samples, fft_length, hop)
     rows = np.empty((len(frames), fft_length // 2 + 1))
     for start, block in _frame_power(frames, taps):
@@ -208,7 +207,7 @@ def spectrogram(
     freqs = np.fft.rfftfreq(fft_length, d=1.0 / fs)
     times = (np.arange(len(frames)) * hop + fft_length / 2) / fs
     # power.T is the C-ordered (frames, bins) table that welch_psd can sum
-    return Spectrogram(frequencies=freqs, frame_times=times, power=rows.T)
+    return Spectrogram(freqs, times, rows.T, fft_length, hop)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,22 @@ def run_scheme(
     params: MetricsParams = MetricsParams(),
     collect: bool = False,
 ) -> SchemeRunArtifacts:
-    """Synthesize, normalize, impair and measure one scheme."""
+    """Synthesize, normalize, impair and measure one scheme.
+
+    A row whose arrays do not fit in memory raises GridSizeError naming
+    its sample count.
+    """
+    try:
+        return _measure(config, channel, params, collect)
+    except MemoryError:
+        raise GridSizeError(
+            f"a row of {config.n_samples} samples does not fit in memory"
+        ) from None
+
+
+def _measure(
+    config: SchemeConfig, channel: ChannelConfig, params: MetricsParams, collect: bool
+) -> SchemeRunArtifacts:
     report = MetricsReport(
         scheme=config.scheme,
         target_snr_db=channel.target_snr_db,
@@ -561,22 +575,17 @@ def run_scheme(
     report.snr_db = measure_snr(pre_noise, received)
     del pre_noise  # the receivers need only `received`
 
-    # with the default parameters the spectrogram's frames, Hann taps and hop
-    # are Welch's, so its power gives Welch's density: one transform for both
-    # (a signal shorter than a frame is left to welch_psd's error)
-    welch_frames = params.welch_window, params.welch_segment, _welch_hop(
-        params.welch_segment, params.welch_overlap
-    )
-    same_frames = welch_frames == ("hann", params.spectrogram_fft, params.spectrogram_hop)
+    # the spectrogram comes first, so Welch sums its power when their frames
+    # match; a signal shorter than a frame is left to welch_psd's error
     spectro = None
-    if collect and same_frames and len(clean) >= params.spectrogram_fft:
+    if collect and len(clean) >= params.spectrogram_fft:
         spectro = spectrogram(clean, fft_length=params.spectrogram_fft, hop=params.spectrogram_hop)
     psd = welch_psd(
         clean,
         segment_length=params.welch_segment,
         overlap_fraction=params.welch_overlap,
         window=params.welch_window,
-        frame_power=None if spectro is None else spectro.power.T,
+        spectro=spectro,
     )
     report.occupied_bandwidth_hz = occupied_bandwidth(psd, params.obw_fraction)
 

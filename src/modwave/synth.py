@@ -544,19 +544,15 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     """Synthesize any configured scheme, reference or formula-driven.
 
     A digital scheme or formula sends cfg.n_symbols labels drawn from
-    cfg.seed; their bits are the signal's origin_bits. A grid too large to
-    allocate raises SignalError.
+    cfg.seed; their bits are the signal's origin_bits.
     """
     bps = cfg.bits_per_symbol
-    try:
-        bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
-        labels = None if bits is None else bits_to_labels(bits, bps)
-        if not cfg.is_formula:
-            samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
-            return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
-        result = evaluate(*formula_context(cfg, labels))
-    except MemoryError:
-        raise SignalError(f"a grid of {cfg.n_samples} samples cannot be allocated") from None
+    bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
+    labels = None if bits is None else bits_to_labels(bits, bps)
+    if not cfg.is_formula:
+        samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
+        return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
+    result = evaluate(*formula_context(cfg, labels))
     return SampledSignal(
         samples=result.samples,
         sample_rate=cfg.sample_rate,

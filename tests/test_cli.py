@@ -186,15 +186,15 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_unallocatable_grid_fails_the_run(self, tmp_path, capsys):
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
         # 2**50 samples (8 PiB) lie beyond any address space: the allocation
         # fails at once, whatever the overcommit setting
         config = write_config(
             tmp_path, scheme_defaults={"n_symbols": 1, "samples_per_symbol": 2**50}
         )
-        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
+        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: a grid of {2**50} samples cannot be allocated\n"
+        assert err == f"config error: a row of {2**50} samples does not fit in memory\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_scheme_is_config_error(self, tmp_path):

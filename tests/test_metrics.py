@@ -24,7 +24,7 @@ from modwave.dsl import (
     bundled_generated_path,
     load_corpus,
 )
-from modwave.errors import DemodulationError, SignalError, ZeroPowerError
+from modwave.errors import DemodulationError, GridSizeError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
 from modwave.metrics import (
     MetricsParams,
@@ -388,15 +388,32 @@ class TestFraming:
         with pytest.raises(SignalError, match="segment length 256 exceeds signal length 96"):
             run_scheme(cfg, ChannelConfig(target_snr_db=10.0), collect=True)
 
-    def test_given_frame_power_is_only_read(self):
+    def test_given_frame_power_is_only_read(self, monkeypatch):
         sig = SampledSignal(np.random.default_rng(4).normal(size=10_007), FS)
         spec = spectrogram(sig)
         before = spec.power.copy()
-        psd = welch_psd(sig, frame_power=spec.power.T)
+        calls = []
+        frame_power = modwave.metrics._frame_power
+        monkeypatch.setattr(
+            modwave.metrics, "_frame_power", lambda *a: calls.append(1) or frame_power(*a)
+        )
+        psd = welch_psd(sig, spectro=spec)
         assert np.array_equal(spec.power, before)
+        assert not calls
         assert np.array_equal(psd.density, welch_psd(sig).density)
-        with pytest.raises(SignalError, match="is not these frames'"):
-            welch_psd(sig, segment_length=512, frame_power=spec.power.T)
+        # frames that differ in length, hop, window or count are transformed
+        other = spectrogram(SampledSignal(sig.samples[:5_000], FS))
+        for kwargs, given in [
+            ({"segment_length": 512}, spec),
+            ({"overlap_fraction": 0.75}, spec),
+            ({"window": "hamming"}, spec),
+            ({}, replace(spec, hop=64)),
+            ({}, other),
+        ]:
+            calls.clear()
+            psd = welch_psd(sig, spectro=given, **kwargs)
+            assert calls == [1], kwargs
+            assert np.array_equal(psd.density, welch_psd(sig, **kwargs).density), kwargs
 
     @pytest.mark.parametrize("n", [3, 47, 48, 49, 480])
     def test_symbol_frames_are_whole_intervals(self, n):
@@ -1009,12 +1026,23 @@ class TestCompare:
         # full-length array fails at once without touching memory
         huge = SchemeConfig(scheme, samples_per_symbol=2**50, n_symbols=1, formula_text=(
             "I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t)" if scheme == "formula:m2" else None))
-        message = f"a grid of {2**50} samples cannot be allocated"
-        with pytest.raises(SignalError, match=message):
+        message = f"a row of {2**50} samples does not fit in memory"
+        with pytest.raises(GridSizeError, match=message):
             run_scheme(huge, ChannelConfig(target_snr_db=10.0))
         rows = compare([huge, SchemeConfig("qpsk", n_symbols=100)], ChannelConfig(target_snr_db=10.0))
-        assert rows[0].error == f"SignalError: {message}"
+        assert rows[0].error == f"GridSizeError: {message}"
         assert rows[1].error is None
+
+    @pytest.mark.parametrize("stage", ["apply_channel", "demodulate", "spectrogram"])
+    def test_a_row_out_of_memory_after_synthesis_is_an_error(self, monkeypatch, stage):
+        # a grid that modulate allocates but a later stage cannot
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(modwave.metrics, stage, exhausted)
+        cfg = SchemeConfig("qpsk", n_symbols=100)
+        with pytest.raises(GridSizeError, match=f"a row of {cfg.n_samples} samples"):
+            run_scheme(cfg, ChannelConfig(target_snr_db=10.0), collect=True)
 
     def test_zero_gain_channel_is_an_error_row(self):
         silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 0.0),))
@@ -1176,7 +1204,7 @@ class TestArtifactWriters:
         freqs = np.concatenate([SPECIAL, SPECIAL_F32.astype(float)])
         with np.errstate(all="ignore"):  # inf * 0 and 1e300 * 1e300 are meant
             power = np.outer(freqs, frames)
-        spectro = Spectrogram(freqs, frames, power)
+        spectro = Spectrogram(freqs, frames, power, 256, 128)
         write = Spectrogram.write_csv
         assert_same_bytes(write, oracle_spectrogram_csv, spectro, tmp_path)
 

@@ -470,26 +470,22 @@ class TestCarrier:
             assert modulate(formula).samples.tobytes() == (i * cos - q * sin).tobytes()
 
     def test_no_module_keeps_arrays_after_a_compare(self):
-        # the only module arrays are read-only constants built at import, such
-        # as modwave.table's digit tables; a compare adds or replaces none
-        def modules():
-            return [m for name, m in sys.modules.items() if name.split(".")[0] == "modwave"]
-
-        def arrays():
-            return {(module.__name__, name): value for module in modules()
-                    for name, value in vars(module).items() if isinstance(value, np.ndarray)}
-
-        constants = arrays()
-        assert all(not value.flags.writeable for value in constants.values()), constants.keys()
+        # the only module arrays are modwave.table's read-only lookup tables
+        tables = {("modwave.table", name) for name in
+                  ("_PREFIX", "_PREFIX_BELOW", "_I", "_POW10", "_DIGITS4", "_TRAILING4")}
         compare([SchemeConfig(s, n_symbols=100) for s in ("qam16", "am", "fsk")]
                 + [SchemeConfig("formula:m2", n_symbols=100)], ChannelConfig())
-        assert grids in modules() and len(modules()) > 10
-        after = arrays()
-        assert after.keys() == constants.keys()
-        assert all(after[key] is value for key, value in constants.items())
-        for module in modules():
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "modwave"]
+        assert grids in modules and len(modules) > 10
+        seen = set()
+        for module in modules:
             for name, value in vars(module).items():
+                if isinstance(value, np.ndarray):
+                    assert (module.__name__, name) in tables, (module.__name__, name)
+                    assert not value.flags.writeable, (module.__name__, name)
+                    seen.add((module.__name__, name))
                 assert not hasattr(value, "cache_info"), (module.__name__, name)
+        assert seen == tables
         for path in Path(modwave.__file__).parent.rglob("*.py"):
             assert "lru_cache" not in path.read_text(), path
 
