@@ -21,8 +21,10 @@ honest about how often the guard fired.
 A label-invariant subtree, one that reads the time axis and otherwise
 only pi and bound scalars, has the same value in every call on the same
 grid: modulate and the receiver of one row both compute its carrier. On
-the axis of the last grid's store (modwave.grid) their values are kept
-there by invariant_key, as synth keeps the carrier. The evaluator writes
+the axis of the last grid's store (modwave.grid) each maximal one but a
+lone symbol is kept there by invariant_key, sum bodies included, unless
+a division guard fired while it was computed: that one is computed and
+counted afresh in every call, as in a cold run. The evaluator writes
 into an argument only when it is writeable: the grid, the bound signals
 and stored values are read-only, so none of them is ever overwritten.
 """
@@ -77,8 +79,8 @@ def _bits(value) -> int:
 
 def _key(node: Expr, bound: frozenset[str], constants: Mapping[str, float], found: dict):
     """(invariant_key or None, reads t) of node. Each maximal label-invariant
-    subtree below it that reads t, is no lone symbol and is not in a sum
-    body goes into found, its key by its node id."""
+    subtree below it that reads t and is no lone symbol goes into found, its
+    key by its node id."""
     if isinstance(node, Const):
         return _bits(node.value), False
     if isinstance(node, Symbol):
@@ -90,14 +92,14 @@ def _key(node: Expr, bound: frozenset[str], constants: Mapping[str, float], foun
         if name in constants:
             return _bits(np.float64(constants[name])), False
         return None, False
-    kids = [(kid, kid_bound, *_key(kid, kid_bound, constants, found))
+    kids = [(kid, *_key(kid, kid_bound, constants, found))
             for kid, kid_bound in _scoped(node, bound)]
-    keys = [key for _, _, key, _ in kids]
+    keys = [key for _, key, _ in kids]
     if None not in keys:
         tag = node.op if isinstance(node, BinOp) else getattr(node, "func", type(node).__name__)
         return (tag, *keys), any(reads_t for *_, reads_t in kids)
-    for kid, kid_bound, key, reads_t in kids:
-        if key is not None and reads_t and not kid_bound and not isinstance(kid, Symbol):
+    for kid, key, reads_t in kids:
+        if key is not None and reads_t and not isinstance(kid, Symbol):
             found[id(kid)] = key
     return None, False
 
@@ -136,12 +138,7 @@ class _Evaluator:
         except ValueError as exc:
             raise EvaluationError(f"signals disagree on their row count: {exc}") from exc
         self.size = int(np.prod(self.shape))
-        self.hits: list[tuple[int, int]] = []  # (guarded samples, divisor size)
-
-    @property
-    def guards(self) -> int:
-        """Guarded output samples: each divisor value reaches size / its size."""
-        return sum(hits * (self.size // den_size) for hits, den_size in self.hits)
+        self.guards = 0  # guarded output samples
 
     def _signal(self, name: str, value) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
@@ -174,8 +171,7 @@ class _Evaluator:
 
         Each (rows, n) temporary of a candidate bank is as large as the
         bank, so reusing them bounds the evaluator's memory. The grid, the
-        bound signals and the store's values are read-only: a value goes
-        into the store read-only, so no later step writes over it. Every
+        bound signals and the store's values are read-only, and every
         writeable value is made by one node and read by one parent, so
         overwriting it is safe.
         """
@@ -187,15 +183,13 @@ class _Evaluator:
 
     def eval(self, expr: Expr, local: dict[str, float]) -> np.ndarray:
         key = self.invariant.get(id(expr))
-        if key is None:
-            return self._node(expr, local)
-        entry = self.store.get(key)
-        if entry is not None:
-            value, hits = entry
-            self.hits.extend(hits)
-            return value
-        start = len(self.hits)
-        return self.store.put(key, self._node(expr, local), tuple(self.hits[start:]))
+        value = None if key is None else self.store.get(key)
+        if value is None:
+            guards = self.guards
+            value = self._node(expr, local)
+            if key is not None and self.guards == guards:
+                self.store.put(key, value)
+        return value
 
     def _node(self, expr: Expr, local: dict[str, float]) -> np.ndarray:
         if isinstance(expr, Const):
@@ -228,7 +222,7 @@ class _Evaluator:
         if not hits:
             with np.errstate(all="ignore"):
                 return self._apply(np.divide, num, den)
-        self.hits.append((hits, np.size(den)))
+        self.guards += hits * (self.size // np.size(den))  # each reaches size / its size
         safe = np.where(guarded, 1.0, den)
         with np.errstate(all="ignore"):
             out = self._apply(np.divide, num, safe)
@@ -310,6 +304,4 @@ def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
     invalid = ~np.isfinite(samples)
     if invalid.any():
         samples = np.where(invalid, 0.0, samples)
-    return EvalResult(
-        samples=samples, guard_count=engine.guards, invalid_mask=invalid
-    )
+    return EvalResult(samples, engine.guards, invalid)

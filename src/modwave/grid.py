@@ -4,10 +4,12 @@ row on it shares.
 Those arrays are the carrier's cos and sin, the label-invariant subtrees
 of formulas, both keyed by dsl.evaluation.invariant_key so a formula's
 cos(2*pi*f_c*t) is the carrier's entry, and the channel's standard-normal
-draw, keyed ("standard_normal", seed). The SLOTS most recently used are
-kept; an evicted array is dropped, never written, so a caller that holds
-it keeps its values. The last grid's store is the package's only state
-between calls, and modwave runs no threads.
+draw, keyed ("standard_normal", seed). A formula's subtree is kept when it
+is a maximal one that reads t and otherwise only pi and bound scalars, is
+no lone symbol, and fired no division guard while it was computed. The
+SLOTS most recently used are kept; an evicted array is dropped, never
+written, so a caller that holds it keeps its values. The last grid's store
+is the package's only state between calls, and modwave runs no threads.
 """
 
 from collections import OrderedDict
@@ -18,8 +20,7 @@ SLOTS = 6  # the carrier pair, two more subtrees, the noise draw and a spare
 
 
 class GridStore:
-    """A grid's read-only time axis t and an LRU table of read-only
-    (n_samples,) arrays, each kept with its evaluator guard hits."""
+    """A grid's read-only time axis t and an LRU table of read-only (n_samples,) arrays."""
 
     def __init__(self, n_samples: int, sample_rate: float):
         self.grid = n_samples, sample_rate
@@ -27,18 +28,18 @@ class GridStore:
         # axis has the bits of an int arange divided, without the int pass
         self.t = np.arange(n_samples, dtype=np.float64) / sample_rate
         self.t.flags.writeable = False
-        self.entries: OrderedDict[object, tuple[np.ndarray, tuple]] = OrderedDict()
+        self.entries: OrderedDict[object, np.ndarray] = OrderedDict()
 
-    def get(self, key) -> tuple[np.ndarray, tuple] | None:
-        """The (array, guard hits) kept under key, now the most recent entry."""
+    def get(self, key) -> np.ndarray | None:
+        """The array kept under key, now the most recent entry, or None."""
         if key in self.entries:
             self.entries.move_to_end(key)
         return self.entries.get(key)
 
-    def put(self, key, value: np.ndarray, hits: tuple = ()) -> np.ndarray:
+    def put(self, key, value: np.ndarray) -> np.ndarray:
         """Keep value, made read-only, under key and return it."""
         value.flags.writeable = False
-        self.entries[key] = value, hits
+        self.entries[key] = value
         self.entries.move_to_end(key)
         if len(self.entries) > SLOTS:
             self.entries.popitem(last=False)
@@ -46,8 +47,8 @@ class GridStore:
 
     def value(self, key, make) -> np.ndarray:
         """The array kept under key, else make()'s, kept under it."""
-        entry = self.get(key)
-        return self.put(key, make()) if entry is None else entry[0]
+        value = self.get(key)
+        return self.put(key, make()) if value is None else value
 
 
 _LAST: GridStore | None = None

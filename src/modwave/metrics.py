@@ -201,9 +201,14 @@ def spectrogram(
     fs = signal.sample_rate
     taps = _WINDOWS[_SPECTROGRAM_WINDOW](fft_length)
     frames = _frames(signal.samples, fft_length, hop)
-    rows = np.empty((len(frames), fft_length // 2 + 1))
-    for start, block in _frame_power(frames, taps):
-        rows[start : start + block.shape[0]] = block
+    blocks = _frame_power(frames, taps)
+    _, rows = next(blocks)
+    if len(rows) < len(frames):  # more blocks: one table, filled a block at a time
+        table = np.empty((len(frames), rows.shape[1]))
+        table[: len(rows)] = rows
+        for start, rows in blocks:  # rebinding rows frees each block in turn
+            table[start : start + len(rows)] = rows
+        rows = table
     freqs = np.fft.rfftfreq(fft_length, d=1.0 / fs)
     times = (np.arange(len(frames)) * hop + fft_length / 2) / fs
     # power.T is the C-ordered (frames, bins) table that welch_psd can sum

@@ -285,13 +285,13 @@ class TestBroadcasting:
         grid_before = t.copy()
         expr = parse_formula(formula)
         evaluate(expr, EvalContext(signals=signals), t)
-        kept = {key: value.copy() for key, (value, _) in store.entries.items()}
+        kept = {key: value.copy() for key, value in store.entries.items()}
         evaluate(expr, EvalContext(signals=signals), t)
         assert np.array_equal(t, grid_before)
         for name, value in signals.items():
             assert np.array_equal(value, before[name]), name
         for key, value in kept.items():
-            assert store.entries[key][0].tobytes() == value.tobytes(), key
+            assert store.entries[key].tobytes() == value.tobytes(), key
 
     def test_constant_formula_fills_the_grid(self):
         result = evaluate(parse_formula("A * pi"), EvalContext(constants={"A": 2.0}), grid(6))
@@ -370,6 +370,9 @@ def _oracle_formulas():
     for temperature, seed in ((0.8, 1), (1.5, 2), (3.0, 3)):
         batch = generate_batch(40, replace(load_grammar(temperature=temperature), seed=seed))
         texts += [item.formula for item in batch.items if item.report.syntactic_ok]
+    # a guarded label-invariant subtree, and one in a sum body
+    texts += ["I(t)*cos(2*pi*f_c*t) - Q(t)*sin(2*pi*f_c*t) + A/cos(2*pi*f_c*t)",
+              "I(t)*cos(2*pi*f_c*t) + sum(i*sin(2*pi*f_c*t)/n, i, 1, n) * Q(t)"]
     return list(dict.fromkeys(texts))
 
 
@@ -513,7 +516,7 @@ class TestStore:
         arrays = [np.full(8, float(k)) for k in range(grids.SLOTS + 1)]
         for k, array in enumerate(arrays[:-1]):
             assert store.put(k, array) is array and not array.flags.writeable
-        assert store.get(0)[0] is arrays[0]  # now the most recent: 1 is the least
+        assert store.get(0) is arrays[0]  # now the most recent: 1 is the least
         store.put(grids.SLOTS, arrays[-1])
         assert list(store.entries) == [*range(2, grids.SLOTS), 0, grids.SLOTS]
         # the evicted array is dropped, not written
@@ -527,9 +530,9 @@ class TestStore:
         stored = []
         put = store.put
 
-        def counting_put(key, value, hits):
+        def counting_put(key, value):
             stored.append(key)
-            return put(key, value, hits)
+            return put(key, value)
 
         monkeypatch.setattr(store, "put", counting_put)
         evaluate(parse_formula(text), ctx, store.t)
@@ -547,7 +550,7 @@ class TestStore:
 
     @pytest.mark.parametrize("divisor, per_row", [("t", 1), ("0", 32)])
     @pytest.mark.parametrize("rows", [None, 16])
-    def test_guards_replay_on_a_hit(self, empty_store, divisor, per_row, rows):
+    def test_a_guarded_subtree_is_not_kept(self, empty_store, divisor, per_row, rows):
         # 1/t is guarded at t = 0 alone; t/0 at every sample of a scalar divisor
         expr = parse_formula(f"I(t) * (f_c * t / {divisor} + 1)")
         shape = (32,) if rows is None else (rows, 1)
@@ -556,8 +559,36 @@ class TestStore:
         counts = []
         for _ in range(2):
             counts.append(evaluate(expr, ctx, store.t).guard_count)
-            assert len(store.entries) == 1
+            assert not store.entries
         assert counts == [per_row * (rows or 1)] * 2 == [_fresh(expr, ctx, store.t)[1]] * 2
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_a_sum_body_subtree_is_kept(self, empty_store, monkeypatch, rows):
+        text = "sum(i*sin(2*pi*f_c*t), i, 1, n) * I(t)"
+        expr = parse_formula(text)
+        shape = (32,) if rows is None else (rows, 1)
+        ctx = EvalContext(constants={"f_c": 6000.0, "n": 3.0},
+                          signals={"I(t)": np.linspace(-1, 1, np.prod(shape)).reshape(shape)})
+        store = empty_store(32)
+        get, put = store.get, store.put
+        found, stored = [], []
+
+        def counting_get(key):
+            value = get(key)
+            found.append(value is not None)
+            return value
+
+        def counting_put(key, value):
+            stored.append(key)
+            return put(key, value)
+
+        monkeypatch.setattr(store, "get", counting_get)
+        monkeypatch.setattr(store, "put", counting_put)
+        outcome = _outcome(expr, ctx, store.t)
+        # sin(2*pi*f_c*t) is put at i = 1 and served at i = 2 and 3
+        assert len(stored) == 1 and stored == list(store.entries)
+        assert found == [False, True, True]
+        _assert_same_outcome(outcome, _fresh(expr, ctx, store.t), text)
 
     def test_only_the_stores_axis_is_served(self, empty_store):
         expr = parse_formula("I(t) * cos(2*pi*f_c*t)")
@@ -565,14 +596,14 @@ class TestStore:
         store = empty_store(64)
         t = store.t
         evaluate(expr, ctx, t)
-        (key, (value, _)), = store.entries.items()
+        (key, value), = store.entries.items()
         # another grid, one bit apart or an equal copy, reads and keeps nothing
         apart = t.copy()
         apart.view(np.int64)[9] += 1
         for other in (apart, t.copy()):
             got = evaluate(expr, ctx, other).samples
             assert got.tobytes() == np.tile(np.cos(2 * np.pi * 6000.0 * other), (2, 1)).tobytes()
-            assert list(store.entries) == [key] and store.entries[key][0] is value
+            assert list(store.entries) == [key] and store.entries[key] is value
         on_axis = evaluate(expr, ctx, t).samples
         assert evaluate(expr, ctx, apart).samples.tobytes() != on_axis.tobytes()
         # the axis cannot change in place, and a grid the store does not own is checked

@@ -239,6 +239,24 @@ class TestSpectrogram:
         )
         assert similarity >= 0.99
 
+    @pytest.mark.parametrize("n_frames, n_blocks", [(1, 1), (749, 1), (2_000, 2)])
+    def test_a_lone_block_is_the_table(self, monkeypatch, rng, n_frames, n_blocks):
+        blocks = []
+        frame_power = modwave.metrics._frame_power
+
+        def recording(frames, taps):
+            for start, block in frame_power(frames, taps):
+                blocks.append(block)
+                yield start, block
+
+        monkeypatch.setattr(modwave.metrics, "_frame_power", recording)
+        x = rng.normal(size=128 * (n_frames + 1))
+        spec = spectrogram(SampledSignal(x, FS), fft_length=256, hop=128)
+        assert len(blocks) == n_blocks
+        # more blocks fill one preallocated table and share memory with none
+        assert [np.shares_memory(spec.power, b) for b in blocks] == [n_blocks == 1] * n_blocks
+        assert np.array_equal(spec.power, loop_spectrogram_power(x, 256, 128))
+
     def test_parameter_bounds(self):
         with pytest.raises(SignalError):
             spectrogram(tone(1000.0, 100), fft_length=256)
@@ -329,8 +347,7 @@ class TestFraming:
 
     @pytest.mark.parametrize("strided", [False, True])
     def test_several_blocks_at_default_size(self, strided):
-        # about 7800 frames: eight blocks, and past the 1024 frames where a
-        # one-step sum over a block starts to reorder the additions
+        # about 7800 frames: eight blocks, which bound Welch's working set
         rng = np.random.default_rng(3)
         x = rng.normal(size=1_000_003)
         if strided:

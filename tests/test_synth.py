@@ -435,7 +435,7 @@ class TestCarrier:
         pair = _carrier(cfg)
         store = grids.grid(cfg.n_samples, cfg.sample_rate)
         for tree, array in zip(_CARRIER_TREES, pair):
-            assert store.get(invariant_key(tree, {"f_c": cfg.carrier_freq}))[0] is array
+            assert store.get(invariant_key(tree, {"f_c": cfg.carrier_freq})) is array
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -459,9 +459,9 @@ class TestCarrier:
             cos, sin = _carrier(qam16)
             # the formula read the pair qam16 scaled: a recomputed value
             # would have replaced the entry, not shared it
-            assert sum(value is cos or value is sin for value, _ in store.entries.values()) == 2
+            assert sum(value is cos or value is sin for value in store.entries.values()) == 2
             wanted = {cos.tobytes(), sin.tobytes()}
-            assert sum(value.tobytes() in wanted for value, _ in store.entries.values()) == 2
+            assert sum(value.tobytes() in wanted for value in store.entries.values()) == 2
             assert len(store.entries) == 3  # cos, sin and the noise draw
             labels = bits_to_labels(modulate(formula).origin_bits, 4)
             points = constellation("qam16")[labels]

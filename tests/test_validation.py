@@ -215,6 +215,7 @@ def test_classification_buckets():
         "A + (": CLASS_UNBALANCED,
         "x)": CLASS_UNBALANCED,
         "A + x_q": CLASS_UNDEFINED,
+        "A * 1e-3": CLASS_UNDEFINED,  # no exponent literals: 1 * e - 3
         "sin(t, t)": CLASS_ARITY,
         "A + * m": CLASS_OTHER,
         "A_c ⊕ t": CLASS_OTHER,
