@@ -50,7 +50,8 @@ _DIRECT_PATH = (Tap(0, 1.0, 0.0),)
 class ChannelConfig:
     """Target SNR (None = noiseless), multipath taps, optional fading.
 
-    The default tap list is the direct path alone.
+    The default tap list is the direct path alone. A tap list whose gains
+    are all 0 sends nothing, and is rejected.
     """
 
     target_snr_db: float | None = 10.0
@@ -63,8 +64,8 @@ class ChannelConfig:
             raise SignalError(f"channel seed {self.seed} is negative")
         if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
             raise SignalError("target SNR must be finite (or None for noiseless)")
-        if not self.taps:
-            raise SignalError("channel needs at least one tap")
+        if not any(tap.gain for tap in self.taps):
+            raise SignalError("channel needs a tap with nonzero gain")
         object.__setattr__(self, "taps", tuple(self.taps))
 
 
@@ -123,10 +124,7 @@ def apply_multipath(signal: SampledSignal, taps: tuple[Tap, ...]) -> SampledSign
                 f"tap delay {tap.delay_samples} exceeds signal length {n}"
             )
         weight = tap.gain * np.cos(tap.phase)
-        if tap.delay_samples == 0:
-            out += weight * samples
-        else:
-            out[tap.delay_samples :] += weight * samples[: n - tap.delay_samples]
+        out[tap.delay_samples :] += weight * samples[: n - tap.delay_samples]
     return replace(signal, samples=out)
 
 

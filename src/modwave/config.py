@@ -10,6 +10,7 @@ config alone.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -38,9 +39,9 @@ def _build(annotation, value, path: str):
 
     An integer is a whole number, so 48.0 samples per symbol is the
     integer 48; a number is an int or a float, never a bool, and is cast,
-    so a JSON integer gain is a float. null is only an `X | None`, a tuple
-    is an array and a dataclass an object (`_fields`). A mismatch is a
-    ConfigError that names the key path.
+    so a JSON integer gain is a float, and must be finite. null is only
+    an `X | None`, a tuple is an array and a dataclass an object
+    (`_fields`). A mismatch is a ConfigError that names the key path.
     """
     inner, nullable = _optional(annotation)
     if value is None and nullable:
@@ -57,9 +58,12 @@ def _build(annotation, value, path: str):
         return int(value)
     if inner is float and number:
         try:
-            return float(value)
+            result = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: {value} is beyond the float range") from None
+        if not math.isfinite(result):  # json.load reads NaN and Infinity
+            raise ConfigError(f"{path} {result} is not a finite number")
+        return result
     kind = "an array" if get_origin(inner) is tuple else _KINDS[inner]
     raise _mistyped(path, f"{kind} or null" if nullable else kind, value)
 

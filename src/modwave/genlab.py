@@ -165,15 +165,12 @@ def sample_formula(config: GrammarConfig, rng=None) -> str:
             # fall back to the shallowest alternatives so expansion finishes
             best = min(a.depth(depths) for a in alts)
             alts = tuple(a for a in alts if a.depth(depths) == best)
-        alt = _pick(alts, config.temperature, rng)
-        out = alt.production
-        budget[0] -= _token_count(_PLACEHOLDER.sub("", out))
-        while True:
-            match = _PLACEHOLDER.search(out)
-            if match is None:
-                return out
-            inner = expand(match.group(1), depth + 1)
-            out = out[: match.start()] + inner + out[match.end() :]
+        # expand each name in place, left to right; expanded text is never rescanned
+        parts = _PLACEHOLDER.split(_pick(alts, config.temperature, rng).production)
+        budget[0] -= _token_count("".join(parts[::2]))
+        for i in range(1, len(parts), 2):
+            parts[i] = expand(parts[i], depth + 1)
+        return "".join(parts)
 
     text = expand(START, 0)
     return re.sub(r"\s+", " ", text).strip()

@@ -368,8 +368,8 @@ def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
 
 
 def _phase_from_freq(cfg: SchemeConfig, inst_freq: np.ndarray) -> np.ndarray:
-    # continuous phase: integrate instantaneous frequency sample by sample
-    return 2 * np.pi * np.cumsum(inst_freq) / cfg.sample_rate
+    # continuous phase: integrate instantaneous frequency along the last axis
+    return 2 * np.pi * np.cumsum(inst_freq, axis=-1) / cfg.sample_rate
 
 
 def _gaussian_freq_pulse(cfg: SchemeConfig) -> np.ndarray:
@@ -422,20 +422,15 @@ def _fsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, cfg.samples_per_symbol) * t)
 
 
-def _cpfsk(cfg: SchemeConfig, drive: np.ndarray) -> np.ndarray:
-    """Continuous-phase carrier deviating h*Rs/2 per unit of drive."""
-    deviation = SCHEMES[cfg.scheme].h * cfg.symbol_rate / 2
-    inst = cfg.carrier_freq + deviation * drive
+def _cpm_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    """The held NRZ drive, shaped by the row's freq_pulse where it names
+    one, deviates the carrier h*Rs/2 per unit; the phase integrates it."""
+    scheme = SCHEMES[cfg.scheme]
+    drive = _hold(2.0 * labels - 1.0, cfg.samples_per_symbol)
+    if scheme.freq_pulse is not None:
+        drive = np.convolve(drive, scheme.freq_pulse(cfg), mode="same")
+    inst = cfg.carrier_freq + scheme.h * cfg.symbol_rate / 2 * drive
     return cfg.amplitude * np.cos(_phase_from_freq(cfg, inst))
-
-
-def _cpfsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    return _cpfsk(cfg, _hold(2.0 * labels - 1.0, cfg.samples_per_symbol))
-
-
-def _gmsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    nrz = _hold(2.0 * labels - 1.0, cfg.samples_per_symbol)
-    return _cpfsk(cfg, np.convolve(nrz, _gaussian_freq_pulse(cfg), mode="same"))
 
 
 def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
@@ -445,8 +440,7 @@ def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     direction = np.array([-1.0, 1.0])[:, None]
     sweep = cfg.symbol_rate * (2 * tau * cfg.symbol_rate - 1)
     inst = cfg.carrier_freq + direction * sweep[None, :]
-    phase = 2 * np.pi * np.cumsum(inst, axis=1) / cfg.sample_rate
-    return (cfg.amplitude * np.cos(phase))[labels].reshape(-1)
+    return (cfg.amplitude * np.cos(_phase_from_freq(cfg, inst)))[labels].reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,10 +451,11 @@ class Scheme:
     unit-average-energy constellation indexed by label, where there is
     one; such a row sends alphabet[labels] with _qam_wave. waveform(cfg,
     labels) builds the passband samples. receiver names the bit decision
-    rule in metrics. h is the continuous-phase FSK index: tones deviate
-    h*Rs/2 and the discriminator passes (h/2 + 1)*Rs. memory marks a
-    waveform that depends on earlier symbols, which rules out a
-    per-symbol candidate bank.
+    rule in metrics. h is the continuous-phase index of a _cpm_wave row:
+    tones deviate h*Rs/2 and the discriminator passes (h/2 + 1)*Rs.
+    freq_pulse(cfg), where a row names one, gives the taps that shape its
+    NRZ drive. memory, which such a row has, marks a waveform that depends
+    on earlier symbols and so rules out a per-symbol candidate bank.
     """
 
     bits_per_symbol: int
@@ -468,7 +463,11 @@ class Scheme:
     alphabet: np.ndarray | None = None
     receiver: str | None = None
     h: float | None = None
-    memory: bool = False
+    freq_pulse: Callable[[SchemeConfig], np.ndarray] | None = None
+
+    @property
+    def memory(self) -> bool:
+        return self.h is not None
 
 
 SCHEMES: dict[str, Scheme] = {
@@ -480,10 +479,10 @@ SCHEMES: dict[str, Scheme] = {
     "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, "nearest"),
     "qpsk": Scheme(2, _qam_wave, _psk_points(4), "nearest"),
     "psk8": Scheme(3, _qam_wave, _psk_points(8), "nearest"),
-    "bfsk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=1.0, memory=True),
+    "bfsk": Scheme(1, _cpm_wave, receiver="discriminator", h=1.0),
     "fsk": Scheme(1, _fsk_wave, receiver="correlation"),
-    "msk": Scheme(1, _cpfsk_wave, receiver="discriminator", h=0.5, memory=True),
-    "gmsk": Scheme(1, _gmsk_wave, receiver="discriminator", h=0.5, memory=True),
+    "msk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5),
+    "gmsk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5, freq_pulse=_gaussian_freq_pulse),
     "chirp": Scheme(1, _chirp_wave, receiver="correlation"),
     "qam16": Scheme(4, _qam_wave, _square_qam_points(16), "nearest"),
     "qam64": Scheme(6, _qam_wave, _square_qam_points(64), "nearest"),

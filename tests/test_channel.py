@@ -271,6 +271,16 @@ class TestChannelConfig:
         with pytest.raises(SignalError):
             ChannelConfig(target_snr_db=math.inf)
 
+    @pytest.mark.parametrize(
+        "taps", [(), (Tap(0, 0.0),), (Tap(0, 0.0), Tap(3, -0.0, 0.5))], ids=["none", "one", "two"]
+    )
+    def test_taps_that_all_have_gain_zero_are_rejected(self, taps):
+        # such a channel sends nothing; one nonzero gain is enough, cancelling or not
+        with pytest.raises(SignalError, match="nonzero gain"):
+            ChannelConfig(taps=taps)
+        ChannelConfig(taps=(*taps, Tap(5, 0.1)))
+        ChannelConfig(taps=(Tap(0, 1.0), Tap(0, -1.0)))
+
     def test_chain_preserves_ground_truth(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         sig = SampledSignal(np.ones(400), 48000.0, origin_bits=bits)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import modwave
 from modwave import genlab
-from modwave.channel import ChannelConfig, FadingConfig, Tap
+from modwave.channel import CHANNEL_PRESETS, ChannelConfig, FadingConfig, Tap
 from modwave.cli import main
 from modwave.config import GeneratorSettings, load_config
 from modwave.costmodel import CostInputs
@@ -178,12 +178,13 @@ class TestEvalCommand:
         second = (tmp_path / "out" / "bpsk_report.json").read_bytes()
         assert first == second
 
-    def test_zero_gain_channel_fails_the_run(self, tmp_path):
+    def test_zero_gain_channel_fails_the_run(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             channel={"target_snr_db": 10, "taps": [{"delay_samples": 0, "gain": 0}]},
         )
-        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 1
+        assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 2
+        assert capsys.readouterr().err.startswith("config error: channel: ")
         assert not (tmp_path / "out").exists()
 
     def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
@@ -466,6 +467,13 @@ class TestConfigHandling:
             {"scheme_defaults": {"amplitude": 10**400}},  # beyond the float range
             {"corpus": "."},  # a directory, not a corpus file
             {"generator": {"grammar_path": "."}},
+            # json.load reads NaN and Infinity; no float field takes them
+            {"channel": {"taps": [{"delay_samples": 0, "gain": float("nan")}]}},
+            {"channel": {"taps": [{"delay_samples": 0, "gain": 1.0, "phase": float("inf")}]}},
+            {"channel": {"fading": {"block_length_samples": 64, "sigma": float("nan")}}},
+            {"cost": {"f_cpu": float("nan"), "data_bits": 1e3, "bandwidth_bps": 1e6}},
+            {"generator": {"temperature": float("nan")}},
+            {"generator": {"timeout_s": float("inf")}},
         ],
     )
     def test_mistyped_or_invalid_values_are_config_errors(self, tmp_path, capsys, overrides):
@@ -515,15 +523,13 @@ class TestConfigHandling:
     def test_keys_beside_a_preset_override_it(self, tmp_path):
         config = write_config(
             tmp_path,
-            schemes=["bpsk", "qam16"],
             channel={
                 "preset": "table_operating_point",
-                "taps": [{"delay_samples": 0, "gain": 0.0}],
+                "taps": [{"delay_samples": 2, "gain": 0.5}],
             },
         )
-        assert main(["compare", "--config", str(config)]) == 0
-        rows = json.loads((tmp_path / "out" / "comparison.json").read_text())["rows"]
-        assert [row["error"].split(":")[0] for row in rows] == ["ZeroPowerError"] * 2
+        preset = CHANNEL_PRESETS["table_operating_point"]
+        assert load_config(config).channel == replace(preset, taps=(Tap(2, 0.5),))
 
     def test_sections_are_their_dataclass_fields(self, tmp_path):
         # each section: a full example of its dataclass, its required keys,

@@ -1,7 +1,9 @@
 import json
+import re
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from modwave.dsl import (
     load_corpus,
     validate,
 )
+from modwave import genlab
 from modwave.errors import ConfigError, GenerationSourceError
 from modwave.genlab import (
     GrammarConfig,
@@ -34,6 +37,34 @@ from conftest import MALFORMED_GRAMMARS
 @pytest.fixture(scope="module")
 def grammar():
     return load_grammar()
+
+
+def oracle_sample_formula(config, rng):
+    """The splicing sampler: each expansion spliced into the production,
+    which is then searched again from its start. On a grammar whose text
+    spells no placeholder it draws what sample_formula draws."""
+    budget = [config.max_tokens]
+    depths = config.expansion_depths
+
+    def expand(name, depth):
+        alts = config.rules[name]
+        if depth >= config.max_depth or budget[0] < 24:
+            best = min(a.depth(depths) for a in alts)
+            alts = tuple(a for a in alts if a.depth(depths) == best)
+        out = genlab._pick(alts, config.temperature, rng).production
+        budget[0] -= genlab._token_count(genlab._PLACEHOLDER.sub("", out))
+        while (match := genlab._PLACEHOLDER.search(out)) is not None:
+            out = out[: match.start()] + expand(match.group(1), depth + 1) + out[match.end() :]
+        return out
+
+    return re.sub(r"\s+", " ", expand(genlab.START, 0)).strip()
+
+
+def write_grammar(path, rules) -> Path:
+    path.write_text(json.dumps(
+        {name: [{"production": p, "weight": w} for p, w in alts] for name, alts in rules.items()}
+    ))
+    return path
 
 
 class TestSampling:
@@ -101,6 +132,31 @@ class TestSampling:
         assert message.startswith(f"grammar file {path}")
         if kind not in ("not-json", "not-utf8"):
             assert "'tail'" in message
+
+    @pytest.mark.parametrize("temperature", [1e-7, 0.3, 0.8, 1.5, 3.0])
+    def test_draws_equal_the_splicing_sampler(self, grammar, temperature):
+        for seed in range(40):
+            for tokens, depth in [(8, 1), (128, 10), (512, 30)]:
+                cfg = replace(grammar, temperature=temperature, max_tokens=tokens, max_depth=depth)
+                expected = oracle_sample_formula(cfg, np.random.default_rng(seed))
+                assert sample_formula(cfg, np.random.default_rng(seed)) == expected
+
+    @pytest.mark.parametrize("inner", ["z", "start"])
+    def test_expanded_text_is_not_searched_again(self, tmp_path, inner):
+        # <x> expands to text that, with the brackets around it, spells a
+        # placeholder: it stays literal text, and validation classes it
+        path = write_grammar(tmp_path / "g.json", {"start": [("A*<<x>>", 1.0)], "x": [(inner, 1.0)]})
+        grammar = load_grammar(path)
+        assert sample_formula(grammar) == f"A*<{inner}>"
+        batch = generate_batch(3, grammar)
+        assert batch.class_counts["other-syntax"] == 3
+
+    def test_one_frame_per_nesting_level(self):
+        # the chain start -> (<start>) reaches max_depth 900 under the
+        # default recursion limit
+        rules = {"start": (ProductionAlt("(<start>)", 2.0), ProductionAlt("A", 1.0))}
+        grammar = GrammarConfig(rules, temperature=1e-7, max_tokens=4000, max_depth=900)
+        assert sample_formula(grammar) == "(" * 900 + "A" + ")" * 900
 
     def test_expansion_depth_is_the_shallowest_alternative(self, grammar):
         # one depth rule: each nonterminal needs its shallowest alternative's levels

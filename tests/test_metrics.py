@@ -1062,7 +1062,8 @@ class TestCompare:
             run_scheme(cfg, ChannelConfig(target_snr_db=10.0), collect=True)
 
     def test_zero_gain_channel_is_an_error_row(self):
-        silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 0.0),))
+        # cancelling taps: a zero-power received signal, from taps with nonzero gains
+        silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 1.0), Tap(0, -1.0)))
         with pytest.raises(ZeroPowerError):
             run_scheme(SchemeConfig("bpsk", n_symbols=100), silent)
         rows = compare(

@@ -84,6 +84,25 @@ def oracle_chirp_wave(cfg, labels):
     return cfg.amplitude * np.cos(phase).reshape(-1)
 
 
+def oracle_cpfsk_wave(cfg, labels, drive=None):
+    """The continuous-phase builders as they were, one per pulse: a held NRZ
+    drive, or the given drive, deviating the carrier h*Rs/2 per unit."""
+    if drive is None:
+        drive = np.repeat(2.0 * labels - 1.0, cfg.samples_per_symbol)
+    inst = cfg.carrier_freq + SCHEMES[cfg.scheme].h * cfg.symbol_rate / 2 * drive
+    return cfg.amplitude * np.cos(2 * np.pi * np.cumsum(inst) / cfg.sample_rate)
+
+
+def oracle_gmsk_wave(cfg, labels):
+    """The NRZ hold convolved with the Gaussian frequency pulse, then CPFSK."""
+    sps = cfg.samples_per_symbol
+    t = (np.arange(8 * sps + 1) - 4 * sps) / cfg.sample_rate
+    sigma = np.sqrt(np.log(2)) / (2 * np.pi * cfg.gmsk_bt * cfg.symbol_rate)
+    taps = np.exp(-(t**2) / (2 * sigma**2))
+    nrz = np.repeat(2.0 * labels - 1.0, sps)
+    return oracle_cpfsk_wave(cfg, labels, np.convolve(nrz, taps / taps.sum(), mode="same"))
+
+
 # the default grid, an off-cycle carrier at 10 samples per symbol, odd
 # sample counts per symbol and a non-unit amplitude
 CHIRP_GEOMETRIES = [
@@ -319,6 +338,29 @@ class TestReferenceWaveforms:
         for label, row in enumerate(bank):
             held = np.full(n_symbols, label, dtype=np.int64)
             assert row.tobytes() == oracle_chirp_wave(cfg, held).tobytes(), label
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {},
+            {"carrier_freq": 4000.0, "samples_per_symbol": 16, "amplitude": 0.7},
+            {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
+        ],
+        ids=["sps48", "sps16", "off-cycle-sps10"],
+    )
+    @pytest.mark.parametrize("n_symbols", [1, 7, 333, 10_000])
+    def test_continuous_phase_rows_equal_their_old_builders(self, geometry, n_symbols):
+        # one builder for bfsk, msk and gmsk keeps each row's bytes
+        for scheme, oracle, bts in [
+            ("bfsk", oracle_cpfsk_wave, [0.3]),
+            ("msk", oracle_cpfsk_wave, [0.3]),
+            ("gmsk", oracle_gmsk_wave, [0.2, 0.3, 0.5]),
+        ]:
+            for bt in bts:
+                cfg = SchemeConfig(scheme, n_symbols=n_symbols, seed=5, gmsk_bt=bt, **geometry)
+                signal = modulate(cfg)
+                expected = oracle(cfg, signal.origin_bits.astype(np.int64))
+                assert signal.samples.tobytes() == expected.tobytes(), (scheme, bt)
 
     def test_all_waveforms_finite_and_sized(self):
         for scheme in REFERENCE_SCHEMES:
@@ -557,6 +599,11 @@ class TestFormulaSynthesis:
 
 
 class TestSchemeTable:
+    def test_memory_is_a_continuous_phase_index(self):
+        # memory follows from h, and only the gmsk row shapes its drive
+        assert [n for n, s in SCHEMES.items() if s.memory] == ["bfsk", "msk", "gmsk"]
+        assert [n for n, s in SCHEMES.items() if s.freq_pulse] == ["gmsk"]
+
     def test_alphabet_size_matches_bits_per_symbol(self):
         for name, scheme in SCHEMES.items():
             if scheme.alphabet is not None:
