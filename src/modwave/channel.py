@@ -45,13 +45,29 @@ class FadingConfig:
 
 _DIRECT_PATH = (Tap(0, 1.0, 0.0),)
 
+# a delay whose weight is within this fraction of the largest tap gain sends
+# nothing but the rounding of a cancellation, such as cos(pi/2) = 6.1e-17
+WEIGHT_TOLERANCE = 1e-12
+
+
+def tap_weights(taps: tuple[Tap, ...]) -> dict[int, float]:
+    """The weight apply_multipath gives each delay: the sum of its taps'
+    gain * cos(phase), in tap order. On a real passband signal a tap's
+    phase enters as that cosine factor."""
+    weights: dict[int, float] = {}
+    for tap in taps:
+        weight, delay = tap.gain * np.cos(tap.phase), tap.delay_samples
+        weights[delay] = weights[delay] + weight if delay in weights else weight
+    return weights
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """Target SNR (None = noiseless), multipath taps, optional fading.
 
-    The default tap list is the direct path alone. A tap list whose gains
-    are all 0 sends nothing, and is rejected.
+    The default tap list is the direct path alone. A tap list whose delay
+    weights (tap_weights) are all within WEIGHT_TOLERANCE of its largest
+    gain of 0 sends nothing, and is rejected.
     """
 
     target_snr_db: float | None = 10.0
@@ -64,8 +80,12 @@ class ChannelConfig:
             raise SignalError(f"channel seed {self.seed} is negative")
         if self.target_snr_db is not None and not math.isfinite(self.target_snr_db):
             raise SignalError("target SNR must be finite (or None for noiseless)")
-        if not any(tap.gain for tap in self.taps):
-            raise SignalError("channel needs a tap with nonzero gain")
+        scale = WEIGHT_TOLERANCE * max((abs(tap.gain) for tap in self.taps), default=0.0)
+        if all(abs(weight) <= scale for weight in tap_weights(self.taps).values()):
+            raise SignalError(
+                "channel sends nothing: it needs a delay with nonzero weight, "
+                "the sum of its taps' gain * cos(phase)"
+            )
         object.__setattr__(self, "taps", tuple(self.taps))
 
 
@@ -108,23 +128,18 @@ def add_awgn(
 
 
 def apply_multipath(signal: SampledSignal, taps: tuple[Tap, ...]) -> SampledSignal:
-    """Sum delayed, scaled, phase-shifted copies; length preserved.
-
-    On a real passband signal the tap phase enters as a gain factor
-    cos(phase). The direct path alone returns the input itself.
+    """Sum delayed copies, each scaled by its delay's tap_weights weight;
+    length preserved. The direct path alone returns the input itself.
     """
     if taps == _DIRECT_PATH:
         return signal
     n = len(signal)
     samples = signal.samples
     out = np.zeros(n)
-    for tap in taps:
-        if tap.delay_samples >= n:
-            raise SignalError(
-                f"tap delay {tap.delay_samples} exceeds signal length {n}"
-            )
-        weight = tap.gain * np.cos(tap.phase)
-        out[tap.delay_samples :] += weight * samples[: n - tap.delay_samples]
+    for delay, weight in tap_weights(taps).items():
+        if delay >= n:
+            raise SignalError(f"tap delay {delay} exceeds signal length {n}")
+        out[delay:] += weight * samples[: n - delay]
     return replace(signal, samples=out)
 
 

@@ -1,9 +1,9 @@
 """The formula namespace: every name a formula may read.
 
-Validation accepts exactly these names, and synthesis binds each of them
-(see synth.formula_context). Scalar names (carrier frequency, amplitudes,
-deviation constants, ...) are constant-valued; names written with a (t)
-suffix are signal-valued time series. A bare name resolves to its
+Validation accepts exactly these names, and synthesis binds each one a
+formula reads (see synth.formula_context). Scalar names (carrier
+frequency, amplitudes, deviation constants, ...) are constant-valued;
+names written with a (t) suffix are signal-valued time series. A bare name resolves to its
 signal-valued form when only that form is in the namespace, so a trailing
 "/ Q" in a formula binds to Q(t).
 """

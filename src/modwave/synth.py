@@ -4,11 +4,14 @@ normalization.
 
 All waveforms are real passband signals sampled at
 symbol_rate * samples_per_symbol. Each reference scheme is one row of
-SCHEMES (see Scheme); a row with an alphabet sends exactly the points
-constellation() returns through one quadrature builder. Rectangular
-pulse shaping is the default; root-raised-cosine shaping is available
-for those rows behind a config flag for bandwidth studies, but their
-receivers assume rectangular pulses, so demodulating an rrc run raises.
+SCHEMES (see Scheme). A row the formula language can write, am, fm, pm
+and fsk, is its bundled corpus formula, evaluated as a formula scheme
+is; the other rows keep a builder. A row with an alphabet sends exactly
+the points constellation() returns through one quadrature builder.
+Rectangular pulse shaping is the default; root-raised-cosine shaping is
+available for those rows behind a config flag for bandwidth studies, but
+their receivers assume rectangular pulses, so demodulating an rrc run
+raises.
 """
 
 import json
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsl.ast import Expr, reads, separable_in
+from .dsl.corpus import bundled_corpus_path, load_corpus
 from .dsl.evaluation import EvalContext, evaluate, invariant_key
 from .dsl.parser import parse_formula
 from .dsl.symbols import LABEL_STREAMS
@@ -139,18 +143,25 @@ class SchemeConfig:
 
     @cached_property
     def formula(self) -> Expr:
-        """formula_text parsed, once per config object."""
-        if not self.formula_text:
-            raise SignalError("formula scheme configured without formula_text")
-        return parse_formula(self.formula_text)
+        """The tree this config sends, parsed once per config object:
+        formula_text for a formula scheme, else its row's formula."""
+        text = self.formula_text if self.is_formula else SCHEMES[self.scheme].formula
+        if not text:
+            raise SignalError(f"scheme {self.scheme!r} has no formula text")
+        return parse_formula(text)
 
     @property
     def sample_rate(self) -> float:
         return self.symbol_rate * self.samples_per_symbol
 
     @property
+    def label_scheme(self) -> str:
+        """The scheme whose labels and points this config sends."""
+        return self.base_scheme if self.is_formula else self.scheme
+
+    @property
     def bits_per_symbol(self) -> int:
-        return _bits_per_symbol(self.base_scheme if self.is_formula else self.scheme)
+        return _bits_per_symbol(self.label_scheme)
 
     @property
     def n_samples(self) -> int:
@@ -289,15 +300,6 @@ def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
 # waveform builders
 
 
-def _time_grid(cfg: SchemeConfig) -> np.ndarray:
-    """The read-only time axis of cfg's grid, from the grid's store."""
-    return grid(cfg.n_samples, cfg.sample_rate).t
-
-
-def _hold(values: np.ndarray, sps: int) -> np.ndarray:
-    return np.repeat(values, sps)
-
-
 def _rrc_taps(beta: float, sps: int, span: int = 8) -> np.ndarray:
     n = span * sps + 1
     t = (np.arange(n) - (n - 1) / 2) / sps
@@ -327,10 +329,6 @@ def _rrc_baseband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     return shaped[delay : delay + up.size]
 
 
-def _carrier_phase(carrier_freq: float, t: np.ndarray) -> np.ndarray:
-    return 2 * np.pi * carrier_freq * t
-
-
 # the carrier pair is the value of these trees, and is keyed as they are
 _CARRIER_TREES = (parse_formula("cos(2*pi*f_c*t)"), parse_formula("sin(2*pi*f_c*t)"))
 
@@ -341,7 +339,7 @@ def _carrier(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     store = grid(cfg.n_samples, cfg.sample_rate)
     return tuple(
         store.value(invariant_key(tree, {"f_c": cfg.carrier_freq}),
-                    lambda: ufunc(_carrier_phase(cfg.carrier_freq, store.t)))
+                    lambda: ufunc(2 * np.pi * cfg.carrier_freq * store.t))
         for tree, ufunc in zip(_CARRIER_TREES, (np.cos, np.sin))
     )
 
@@ -386,47 +384,15 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
     return np.cos(2 * np.pi * cfg.message_freq * t)
 
 
-# Waveform builders take (cfg, labels); the analog ones ignore the labels.
-
-
-def _am_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    msg = _message(cfg, _time_grid(cfg))
-    cos = _carrier(cfg)[0]
-    return cfg.amplitude * (1 + cfg.mod_index * msg) * cos
-
-
-def _fm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    t = _time_grid(cfg)
-    msg = _message(cfg, t)
-    dt = 1.0 / cfg.sample_rate
-    running = np.concatenate(([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) * dt))
-    return cfg.amplitude * np.cos(
-        _carrier_phase(cfg.carrier_freq, t) + cfg.freq_dev * running
-    )
-
-
-def _pm_wave(cfg: SchemeConfig, labels) -> np.ndarray:
-    t = _time_grid(cfg)
-    msg = _message(cfg, t)
-    return cfg.amplitude * np.cos(_carrier_phase(cfg.carrier_freq, t) + cfg.phase_dev * msg)
-
-
 def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     return _quadrature_passband(cfg, constellation(cfg.scheme)[labels])
-
-
-def _fsk_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    # literal instantaneous-frequency form with absolute time
-    tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
-    t = _time_grid(cfg)
-    return cfg.amplitude * np.cos(2 * np.pi * _hold(tone, cfg.samples_per_symbol) * t)
 
 
 def _cpm_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     """The held NRZ drive, shaped by the row's freq_pulse where it names
     one, deviates the carrier h*Rs/2 per unit; the phase integrates it."""
     scheme = SCHEMES[cfg.scheme]
-    drive = _hold(2.0 * labels - 1.0, cfg.samples_per_symbol)
+    drive = np.repeat(2.0 * labels - 1.0, cfg.samples_per_symbol)
     if scheme.freq_pulse is not None:
         drive = np.convolve(drive, scheme.freq_pulse(cfg), mode="same")
     inst = cfg.carrier_freq + scheme.h * cfg.symbol_rate / 2 * drive
@@ -447,40 +413,47 @@ def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 class Scheme:
     """Every fact about one reference scheme.
 
-    bits_per_symbol is 0 for an analog scheme. alphabet is the
+    bits_per_symbol is 0 for an analog scheme. A row has either a formula,
+    the text of the bundled corpus entry of its id, evaluated as a formula
+    scheme is, or a waveform(cfg, labels) builder for what the formula
+    language cannot write: rrc pulses, a filtered NRZ drive, a phase reset
+    at each symbol. alphabet is the
     unit-average-energy constellation indexed by label, where there is
-    one; such a row sends alphabet[labels] with _qam_wave. waveform(cfg,
-    labels) builds the passband samples. receiver names the bit decision
-    rule in metrics. h is the continuous-phase index of a _cpm_wave row:
-    tones deviate h*Rs/2 and the discriminator passes (h/2 + 1)*Rs.
-    freq_pulse(cfg), where a row names one, gives the taps that shape its
-    NRZ drive. memory, which such a row has, marks a waveform that depends
-    on earlier symbols and so rules out a per-symbol candidate bank.
+    one; such a row sends alphabet[labels] with _qam_wave. receiver names
+    the bit decision rule in metrics. h is the continuous-phase index of a
+    _cpm_wave row: tones deviate h*Rs/2 and the discriminator passes
+    (h/2 + 1)*Rs. freq_pulse(cfg), where a row names one, gives the taps
+    that shape its NRZ drive. memory, which such a row has, marks a
+    waveform that depends on earlier symbols and so rules out a per-symbol
+    candidate bank.
     """
 
     bits_per_symbol: int
-    waveform: Callable[[SchemeConfig, np.ndarray | None], np.ndarray]
+    waveform: Callable[[SchemeConfig, np.ndarray], np.ndarray] | None = None
     alphabet: np.ndarray | None = None
     receiver: str | None = None
     h: float | None = None
     freq_pulse: Callable[[SchemeConfig], np.ndarray] | None = None
+    formula: str | None = None
 
     @property
     def memory(self) -> bool:
         return self.h is not None
 
 
+_CORPUS = {entry.id: entry.formula for entry in load_corpus(bundled_corpus_path())}
+
 SCHEMES: dict[str, Scheme] = {
-    "am": Scheme(0, _am_wave),
-    "fm": Scheme(0, _fm_wave),
-    "pm": Scheme(0, _pm_wave),
+    "am": Scheme(0, formula=_CORPUS["am"]),
+    "fm": Scheme(0, formula=_CORPUS["fm"]),
+    "pm": Scheme(0, formula=_CORPUS["pm"]),
     # average energy 1 with equiprobable on/off symbols
     "ook": Scheme(1, _qam_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, "envelope"),
     "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, "nearest"),
     "qpsk": Scheme(2, _qam_wave, _psk_points(4), "nearest"),
     "psk8": Scheme(3, _qam_wave, _psk_points(8), "nearest"),
     "bfsk": Scheme(1, _cpm_wave, receiver="discriminator", h=1.0),
-    "fsk": Scheme(1, _fsk_wave, receiver="correlation"),
+    "fsk": Scheme(1, receiver="correlation", formula=_CORPUS["fsk"]),
     "msk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5),
     "gmsk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5, freq_pulse=_gaussian_freq_pulse),
     "chirp": Scheme(1, _chirp_wave, receiver="correlation"),
@@ -497,31 +470,37 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 # formula bindings, modulate and the candidate bank
 
 
-def formula_context(
-    cfg: SchemeConfig, labels: np.ndarray
-) -> tuple[Expr, EvalContext, np.ndarray]:
-    """Bind every name a formula scheme may read.
+def _sends_formula(cfg: SchemeConfig) -> bool:
+    return cfg.is_formula or SCHEMES[cfg.scheme].formula is not None
 
-    The quadrature, data and frequency streams come from the base scheme's
-    Gray-labeled symbols. A 1-D labels array is one label per symbol, held
-    over that symbol's samples; a (rows, 1) column binds one row per
-    label, which broadcasts against the grid. Scalars come from the
-    config, and m(t) is bound only when the formula reads it. Returns
-    cfg.formula, its context and the time grid, evaluate's three arguments.
+
+def formula_context(
+    cfg: SchemeConfig, labels: np.ndarray | None
+) -> tuple[Expr, EvalContext, np.ndarray]:
+    """Bind the names cfg.formula reads.
+
+    The quadrature, data and frequency streams come from the Gray-labeled
+    symbols of cfg.label_scheme: the base scheme of a formula scheme, the
+    row itself for a reference row. A 1-D labels array is one label per
+    symbol, held over that symbol's samples; a (rows, 1) column binds one
+    row per label, which broadcasts against the grid. Each stream, and
+    m(t), is bound only when the formula reads it, so an analog row takes
+    labels None. Scalars come from the config. Returns cfg.formula, its
+    context and the time grid, evaluate's three arguments.
     """
     expr = cfg.formula
-    points = constellation(cfg.base_scheme)[labels]
-    streams = (
-        points.real,
-        points.imag,
-        labels.astype(float),
-        cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
-    )
-    signals = dict(zip(LABEL_STREAMS, streams))
-    if labels.ndim == 1:
-        signals = {name: _hold(v, cfg.samples_per_symbol) for name, v in signals.items()}
-    t = _time_grid(cfg)
-    if "m(t)" in reads(expr)[0]:
+    names = reads(expr)[0]
+    streams = {
+        "I(t)": lambda: constellation(cfg.label_scheme)[labels].real,
+        "Q(t)": lambda: constellation(cfg.label_scheme)[labels].imag,
+        "d(t)": lambda: labels.astype(float),
+        "f(t)": lambda: cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
+    }
+    signals = {name: make() for name, make in streams.items() if name in names}
+    if labels is not None and labels.ndim == 1:
+        signals = {name: np.repeat(v, cfg.samples_per_symbol) for name, v in signals.items()}
+    t = grid(cfg.n_samples, cfg.sample_rate).t
+    if "m(t)" in names:
         signals["m(t)"] = _message(cfg, t)
     constants = {
         "f_c": cfg.carrier_freq,
@@ -548,7 +527,7 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     bps = cfg.bits_per_symbol
     bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
     labels = None if bits is None else bits_to_labels(bits, bps)
-    if not cfg.is_formula:
+    if not _sends_formula(cfg):
         samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
         return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
     result = evaluate(*formula_context(cfg, labels))
@@ -575,22 +554,24 @@ def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.nd
     every symbol set to its label. Each row depends on its own label only,
     so a caller may build the bank a few labels at a time.
     """
+    if not cfg.bits_per_symbol:
+        raise DemodulationError("analog schemes have no symbol candidates")
     labels = np.arange(1 << cfg.bits_per_symbol) if labels is None else labels
-    if cfg.is_formula:
+    if _sends_formula(cfg):
         memory = reads(cfg.formula)[1] & set(LABEL_STREAMS)
         if memory:
             raise DemodulationError(
                 f"{cfg.scheme} integrates {sorted(memory)}, so its symbols "
                 "have memory; no per-symbol candidate bank"
             )
-        return evaluate(*formula_context(cfg, labels[:, None])).samples
+        samples = evaluate(*formula_context(cfg, labels[:, None])).samples
+        # a formula that reads no label stream sends one row for every label
+        return samples if samples.ndim == 2 else np.tile(samples, (labels.size, 1))
     scheme = SCHEMES[cfg.scheme]
     if scheme.memory:
         raise DemodulationError(
             f"{cfg.scheme} carries phase memory; no per-symbol candidate bank"
         )
-    if not scheme.bits_per_symbol:
-        raise DemodulationError("analog schemes have no symbol candidates")
     return np.stack([
         scheme.waveform(cfg, np.full(cfg.n_symbols, label, dtype=np.int64))
         for label in labels
@@ -618,8 +599,8 @@ def candidate_basis(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray] | None:
     order = 1 << cfg.bits_per_symbol
     _, ctx, t = formula_context(cfg, np.arange(order)[:, None])
     names = reads(expr)[0]
-    streams = {name: ctx.signals[name] for name in LABEL_STREAMS}
-    columns = {name: streams[name] for name in LABEL_STREAMS if name in names}
+    streams = {name: ctx.signals[name] for name in LABEL_STREAMS if name in ctx.signals}
+    columns = {name: streams[name] for name in streams if name in names}
     for name, tree in features.items():
         result = evaluate(tree, EvalContext(ctx.constants, streams), t[:2])
         if result.invalid_mask.any():

@@ -14,6 +14,7 @@ from modwave.channel import (
     apply_fading,
     apply_multipath,
     measure_snr,
+    tap_weights,
 )
 from modwave.config import load_config
 from modwave.errors import SignalError, ZeroPowerError
@@ -272,14 +273,33 @@ class TestChannelConfig:
             ChannelConfig(target_snr_db=math.inf)
 
     @pytest.mark.parametrize(
-        "taps", [(), (Tap(0, 0.0),), (Tap(0, 0.0), Tap(3, -0.0, 0.5))], ids=["none", "one", "two"]
+        "taps",
+        [
+            (),
+            (Tap(0, 0.0),),
+            (Tap(0, 0.0), Tap(3, -0.0, 0.5)),
+            (Tap(0, 1.0, math.pi / 2),),
+            (Tap(0, 1.0), Tap(0, -1.0)),
+            (Tap(2, 0.5, 0.3), Tap(2, -0.5, -0.3), Tap(6, 3.0, -math.pi / 2)),
+        ],
+        ids=["none", "one", "two", "quarter-turn", "cancelling", "cancelling-and-turned"],
     )
-    def test_taps_that_all_have_gain_zero_are_rejected(self, taps):
-        # such a channel sends nothing; one nonzero gain is enough, cancelling or not
-        with pytest.raises(SignalError, match="nonzero gain"):
+    def test_taps_whose_weights_all_vanish_are_rejected(self, taps):
+        # such a channel sends nothing; one delay of nonzero weight is enough
+        with pytest.raises(SignalError, match="nonzero weight"):
             ChannelConfig(taps=taps)
         ChannelConfig(taps=(*taps, Tap(5, 0.1)))
-        ChannelConfig(taps=(Tap(0, 1.0), Tap(0, -1.0)))
+        ChannelConfig(taps=(*taps, Tap(5, 1e-6)))
+
+    def test_tap_weights_are_what_multipath_applies(self):
+        # taps on one delay add; a tap's phase is its cos factor
+        taps = (Tap(0, 1.0), Tap(4, 0.5, 0.7), Tap(0, 0.25, math.pi / 3))
+        assert tap_weights(taps) == {0: 1.0 + 0.25 * np.cos(math.pi / 3), 4: 0.5 * np.cos(0.7)}
+        sig = unit_noise(64, seed=8)
+        out = apply_multipath(sig, taps).samples
+        expected = tap_weights(taps)[0] * sig.samples
+        expected[4:] += tap_weights(taps)[4] * sig.samples[:-4]
+        assert out.tobytes() == expected.tobytes()
 
     def test_chain_preserves_ground_truth(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)

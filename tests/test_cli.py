@@ -178,11 +178,19 @@ class TestEvalCommand:
         second = (tmp_path / "out" / "bpsk_report.json").read_bytes()
         assert first == second
 
-    def test_zero_gain_channel_fails_the_run(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            channel={"target_snr_db": 10, "taps": [{"delay_samples": 0, "gain": 0}]},
-        )
+    @pytest.mark.parametrize(
+        "taps",
+        [
+            [{"delay_samples": 0, "gain": 0}],
+            # cos(pi/2) is 6.1e-17, not 0: this ran, at an SNR of -314 dB
+            [{"delay_samples": 0, "gain": 1.0, "phase": 1.5707963267948966}],
+            # this one reached the SNR measurement and exited 1
+            [{"delay_samples": 0, "gain": 1.0}, {"delay_samples": 0, "gain": -1.0}],
+        ],
+        ids=["zero-gain", "quarter-turn", "cancelling"],
+    )
+    def test_zero_gain_channel_fails_the_run(self, tmp_path, capsys, taps):
+        config = write_config(tmp_path, channel={"target_snr_db": 10, "taps": taps})
         assert main(["eval", "--config", str(config), "--scheme", "bpsk"]) == 2
         assert capsys.readouterr().err.startswith("config error: channel: ")
         assert not (tmp_path / "out").exists()

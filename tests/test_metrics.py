@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.signal import hilbert as scipy_hilbert
 from scipy.signal import welch as scipy_welch
 
+import modwave.channel
 import modwave.metrics
 import modwave.synth
 
@@ -1061,13 +1062,18 @@ class TestCompare:
         with pytest.raises(GridSizeError, match=f"a row of {cfg.n_samples} samples"):
             run_scheme(cfg, ChannelConfig(target_snr_db=10.0), collect=True)
 
-    def test_zero_gain_channel_is_an_error_row(self):
-        # cancelling taps: a zero-power received signal, from taps with nonzero gains
-        silent = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 1.0), Tap(0, -1.0)))
+    def test_zero_gain_channel_is_an_error_row(self, monkeypatch):
+        # ChannelConfig rejects taps that send nothing, so a multipath stage
+        # that returns silence stands in for a zero-power received signal
+        def silent(signal, taps):
+            return replace(signal, samples=np.zeros(len(signal)))
+
+        monkeypatch.setattr(modwave.channel, "apply_multipath", silent)
+        channel = ChannelConfig(target_snr_db=10.0, taps=(Tap(0, 1.0), Tap(3, 0.5)))
         with pytest.raises(ZeroPowerError):
-            run_scheme(SchemeConfig("bpsk", n_symbols=100), silent)
+            run_scheme(SchemeConfig("bpsk", n_symbols=100), channel)
         rows = compare(
-            [SchemeConfig(s, n_symbols=100) for s in ("bpsk", "qam16")], silent
+            [SchemeConfig(s, n_symbols=100) for s in ("bpsk", "qam16")], channel
         )
         assert [row.error.split(":")[0] for row in rows] == ["ZeroPowerError"] * 2
 

@@ -93,6 +93,37 @@ def oracle_cpfsk_wave(cfg, labels, drive=None):
     return cfg.amplitude * np.cos(2 * np.pi * np.cumsum(inst) / cfg.sample_rate)
 
 
+def oracle_am_wave(cfg, labels):
+    """The builders of the rows that are now corpus formulas, as they were."""
+    t = np.arange(cfg.n_samples) / cfg.sample_rate
+    msg = np.cos(2 * np.pi * cfg.message_freq * t)
+    return cfg.amplitude * (1 + cfg.mod_index * msg) * np.cos(2 * np.pi * cfg.carrier_freq * t)
+
+
+def oracle_fm_wave(cfg, labels):
+    t = np.arange(cfg.n_samples) / cfg.sample_rate
+    msg = np.cos(2 * np.pi * cfg.message_freq * t)
+    running = np.concatenate(([0.0], np.cumsum((msg[1:] + msg[:-1]) / 2) / cfg.sample_rate))
+    return cfg.amplitude * np.cos(2 * np.pi * cfg.carrier_freq * t + cfg.freq_dev * running)
+
+
+def oracle_pm_wave(cfg, labels):
+    t = np.arange(cfg.n_samples) / cfg.sample_rate
+    msg = np.cos(2 * np.pi * cfg.message_freq * t)
+    return cfg.amplitude * np.cos(2 * np.pi * cfg.carrier_freq * t + cfg.phase_dev * msg)
+
+
+def oracle_fsk_wave(cfg, labels):
+    tone = cfg.carrier_freq + cfg.symbol_rate * (2.0 * labels - 1.0)
+    t = np.arange(cfg.n_samples) / cfg.sample_rate
+    return cfg.amplitude * np.cos(2 * np.pi * np.repeat(tone, cfg.samples_per_symbol) * t)
+
+
+# the two trapezoid sums of fm's phase, the old builder's and the evaluator's
+# integral, differ by rounding only; 5.2e-11 was seen at 10k symbols
+FM_TOLERANCE = 1e-9
+
+
 def oracle_gmsk_wave(cfg, labels):
     """The NRZ hold convolved with the Gaussian frequency pulse, then CPFSK."""
     sps = cfg.samples_per_symbol
@@ -362,6 +393,35 @@ class TestReferenceWaveforms:
                 expected = oracle(cfg, signal.origin_bits.astype(np.int64))
                 assert signal.samples.tobytes() == expected.tobytes(), (scheme, bt)
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {},
+            {"carrier_freq": 4000.0, "samples_per_symbol": 16},
+            {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
+        ],
+        ids=["sps48", "sps16", "off-cycle-sps10"],
+    )
+    @pytest.mark.parametrize("n_symbols", [1, 7, 333, 10_000])
+    def test_formula_rows_equal_their_old_builders(self, geometry, n_symbols):
+        # am, pm and fsk keep every bit; fm's phase integral is the evaluator's now
+        for scheme, oracle in [
+            ("am", oracle_am_wave), ("fm", oracle_fm_wave),
+            ("pm", oracle_pm_wave), ("fsk", oracle_fsk_wave),
+        ]:
+            cfg = SchemeConfig(scheme, n_symbols=n_symbols, seed=5, **geometry)
+            signal = modulate(cfg)
+            labels = None if signal.origin_bits is None else signal.origin_bits.astype(np.int64)
+            expected = oracle(cfg, labels)
+            if scheme == "fm":
+                assert np.max(np.abs(signal.samples - expected)) <= FM_TOLERANCE
+            else:
+                assert signal.samples.tobytes() == expected.tobytes(), scheme
+        cfg = SchemeConfig("fsk", n_symbols=n_symbols, **geometry)
+        for label, row in enumerate(candidate_bank(cfg)):
+            held = np.full(n_symbols, label, dtype=np.int64)
+            assert row.tobytes() == oracle_fsk_wave(cfg, held).tobytes(), label
+
     def test_all_waveforms_finite_and_sized(self):
         for scheme in REFERENCE_SCHEMES:
             cfg = SchemeConfig(scheme, n_symbols=40, seed=1)
@@ -598,7 +658,28 @@ class TestFormulaSynthesis:
         assert np.array_equal(bank[2], SCHEMES["qpsk"].waveform(cfg, labels))
 
 
+def sent(cfg, labels):
+    """The samples cfg's reference row sends for the given labels."""
+    scheme = SCHEMES[cfg.scheme]
+    if scheme.formula is None:
+        return scheme.waveform(cfg, labels)
+    return evaluate(*formula_context(cfg, labels)).samples
+
+
 class TestSchemeTable:
+    def test_a_row_is_a_formula_or_a_builder(self):
+        corpus = {e.id: e.formula for e in load_corpus(bundled_corpus_path())}
+        written = [name for name, s in SCHEMES.items() if s.formula is not None]
+        assert written == ["am", "fm", "pm", "fsk"]
+        for name, scheme in SCHEMES.items():
+            assert (scheme.formula is None) != (scheme.waveform is None), name
+            if scheme.formula is not None:
+                assert scheme.formula == corpus[name]
+                assert SchemeConfig(name).formula == parse_formula(corpus[name])
+            else:
+                with pytest.raises(SignalError, match="has no formula text"):
+                    SchemeConfig(name).formula
+
     def test_memory_is_a_continuous_phase_index(self):
         # memory follows from h, and only the gmsk row shapes its drive
         assert [n for n, s in SCHEMES.items() if s.memory] == ["bfsk", "msk", "gmsk"]
@@ -617,10 +698,7 @@ class TestSchemeTable:
         if scheme.bits_per_symbol:
             # memory: the last symbol's samples change with the first label
             sps = cfg.samples_per_symbol
-            tails = [
-                scheme.waveform(cfg, np.array([first, 0, 0, 0, 1]))[-sps:]
-                for first in (0, 1)
-            ]
+            tails = [sent(cfg, np.array([first, 0, 0, 0, 1]))[-sps:] for first in (0, 1)]
             assert (not np.array_equal(*tails)) == scheme.memory
         if scheme.memory or not scheme.bits_per_symbol:
             with pytest.raises(DemodulationError):
@@ -846,6 +924,20 @@ class TestFormulaBank:
         # only an integrated label stream gives the symbols memory; m(t) does not
         assert reads(parse_formula(formula))[1] == {"m(t)"}
         assert_bank_matches_per_label(formula, "bpsk")
+
+    def test_only_the_streams_a_formula_reads_are_bound(self):
+        for labels in (np.arange(6), np.arange(16)[:, None]):
+            cfg = SchemeConfig(
+                "formula:i", formula_text="I(t)*cos(2*pi*f_c*t)", n_symbols=6, base_scheme="qam16"
+            )
+            _, ctx, _ = formula_context(cfg, labels)
+            assert set(ctx.signals) == {"I(t)"}
+        # a reference row's streams come from its own labels: fsk reads only
+        # f(t), so it needs no constellation, and an analog row binds no label
+        _, ctx, _ = formula_context(SchemeConfig("fsk", n_symbols=6), np.arange(6) % 2)
+        assert set(ctx.signals) == {"f(t)"}
+        _, ctx, _ = formula_context(SchemeConfig("fm", n_symbols=6), None)
+        assert set(ctx.signals) == {"m(t)"}
 
     def test_every_name_in_the_namespace_is_bound(self):
         # validation accepts exactly the names that synthesis binds
