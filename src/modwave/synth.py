@@ -22,6 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsl.ast import Expr, reads, separable_in
 from .dsl.corpus import bundled_corpus_path, load_corpus
@@ -122,6 +123,8 @@ class SchemeConfig:
             raise SignalError(f"rrc_rolloff {self.rrc_rolloff} is outside (0, 1]")
         if not self.is_formula and self.scheme not in SCHEMES:
             raise SignalError(f"unknown scheme {self.scheme!r}")
+        if self.formula_text is not None and not self.is_formula:
+            raise SignalError(f"formula_text is for a formula:<id> scheme, not {self.scheme!r}")
         if self.is_formula and not self.bits_per_symbol:
             raise SignalError(f"base scheme {self.base_scheme!r} carries no bits")
         # main lobe of the widest scheme must clear the Nyquist frequency
@@ -371,13 +374,16 @@ def _phase_from_freq(cfg: SchemeConfig, inst_freq: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_freq_pulse(cfg: SchemeConfig) -> np.ndarray:
+    """gmsk's pulse table p: one symbol's rect hold through the 8*sps + 1
+    Gaussian taps (sum 1), cut into the 9 symbol periods it spans, oldest
+    first. The table sums to sps, the area of one symbol."""
     sps = cfg.samples_per_symbol
     bandwidth = cfg.gmsk_bt * cfg.symbol_rate
     span = 4 * sps
     t = (np.arange(2 * span + 1) - span) / cfg.sample_rate
     sigma = np.sqrt(np.log(2)) / (2 * np.pi * bandwidth)
     taps = np.exp(-(t**2) / (2 * sigma**2))
-    return taps / taps.sum()
+    return np.convolve(np.ones(sps), taps / taps.sum()).reshape(-1, sps)
 
 
 def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
@@ -388,14 +394,26 @@ def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     return _quadrature_passband(cfg, constellation(cfg.scheme)[labels])
 
 
+def _cpm_drive(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
+    """The NRZ drive of a _cpm_wave row: the held ±1 symbols, or with a
+    pulse table p, Σ_k a_k·p(t - kT) centred on each symbol. Each symbol's
+    samples are then the window of the symbols whose pulses cover it (zero
+    beyond the stream) times p's rows, newest first: one product, made in
+    numpy's own einsum loop rather than a threaded BLAS call."""
+    symbols = 2.0 * labels - 1.0
+    pulse = SCHEMES[cfg.scheme].freq_pulse
+    if pulse is None:
+        return np.repeat(symbols, cfg.samples_per_symbol)
+    table = pulse(cfg)
+    span = table.shape[0]
+    windows = sliding_window_view(np.pad(symbols, span // 2), span)
+    return np.einsum("ij,jk->ik", windows, table[::-1]).reshape(-1)
+
+
 def _cpm_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    """The held NRZ drive, shaped by the row's freq_pulse where it names
-    one, deviates the carrier h*Rs/2 per unit; the phase integrates it."""
-    scheme = SCHEMES[cfg.scheme]
-    drive = np.repeat(2.0 * labels - 1.0, cfg.samples_per_symbol)
-    if scheme.freq_pulse is not None:
-        drive = np.convolve(drive, scheme.freq_pulse(cfg), mode="same")
-    inst = cfg.carrier_freq + scheme.h * cfg.symbol_rate / 2 * drive
+    """The drive deviates the carrier h*Rs/2 per unit; the phase integrates it."""
+    deviation = SCHEMES[cfg.scheme].h * cfg.symbol_rate / 2
+    inst = cfg.carrier_freq + deviation * _cpm_drive(cfg, labels)
     return cfg.amplitude * np.cos(_phase_from_freq(cfg, inst))
 
 
@@ -422,10 +440,10 @@ class Scheme:
     one; such a row sends alphabet[labels] with _qam_wave. receiver names
     the bit decision rule in metrics. h is the continuous-phase index of a
     _cpm_wave row: tones deviate h*Rs/2 and the discriminator passes
-    (h/2 + 1)*Rs. freq_pulse(cfg), where a row names one, gives the taps
-    that shape its NRZ drive. memory, which such a row has, marks a
-    waveform that depends on earlier symbols and so rules out a per-symbol
-    candidate bank.
+    (h/2 + 1)*Rs. freq_pulse(cfg), where a row names one, gives the
+    (symbols spanned, sps) pulse table that shapes its NRZ drive. memory,
+    which such a row has, marks a waveform that depends on earlier symbols
+    and so rules out a per-symbol candidate bank.
     """
 
     bits_per_symbol: int

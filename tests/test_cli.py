@@ -277,6 +277,15 @@ class TestCompareCommand:
         config = write_config(tmp_path, schemes=["ook", "formula:nosuch"])
         assert main(["compare", "--config", str(config)]) == 2
 
+    def test_formula_text_on_a_reference_row_is_config_error(self, tmp_path, capsys):
+        # the am row sent its corpus formula and ignored this text
+        am = {"scheme": "am", "formula_text": "I(t)*cos(2*pi*f_c*t)"}
+        config = write_config(tmp_path, schemes=["ook", am])
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: am: formula_text is for a formula:<id> scheme, not 'am'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "content",
         [b"id,name\n", b"id,name,formula\nfm,FM,cos(2*pi*f_c*t) \xff\n"],

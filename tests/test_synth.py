@@ -21,14 +21,14 @@ from modwave.dsl import (
     parse_formula,
     validate,
 )
-from modwave.channel import ChannelConfig, add_awgn
+from modwave.channel import CHANNEL_PRESETS, ChannelConfig, add_awgn
 from modwave.dsl import to_text
 from modwave.dsl.ast import reads, separable_in
 from modwave.dsl.evaluation import invariant_key
 from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
 from modwave.genlab import generate_batch, load_grammar
-from modwave.metrics import compare
+from modwave.metrics import ber, compare, demodulate
 from modwave.synth import (
     REFERENCE_SCHEMES,
     SCHEMES,
@@ -36,6 +36,7 @@ from modwave.synth import (
     SchemeConfig,
     _CARRIER_TREES,
     _carrier,
+    _cpm_drive,
     _rrc_baseband,
     bits_to_labels,
     candidate_bank,
@@ -124,14 +125,37 @@ def oracle_fsk_wave(cfg, labels):
 FM_TOLERANCE = 1e-9
 
 
-def oracle_gmsk_wave(cfg, labels):
-    """The NRZ hold convolved with the Gaussian frequency pulse, then CPFSK."""
+def oracle_gmsk_drive(cfg, labels):
+    """The NRZ hold convolved with the Gaussian frequency pulse, as gmsk's
+    builder did, taken as the centred n*sps slice of the full convolution.
+    The builder's mode="same" gave that slice too, except on a hold shorter
+    than the taps, where it gave the taps' length."""
     sps = cfg.samples_per_symbol
     t = (np.arange(8 * sps + 1) - 4 * sps) / cfg.sample_rate
     sigma = np.sqrt(np.log(2)) / (2 * np.pi * cfg.gmsk_bt * cfg.symbol_rate)
     taps = np.exp(-(t**2) / (2 * sigma**2))
     nrz = np.repeat(2.0 * labels - 1.0, sps)
-    return oracle_cpfsk_wave(cfg, labels, np.convolve(nrz, taps / taps.sum(), mode="same"))
+    return np.convolve(nrz, taps / taps.sum())[4 * sps:][:nrz.size]
+
+
+# the three grids of the continuous-phase tests: the default, 16 samples
+# per symbol with a non-unit amplitude, and an off-cycle carrier at 10
+CPM_GEOMETRIES = [
+    {},
+    {"carrier_freq": 4000.0, "samples_per_symbol": 16, "amplitude": 0.7},
+    {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
+]
+CPM_GEOMETRY_IDS = ["sps48", "sps16", "off-cycle-sps10"]
+
+# gmsk's pulse product sums each sample's nine terms in another order than
+# the 385-tap convolution did, so its drive moves by rounding (up to 5.6e-16
+# was seen). The phase sum carries that on: a drive step below half an ulp
+# of the instantaneous frequency vanishes, a larger one shifts the running
+# phase by about an ulp of the running sum. The sample bound was set before
+# the first run, to leave room for that walk over 480k samples and stay far
+# below what one wrong pulse row would move; 2.9e-14 was seen.
+GMSK_DRIVE_TOLERANCE = 1e-14
+GMSK_SAMPLE_TOLERANCE = 1e-11
 
 
 # the default grid, an off-cycle carrier at 10 samples per symbol, odd
@@ -294,6 +318,15 @@ class TestSchemeConfig:
             "phase_dev", "message_freq", "gmsk_bt", "rrc_rolloff",
         }
 
+    def test_formula_text_is_for_formula_schemes(self):
+        # a reference row sends its own waveform, and ignored a text given with it
+        text = "I(t)*cos(2*pi*f_c*t)"
+        for scheme in ("am", "qpsk", "gmsk"):
+            message = f"formula_text is for a formula:<id> scheme, not '{scheme}'"
+            with pytest.raises(SignalError, match=message):
+                SchemeConfig(scheme, formula_text=text)
+        assert SchemeConfig("formula:am", formula_text=text).formula == parse_formula(text)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_float_field_raises(self, name, value):
@@ -370,28 +403,57 @@ class TestReferenceWaveforms:
             held = np.full(n_symbols, label, dtype=np.int64)
             assert row.tobytes() == oracle_chirp_wave(cfg, held).tobytes(), label
 
-    @pytest.mark.parametrize(
-        "geometry",
-        [
-            {},
-            {"carrier_freq": 4000.0, "samples_per_symbol": 16, "amplitude": 0.7},
-            {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
-        ],
-        ids=["sps48", "sps16", "off-cycle-sps10"],
-    )
+    @pytest.mark.parametrize("geometry", CPM_GEOMETRIES, ids=CPM_GEOMETRY_IDS)
     @pytest.mark.parametrize("n_symbols", [1, 7, 333, 10_000])
     def test_continuous_phase_rows_equal_their_old_builders(self, geometry, n_symbols):
-        # one builder for bfsk, msk and gmsk keeps each row's bytes
-        for scheme, oracle, bts in [
-            ("bfsk", oracle_cpfsk_wave, [0.3]),
-            ("msk", oracle_cpfsk_wave, [0.3]),
-            ("gmsk", oracle_gmsk_wave, [0.2, 0.3, 0.5]),
-        ]:
-            for bt in bts:
-                cfg = SchemeConfig(scheme, n_symbols=n_symbols, seed=5, gmsk_bt=bt, **geometry)
-                signal = modulate(cfg)
-                expected = oracle(cfg, signal.origin_bits.astype(np.int64))
-                assert signal.samples.tobytes() == expected.tobytes(), (scheme, bt)
+        # bfsk and msk hold their symbols, as their old builder did, bit for bit
+        for scheme in ("bfsk", "msk"):
+            cfg = SchemeConfig(scheme, n_symbols=n_symbols, seed=5, **geometry)
+            signal = modulate(cfg)
+            expected = oracle_cpfsk_wave(cfg, signal.origin_bits.astype(np.int64))
+            assert signal.samples.tobytes() == expected.tobytes(), scheme
+
+    @pytest.mark.parametrize("geometry", CPM_GEOMETRIES, ids=CPM_GEOMETRY_IDS)
+    @pytest.mark.parametrize("n_symbols", [1, 7, 333, 10_000])
+    def test_gmsk_drive_is_the_old_convolution(self, geometry, n_symbols):
+        for bt in (0.2, 0.3, 0.5):
+            cfg = SchemeConfig("gmsk", n_symbols=n_symbols, seed=5, gmsk_bt=bt, **geometry)
+            sps = cfg.samples_per_symbol
+            table = SCHEMES["gmsk"].freq_pulse(cfg)
+            assert table.shape == (9, sps), bt
+            # one symbol's area, spread so that a constant stream drives ±1
+            assert abs(table.sum() - sps) <= 1e-12, bt
+            assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-14, bt
+            signal = modulate(cfg)
+            labels = signal.origin_bits.astype(np.int64)
+            expected = oracle_gmsk_drive(cfg, labels)
+            drive = _cpm_drive(cfg, labels)
+            assert drive.shape == expected.shape == (cfg.n_samples,), bt
+            assert np.max(np.abs(drive - expected)) <= GMSK_DRIVE_TOLERANCE, bt
+            error = np.abs(signal.samples - oracle_cpfsk_wave(cfg, labels, expected))
+            assert np.max(error) <= GMSK_SAMPLE_TOLERANCE, bt
+
+    @pytest.mark.parametrize("geometry", CPM_GEOMETRIES, ids=CPM_GEOMETRY_IDS)
+    def test_short_gmsk_grids_have_their_length(self, geometry):
+        # a hold shorter than the taps (under 9 symbols) sent the taps' length:
+        # 385 samples at 48 per symbol, whose bits then failed to line up
+        for n_symbols in range(1, 9):
+            cfg = SchemeConfig("gmsk", n_symbols=n_symbols, seed=n_symbols, **geometry)
+            signal = modulate(cfg)
+            assert len(signal) == cfg.n_samples, n_symbols
+            decided = demodulate(signal, cfg, reference=signal)
+            assert ber(signal.origin_bits, decided) == 0.0, n_symbols
+
+    def test_short_gmsk_row_measures_as_msk(self):
+        # the rows of one master seed share their noise draw, so two rows of
+        # unit power on one grid measure one SNR. On 8 symbols gmsk sent 385
+        # samples, not 384, and read 2.1127559952573556 dB to msk's 2.1031533705646375
+        rows = compare(
+            [SchemeConfig("gmsk", n_symbols=8), SchemeConfig("msk", n_symbols=8)],
+            CHANNEL_PRESETS["table_operating_point"], master_seed=2024,
+        )
+        assert [row.error for row in rows] == [None, None]
+        assert abs(rows[0].snr_db - rows[1].snr_db) <= 1e-9
 
     @pytest.mark.parametrize(
         "geometry",
