@@ -324,17 +324,26 @@ def _basis_labels(
 # received signal, the config and the optional noiseless reference.
 
 
-def _analytic(samples: np.ndarray) -> np.ndarray:
-    """Discrete analytic signal of real samples (Marple 1999,
-    doi:10.1109/78.782222).
+def _analytic_at(samples: np.ndarray, step: int, offset: int) -> np.ndarray:
+    """Every step-th sample from offset of the discrete analytic signal of
+    real samples (Marple 1999, doi:10.1109/78.782222); step divides their
+    count n.
 
-    The one-sided spectrum keeps DC (and Nyquist for even lengths) and
-    doubles the other positive-frequency bins; ifft zero-pads it to the
-    full length, so the negative half is zero.
+    The one-sided spectrum H keeps DC (and Nyquist for even n) and doubles
+    the other positive-frequency bins. With m = n / step and k = b·m + r,
+    sample offset + j·step of ifft(H) is ifft(G)[j] / step, where G[r] is
+    exp(2πi·offset·r/n)·Σ_b H[b·m + r]·exp(2πi·b·offset/step): the blocks
+    of m bins fold onto one short transform.
     """
+    m = samples.size // step
     spectrum = np.fft.rfft(samples)
     spectrum[1 : (samples.size + 1) // 2] *= 2.0
-    return np.fft.ifft(spectrum, samples.size)
+    folded = np.zeros(m, dtype=complex)
+    for start in range(0, spectrum.size, m):
+        block = spectrum[start : start + m]
+        folded[: block.size] += block * np.exp(2j * np.pi * (start // m * offset % step) / step)
+    folded *= np.exp(2j * np.pi * offset / samples.size * np.arange(m))
+    return np.fft.ifft(folded) / step
 
 
 def _discriminator_bits(
@@ -360,15 +369,16 @@ def _discriminator_bits(
     baseband = np.zeros(n_symbols * q, dtype=complex)
     baseband[: band + 1] = spectrum[k0 : k0 + band + 1]
     baseband[-band:] = spectrum[k0 - band : k0]
-    z = np.fft.ifft(baseband)
-    steps = np.angle(z[1:] * z[:-1].conj())  # phase step per sample
+    del spectrum
+    z = np.fft.ifft(baseband).reshape(n_symbols, q)
+    del baseband
+    # central window avoids transitions; q >= 4, so each step's predecessor
+    # sample lies in the same symbol
+    lo, hi = q // 4, q - q // 4
+    steps = np.angle(z[:, lo:hi] * z[:, lo - 1 : hi - 1].conj())  # phase step per sample
     # a carrier between bins turns every step by the same angle
-    steps -= 2 * np.pi * (carrier - k0) / baseband.size
-    phase_steps = np.concatenate((steps[:1], steps))  # keep one value per sample
-    frames = _frames(phase_steps, q, q)
-    lo, hi = q // 4, q - q // 4  # central window avoids transitions
-    centers = frames[:, lo:hi].mean(axis=1)
-    return (centers > 0.0).astype(np.uint8)
+    steps -= 2 * np.pi * (carrier - k0) / z.size
+    return (steps.mean(axis=1) > 0.0).astype(np.uint8)
 
 
 def _envelope_bits(
@@ -378,8 +388,8 @@ def _envelope_bits(
     against a fixed threshold at half the on-level envelope, scaled by the
     gain normalize_power recorded on the reference (1 without one)."""
     sps = config.samples_per_symbol
-    centers = np.arange(len(received) // sps) * sps + sps // 2
-    envelope = np.abs(_analytic(received.samples)[centers])
+    whole = received.samples[: len(received) // sps * sps]
+    envelope = np.abs(_analytic_at(whole, sps, sps // 2))
     on_level = config.amplitude * np.abs(SCHEMES[config.scheme].alphabet).max()
     gain = 1.0 if reference is None else reference.gain
     return (envelope > gain * on_level / 2.0).astype(np.uint8)

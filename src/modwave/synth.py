@@ -121,6 +121,10 @@ class SchemeConfig:
             raise SignalError(f"unknown pulse shape {self.pulse!r}")
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise SignalError(f"rrc_rolloff {self.rrc_rolloff} is outside (0, 1]")
+        # only σ² enters the Gaussian taps: a negative product sent its
+        # absolute value's samples, and 0 made σ infinite
+        if self.gmsk_bt <= 0.0:
+            raise SignalError(f"gmsk_bt {self.gmsk_bt} is not positive")
         if not self.is_formula and self.scheme not in SCHEMES:
             raise SignalError(f"unknown scheme {self.scheme!r}")
         if self.formula_text is not None and not self.is_formula:

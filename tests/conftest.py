@@ -25,6 +25,15 @@ def cold_store():
         yield
 
 
+# the three grids of the continuous-phase tests: the default, 16 samples
+# per symbol with a non-unit amplitude, and an off-cycle carrier at 10
+CPM_GEOMETRIES = [
+    {},
+    {"carrier_freq": 4000.0, "samples_per_symbol": 16, "amplitude": 0.7},
+    {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
+]
+CPM_GEOMETRY_IDS = ["sps48", "sps16", "off-cycle-sps10"]
+
 # values a number formatter must spell right: signed zeros, infinities,
 # nan, the extremes of float64, whole numbers stored as floats
 SPECIAL = np.array(

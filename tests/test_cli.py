@@ -273,6 +273,18 @@ class TestCompareCommand:
         assert f"{key} nan is not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bt", [0, -0.3])
+    def test_non_positive_gmsk_bt_is_config_error(self, tmp_path, capsys, bt):
+        # 0 made a flat pulse that compare read as BER 0.364 and exited 0
+        config = write_config(
+            tmp_path, schemes=["gmsk", "msk"],
+            scheme_defaults={"n_symbols": 200, "gmsk_bt": bt},
+        )
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"gmsk_bt {float(bt)} is not positive" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_formula_id_is_config_error(self, tmp_path):
         config = write_config(tmp_path, schemes=["ook", "formula:nosuch"])
         assert main(["compare", "--config", str(config)]) == 2

@@ -61,7 +61,15 @@ from modwave.synth import (
 )
 from modwave.table import write_table
 
-from conftest import SPECIAL, SPECIAL_F32, binomial_3sigma, qfunc, row_writer
+from conftest import (
+    CPM_GEOMETRIES,
+    CPM_GEOMETRY_IDS,
+    SPECIAL,
+    SPECIAL_F32,
+    binomial_3sigma,
+    qfunc,
+    row_writer,
+)
 
 FS = 48000.0
 
@@ -271,11 +279,32 @@ class TestSpectrogram:
             spectrogram(SampledSignal(np.exp(-2j * np.pi * 6000.0 * t), FS), fft_length=512)
 
 
+# the folded transform sums each centre's bins in another order than the
+# full-length ifft, so it matches scipy's hilbert to rounding only. Set
+# before the first run on unit-normal samples, far above the rounding of
+# values near 1 and far below what one wrong turn of a block would move
+ANALYTIC_TOLERANCE = 1e-12
+
+
 class TestAnalytic:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 480_000])
     def test_bits_equal_scipy_hilbert(self, rng, n):
         x = rng.normal(size=n)
-        assert np.array_equal(modwave.metrics._analytic(x), scipy_hilbert(x))
+        assert np.array_equal(modwave.metrics._analytic_at(x, 1, 0), scipy_hilbert(x))
+
+    @pytest.mark.parametrize(
+        "n, step",
+        [(1, 1), (8, 4), (9, 3), (255, 5), (256, 16), (4800, 48), (480_000, 48)],
+    )
+    def test_every_step_th_sample_is_scipy_hilbert(self, rng, n, step):
+        x = rng.normal(size=n)
+        full = scipy_hilbert(x)
+        for offset in sorted({0, step // 2, step - 1}):
+            got = modwave.metrics._analytic_at(x, step, offset)
+            assert got.shape == (n // step,), offset
+            np.testing.assert_allclose(
+                got, full[offset::step], rtol=0, atol=ANALYTIC_TOLERANCE, err_msg=str(offset)
+            )
 
 
 def loop_welch_density(x, segment_length, overlap_fraction, window, fs=FS):
@@ -599,17 +628,61 @@ class TestDemodulation:
         assert clean.gain != 1.0
         assert clean.gain * on_level == pytest.approx(measured, rel=1e-6)
 
+    @pytest.mark.parametrize("sps", [48, 21])
     @pytest.mark.parametrize("snr_db", [-3.0, 4.0, None])
-    def test_ook_envelope_at_the_centers_decides_as_the_full_envelope(self, snr_db):
-        cfg = SchemeConfig("ook", n_symbols=5_000, seed=8)
+    def test_ook_envelope_at_the_centers_decides_as_the_full_envelope(self, snr_db, sps):
+        cfg = SchemeConfig("ook", n_symbols=5_000, seed=8, samples_per_symbol=sps)
         clean = normalize_power(modulate(cfg))
         received = clean if snr_db is None else add_awgn(clean, snr_db, seed=17)
-        sps = cfg.samples_per_symbol
         centers = np.arange(cfg.n_symbols) * sps + sps // 2
-        envelope = np.abs(modwave.metrics._analytic(received.samples))[centers]
+        envelope = np.abs(scipy_hilbert(received.samples))[centers]
         on_level = cfg.amplitude * np.abs(SCHEMES["ook"].alphabet).max()
         expected = (envelope > clean.gain * on_level / 2.0).astype(np.uint8)
         assert np.array_equal(demodulate(received, cfg, reference=clean), expected)
+
+    @pytest.mark.parametrize("sps", [48, 21])
+    def test_ook_drops_a_partial_trailing_symbol(self, sps):
+        cfg = SchemeConfig("ook", n_symbols=2_000, seed=8, samples_per_symbol=sps)
+        received = add_awgn(normalize_power(modulate(cfg)), 2.0, seed=17)
+        prefix = demodulate(received, cfg)
+        assert prefix.size == cfg.n_symbols
+        for extra in (1, sps // 2, sps - 1):
+            tail = np.random.default_rng(extra).normal(size=extra)
+            longer = replace(received, samples=np.concatenate((received.samples, tail)))
+            assert np.array_equal(demodulate(longer, cfg), prefix), extra
+
+    # numpy arrays only: tracemalloc does not see pocketfft's plans and
+    # scratch, which it allocates outside numpy. The full-length analytic
+    # signal held 3.02 times the received samples for ook, and the
+    # discriminator's spectrum beside its band, its steps and their copy
+    # up to 4.50 times for bfsk
+    @pytest.mark.parametrize(
+        "scheme, bound", [("ook", 1.5), ("bfsk", 2.25), ("msk", 2.25), ("gmsk", 2.25)]
+    )
+    def test_receiver_working_set(self, scheme, bound):
+        cfg = SchemeConfig(scheme, n_symbols=10_000, seed=8)
+        clean = normalize_power(modulate(cfg))
+        received = add_awgn(clean, 2.0, seed=17)
+        tracemalloc.start()
+        try:
+            demodulate(received, cfg, reference=clean)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * received.samples.nbytes, peak / received.samples.nbytes
+
+    @pytest.mark.parametrize("geometry", CPM_GEOMETRIES, ids=CPM_GEOMETRY_IDS)
+    @pytest.mark.parametrize("scheme", ["bfsk", "msk", "gmsk"])
+    def test_discriminator_decides_as_the_full_length_steps(self, scheme, geometry):
+        for n_symbols in (1, 7, 333, 10_000):
+            cfg = SchemeConfig(scheme, n_symbols=n_symbols, seed=5, **geometry)
+            clean = normalize_power(modulate(cfg))
+            for snr_db in (-3.0, 4.0, None):
+                received = clean if snr_db is None else add_awgn(clean, snr_db, seed=9)
+                assert np.array_equal(
+                    demodulate(received, cfg, reference=clean),
+                    oracle_discriminator_bits(received, cfg),
+                ), (n_symbols, snr_db)
 
     @pytest.mark.parametrize("scheme", ["msk", "ook", "chirp"])
     def test_complex_samples_raise(self, scheme):
@@ -715,6 +788,30 @@ class TestDemodulation:
             for lower, higher in zip(rates[1:], rates):
                 allowance = binomial_3sigma(max(higher, 1e-5), target_bits)
                 assert lower <= higher + allowance, (scheme, rates)
+
+
+def oracle_discriminator_bits(received, config):
+    """The discriminator as it took a phase step at every sample: the
+    steps of the whole band, the first repeated to keep one per sample,
+    cut into symbol frames whose central half is averaged."""
+    h = SCHEMES[config.scheme].h
+    sps = config.samples_per_symbol
+    q = min(sps, math.ceil(8 * (h + 2)))
+    n_symbols = len(received) // sps
+    spectrum = np.fft.rfft(received.samples[: n_symbols * sps])
+    carrier = config.carrier_freq * n_symbols / config.symbol_rate
+    k0 = round(carrier)
+    band = int((h / 2 + 1) * n_symbols)
+    baseband = np.zeros(n_symbols * q, dtype=complex)
+    baseband[: band + 1] = spectrum[k0 : k0 + band + 1]
+    baseband[-band:] = spectrum[k0 - band : k0]
+    z = np.fft.ifft(baseband)
+    steps = np.angle(z[1:] * z[:-1].conj())
+    steps -= 2 * np.pi * (carrier - k0) / baseband.size
+    phase_steps = np.concatenate((steps[:1], steps))
+    frames = modwave.metrics._frames(phase_steps, q, q)
+    centers = frames[:, q // 4 : q - q // 4].mean(axis=1)
+    return (centers > 0.0).astype(np.uint8)
 
 
 def corpus_formulas():

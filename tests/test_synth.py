@@ -55,7 +55,7 @@ from modwave.synth import (
 )
 from modwave.table import write_table
 
-from conftest import SPECIAL, SPECIAL_F32, cold_store
+from conftest import CPM_GEOMETRIES, CPM_GEOMETRY_IDS, SPECIAL, SPECIAL_F32, cold_store
 
 # the special values a float32 dump can hold: the finite ones beyond its range raise
 WRITABLE = SPECIAL[~(np.isfinite(SPECIAL) & (np.abs(SPECIAL) > np.finfo(np.float32).max))]
@@ -137,15 +137,6 @@ def oracle_gmsk_drive(cfg, labels):
     nrz = np.repeat(2.0 * labels - 1.0, sps)
     return np.convolve(nrz, taps / taps.sum())[4 * sps:][:nrz.size]
 
-
-# the three grids of the continuous-phase tests: the default, 16 samples
-# per symbol with a non-unit amplitude, and an off-cycle carrier at 10
-CPM_GEOMETRIES = [
-    {},
-    {"carrier_freq": 4000.0, "samples_per_symbol": 16, "amplitude": 0.7},
-    {"carrier_freq": 2745.0, "symbol_rate": 1200.0, "samples_per_symbol": 10},
-]
-CPM_GEOMETRY_IDS = ["sps48", "sps16", "off-cycle-sps10"]
 
 # gmsk's pulse product sums each sample's nine terms in another order than
 # the 385-tap convolution did, so its drive moves by rounding (up to 5.6e-16
@@ -309,6 +300,14 @@ class TestSchemeConfig:
     def test_rrc_rolloff_outside_unit_interval(self, rolloff):
         with pytest.raises(SignalError):
             SchemeConfig("qam16", pulse="rrc", rrc_rolloff=rolloff)
+
+    @pytest.mark.parametrize("bt", [0.0, -0.0, -0.3, -1e-300])
+    def test_gmsk_bt_must_be_positive(self, bt):
+        # only σ² enters the taps: -0.3 sent 0.3's samples, and 0 divided by
+        # zero into a flat 385-tap box that read BER 0.364 without noise
+        with pytest.raises(SignalError, match="gmsk_bt .* is not positive"):
+            SchemeConfig("gmsk", gmsk_bt=bt)
+        assert SchemeConfig("gmsk", gmsk_bt=1e-300).gmsk_bt == 1e-300
 
     FLOAT_FIELDS = [f.name for f in fields(SchemeConfig) if f.type is float]
 
