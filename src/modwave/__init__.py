@@ -91,7 +91,6 @@ from .synth import (
     candidate_bank,
     candidate_basis,
     constellation,
-    demap_symbols,
     formula_context,
     gen_bits,
     map_symbols,

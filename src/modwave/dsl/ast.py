@@ -238,6 +238,53 @@ def separable_in(expr: Expr) -> tuple[Expr, dict[str, Expr]] | None:
     return new, {symbol.name: tree for tree, symbol in features.items()}
 
 
+_ONE = Const(1.0)
+
+
+def _times(a: Expr | None, b: Expr | None) -> Expr | None:
+    """a * b, where None and 1 are the empty product."""
+    if a is None or a == _ONE:
+        return b
+    return a if b is None or b == _ONE else BinOp("*", a, b)
+
+
+def affine_terms(expr: Expr) -> list[tuple[Expr, Expr | None, str | None]]:
+    """separable_in's rewritten tree as a sum of terms scalar·part·column.
+
+    A column is a label stream or a feature #j; scalar reads only pi and
+    scalar names; part, None for 1, reads time. Only a node that reads a
+    column is split: a sum into its terms, a product into its factors, and
+    x / y into x times the subtree 1 / y. So each part is a maximal
+    column-free subtree, or a product of such, and the evaluator keeps the
+    same subtrees in the grid store under the same keys.
+    """
+
+    def expand(node: Expr) -> list[tuple[Expr, Expr | None, str | None]]:
+        name = (resolve(node.name) or node.name) if isinstance(node, Symbol) else None
+        if name in LABEL_STREAMS or name and name.startswith("#"):
+            return [(_ONE, None, name)]
+        if isinstance(node, (Neg, BinOp)):
+            kids = [expand(kid) for kid in children(node)]
+            if any(column for terms in kids for *_, column in terms):
+                return split(node, *kids)
+            time = any(part is not None for terms in kids for _, part, _ in terms)
+        else:  # time as separable_in reads it: t, m(t) or an undefined name
+            time = any(resolve(n) in (None, "t") or n.endswith("(t)") for n in reads(node)[0])
+        return [(_ONE, node, None)] if time else [(node, None, None)]
+
+    def split(node: Expr, *kids) -> list[tuple[Expr, Expr | None, str | None]]:
+        if isinstance(node, Neg):
+            return [(Neg(s), p, c) for s, p, c in kids[0]]
+        left, right = kids
+        if node.op in "+-":
+            return left + (right if node.op == "+" else [(Neg(s), p, c) for s, p, c in right])
+        if node.op == "/":
+            right = expand(BinOp("/", _ONE, node.right))
+        return [(_times(s, z), _times(p, q), c or d) for s, p, c in left for z, q, d in right]
+
+    return expand(expr)
+
+
 _PREC_ADD = 1
 _PREC_MUL = 2
 _PREC_UNARY = 3

@@ -277,6 +277,13 @@ class _Evaluator:
         return int(round(value))
 
 
+def scalar(expr: Expr, constants: Mapping[str, float]) -> float:
+    """The value of a tree that reads only pi and the scalars in constants,
+    as evaluate gives it at every sample, without a grid to check."""
+    value = _Evaluator(expr, EvalContext(constants), np.zeros(2), None).eval(expr, {})
+    return float(np.ravel(value)[0])
+
+
 def evaluate(expr: Expr, ctx: EvalContext, grid: np.ndarray) -> EvalResult:
     """Evaluate a formula sample-wise over a uniform time grid.
 

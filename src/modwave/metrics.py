@@ -28,7 +28,6 @@ from .synth import (
     SchemeConfig,
     candidate_bank,
     candidate_basis,
-    demap_symbols,
     labels_to_bits,
     modulate,
     normalize_power,
@@ -253,21 +252,20 @@ def correlation_demodulate(
     Each symbol interval is compared with the same interval of every
     candidate waveform (the formula or scheme synthesized with that symbol
     value held constant); the closest candidate wins, and _decide breaks
-    ties to rounding alike on both routes. A formula separable in its label
-    streams is decided from its basis (synth.candidate_basis), any other
-    scheme from its candidate bank (synth.candidate_bank), built a chunk of
-    at most _BANK_SAMPLES samples at a time. The candidates are
+    ties to rounding alike on both routes. A row that sends a formula
+    separable in its label streams, such as an alphabet row's qam text, is
+    decided from its basis (synth.candidate_basis), any other scheme from
+    its candidate bank (synth.candidate_bank), built a chunk of at most
+    _BANK_SAMPLES samples at a time. The candidates are
     synthesized unnormalized, so they take the gain that normalize_power
     recorded on the reference; without a reference they keep gain 1.
     """
     scale = 1.0 if reference is None else reference.gain
     sps = config.samples_per_symbol
     rx = _frames(received.samples, sps, sps)
-    basis = candidate_basis(config) if config.is_formula else None
+    basis = candidate_basis(config)
     if basis is not None:
-        rows, values = basis
-        best = _basis_labels(rx, rows * scale, values, sps)
-        return labels_to_bits(best, config.bits_per_symbol)
+        return labels_to_bits(_basis_labels(rx, basis, scale, sps), config.bits_per_symbol)
     # distances per symbol interval against each candidate row
     order = 1 << config.bits_per_symbol
     step = max(1, _BANK_SAMPLES // config.n_samples)
@@ -291,64 +289,32 @@ def _decide(scores: np.ndarray, energy: np.ndarray, out: np.ndarray) -> None:
     np.argmax(scores <= bound, axis=0, out=out)
 
 
-def _basis_labels(
-    rx: np.ndarray, rows: np.ndarray, values: np.ndarray, sps: int
-) -> np.ndarray:
-    """Minimum-distance labels against the candidates a + sum_i s_mi·c_i.
+def _basis_labels(rx: np.ndarray, basis: tuple, gain: float, sps: int) -> np.ndarray:
+    """Minimum-distance labels against the candidates g·w_m·p of a
+    candidate_basis (p, w, G): label m's weights w_m on the parts p_k,
+    scaled by the gain g.
 
-    rows are candidate_basis's a and a + c_i, values[m] label m's s_m, its
-    stream and feature values. Over one symbol, |r - a - c·s_m|² =
-    |r - a|² - 2·s_m·<r - a, c> + s_mᵀ·G·s_m, where G is the symbol's Gram
-    matrix of the c_i; the first term is the same for every label. So each
-    score is label m's features [s_m, s_m s_mᵀ] against the symbol's
-    weights [-2<r - a, c>, G], and _decide takes the label from the scores.
+    Over one symbol, |r - g·w_m·p|² = |r|² - 2g·w_m·<r, p> + g²·w_mᵀ·G·w_m,
+    where G is the symbol's Gram matrix of the parts; the first term is the
+    same for every label. So each score is label m's features
+    [w_m, w_m w_mᵀ] against the symbol's weights [-2g·<r, p>, g²·G]: the
+    gain acts on per-symbol statistics and no full-length array is made.
+    _decide takes the label from the scores.
     """
-    a = _frames(rows[0], sps, sps)
-    error = rx - a
-    coeffs = [_frames(row - rows[0], sps, sps) for row in rows[1:]]
-    weights = [-2.0 * np.einsum("ij,ij->i", error, c) for c in coeffs]
-    weights += [np.einsum("ij,ij->i", c, d) for c in coeffs for d in coeffs]
-    weights = np.reshape(weights, (-1, rx.shape[0]))
-    outer = values[:, :, None] * values[:, None, :]
-    features = np.hstack([values, outer.reshape(len(values), -1)])
+    parts, w, gram = basis
+    inner = [-2.0 * gain * np.einsum("ij,ij->i", rx, _frames(p, sps, sps)) for p in parts]
+    weights = np.vstack([*inner, gain**2 * gram.reshape(-1, rx.shape[0])])
+    features = np.hstack([w, (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)])
     energy = np.einsum("ij,ij->i", rx, rx)
     best = np.empty(rx.shape[0], dtype=np.int64)
-    step = max(1, (1 << 16) // len(values))  # symbols per block of scores
+    step = max(1, (1 << 16) // len(w))  # symbols per block of scores
     for start in range(0, rx.shape[0], step):
         block = slice(start, start + step)
         _decide(features @ weights[:, block], energy[block], best[block])
     return best
 
 
-# Receivers, by the name a scheme's table row gives. Each takes the
-# received signal, the config and the optional noiseless reference.
-
-
-def _analytic_at(samples: np.ndarray, step: int, offset: int) -> np.ndarray:
-    """Every step-th sample from offset of the discrete analytic signal of
-    real samples (Marple 1999, doi:10.1109/78.782222); step divides their
-    count n.
-
-    The one-sided spectrum H keeps DC (and Nyquist for even n) and doubles
-    the other positive-frequency bins. With m = n / step and k = b·m + r,
-    sample offset + j·step of ifft(H) is ifft(G)[j] / step, where G[r] is
-    exp(2πi·offset·r/n)·Σ_b H[b·m + r]·exp(2πi·b·offset/step): the blocks
-    of m bins fold onto one short transform.
-    """
-    m = samples.size // step
-    spectrum = np.fft.rfft(samples)
-    spectrum[1 : (samples.size + 1) // 2] *= 2.0
-    folded = np.zeros(m, dtype=complex)
-    for start in range(0, spectrum.size, m):
-        block = spectrum[start : start + m]
-        folded[: block.size] += block * np.exp(2j * np.pi * (start // m * offset % step) / step)
-    folded *= np.exp(2j * np.pi * offset / samples.size * np.arange(m))
-    return np.fft.ifft(folded) / step
-
-
-def _discriminator_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
+def _discriminator_bits(received: SampledSignal, config: SchemeConfig) -> np.ndarray:
     """Limiter-discriminator for the continuous-phase schemes.
 
     The front end keeps the rfft bins within f_c ± (h/2 + 1)·Rs, the
@@ -381,63 +347,34 @@ def _discriminator_bits(
     return (steps.mean(axis=1) > 0.0).astype(np.uint8)
 
 
-def _envelope_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
-    """Classic on-off keying receiver: envelope sampled at symbol centers
-    against a fixed threshold at half the on-level envelope, scaled by the
-    gain normalize_power recorded on the reference (1 without one)."""
-    sps = config.samples_per_symbol
-    whole = received.samples[: len(received) // sps * sps]
-    envelope = np.abs(_analytic_at(whole, sps, sps // 2))
-    on_level = config.amplitude * np.abs(SCHEMES[config.scheme].alphabet).max()
-    gain = 1.0 if reference is None else reference.gain
-    return (envelope > gain * on_level / 2.0).astype(np.uint8)
-
-
-def _nearest_point_bits(
-    received: SampledSignal, config: SchemeConfig, reference: SampledSignal | None
-) -> np.ndarray:
-    points = extract_constellation(received, config)
-    # blind gain normalization against the unit-energy alphabet
-    gain = float(np.sqrt(np.mean(np.abs(points) ** 2)))
-    if gain <= 0:
-        raise DemodulationError("received constellation has no energy")
-    return demap_symbols(points / gain, config.scheme)
-
-
-_RECEIVERS = {
-    "correlation": correlation_demodulate,
-    "discriminator": _discriminator_bits,
-    "envelope": _envelope_bits,
-    "nearest": _nearest_point_bits,
-}
-
-
 def demodulate(
     received: SampledSignal,
     config: SchemeConfig,
     reference: SampledSignal | None = None,
 ) -> np.ndarray:
-    """Recover the bit stream with the scheme's standard decision rule.
+    """Recover the bit stream with the one decision rule of its row.
 
-    Quadrature schemes use coherent projection and minimum-distance
-    decisions, the continuous-phase family uses a frequency discriminator,
-    on-off keying uses the classic envelope detector, and formula-driven
-    schemes fall back to the per-symbol correlation receiver. The
-    reference (the noiseless transmitted waveform) calibrates scale where
-    a receiver needs it. The receivers of schemes with an alphabet assume
-    rectangular pulses, so any other pulse raises DemodulationError.
+    A row with memory (bfsk, msk, gmsk) is decided by its frequency
+    discriminator, every other digital row and every formula by the
+    correlation receiver. The reference (the noiseless transmitted
+    waveform) gives the gain that scales the candidates. A signal shorter
+    than one symbol raises DemodulationError, and so does an alphabet row
+    on any pulse but rect, whose candidates assume rectangular pulses.
     """
     scheme = None if config.is_formula else SCHEMES[config.scheme]
-    receiver = "correlation" if scheme is None else scheme.receiver
-    if receiver is None:
+    if not config.bits_per_symbol:
         raise DemodulationError(f"{config.scheme} carries no bit ground truth")
+    if len(received) < config.samples_per_symbol:
+        raise DemodulationError(
+            f"{len(received)} samples hold no whole symbol of {config.samples_per_symbol}"
+        )
     if config.pulse != "rect" and scheme is not None and scheme.alphabet is not None:
         raise DemodulationError(
             f"{config.scheme} has no receiver for pulse {config.pulse!r}"
         )
-    return _RECEIVERS[receiver](received, config, reference)
+    if scheme is not None and scheme.memory:
+        return _discriminator_bits(received, config)
+    return correlation_demodulate(received, config, reference)
 
 
 def ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

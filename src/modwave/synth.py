@@ -4,14 +4,14 @@ normalization.
 
 All waveforms are real passband signals sampled at
 symbol_rate * samples_per_symbol. Each reference scheme is one row of
-SCHEMES (see Scheme). A row the formula language can write, am, fm, pm
-and fsk, is its bundled corpus formula, evaluated as a formula scheme
-is; the other rows keep a builder. A row with an alphabet sends exactly
-the points constellation() returns through one quadrature builder.
+SCHEMES (see Scheme). A row the formula language can write is a formula,
+evaluated as a formula scheme is: am, fm, pm and fsk their bundled corpus
+text, and a row with an alphabet the corpus qam text times A_c on the
+points constellation() returns. The other rows keep a builder.
 Rectangular pulse shaping is the default; root-raised-cosine shaping is
-available for those rows behind a config flag for bandwidth studies, but
-their receivers assume rectangular pulses, so demodulating an rrc run
-raises.
+available for the alphabet rows behind a config flag for bandwidth
+studies, through a builder, but their receivers assume rectangular
+pulses, so demodulating an rrc run raises.
 """
 
 import json
@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsl.ast import Expr, reads, separable_in
+from .dsl.ast import Expr, affine_terms, reads, separable_in
 from .dsl.corpus import bundled_corpus_path, load_corpus
-from .dsl.evaluation import EvalContext, evaluate, invariant_key
+from .dsl.evaluation import EvalContext, evaluate, invariant_key, scalar
 from .dsl.parser import parse_formula
 from .dsl.symbols import LABEL_STREAMS
 from .errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
-from .grid import grid
+from .grid import grid, mapped
 
 
 def normalize_scheme_id(scheme: str) -> str:
@@ -284,25 +284,6 @@ def map_symbols(bits: np.ndarray, scheme: str) -> np.ndarray:
     return points[bits_to_labels(bits, bps)]
 
 
-def demap_symbols(points_rx: np.ndarray, scheme: str) -> np.ndarray:
-    """Minimum-distance decisions back to bits, a block of points at a time.
-
-    |p - c|² = |p|² - 2·Re(p·conj(c)) + |c|², and |p|² is the same for
-    every point c, so each decision is the argmin of the score
-    [Re p, Im p, 1] · [-2·Re c, -2·Im c, |c|²]: one product per block.
-    """
-    scheme = normalize_scheme_id(scheme)
-    points = constellation(scheme)
-    weights = np.stack([-2.0 * points.real, -2.0 * points.imag, np.abs(points) ** 2])
-    labels = np.empty(points_rx.size, dtype=np.int64)
-    step = max(1, (1 << 16) // points.size)
-    for start in range(0, points_rx.size, step):
-        block = points_rx[start : start + step]
-        features = np.column_stack([block.real, block.imag, np.ones(block.size)])
-        np.argmin(features @ weights, axis=1, out=labels[start : start + step])
-    return labels_to_bits(labels, _bits_per_symbol(scheme))
-
-
 # ---------------------------------------------------------------------------
 # waveform builders
 
@@ -336,42 +317,6 @@ def _rrc_baseband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
     return shaped[delay : delay + up.size]
 
 
-# the carrier pair is the value of these trees, and is keyed as they are
-_CARRIER_TREES = (parse_formula("cos(2*pi*f_c*t)"), parse_formula("sin(2*pi*f_c*t)"))
-
-
-def _carrier(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cos θ, sin θ) of the carrier phase θ = 2π·f_c·t, kept in
-    the grid's store: 7.7 MB at 10k symbols of 48 samples."""
-    store = grid(cfg.n_samples, cfg.sample_rate)
-    return tuple(
-        store.value(invariant_key(tree, {"f_c": cfg.carrier_freq}),
-                    lambda: ufunc(2 * np.pi * cfg.carrier_freq * store.t))
-        for tree, ufunc in zip(_CARRIER_TREES, (np.cos, np.sin))
-    )
-
-
-def _quadrature_passband(cfg: SchemeConfig, symbols: np.ndarray) -> np.ndarray:
-    """amplitude · (I cos θ - Q sin θ) on the stored carrier.
-
-    A rectangular pulse holds each symbol over its samples, so the carrier
-    is viewed as (symbols, samples per symbol) rows and each row scaled by
-    its symbol: the full-length complex hold is never built.
-    """
-    cos, sin = _carrier(cfg)
-    if cfg.pulse == "rect":
-        shape = (symbols.size, cfg.samples_per_symbol)
-        i, q = symbols.real[:, None], symbols.imag[:, None]
-        cos, sin = cos.reshape(shape), sin.reshape(shape)
-    else:
-        baseband = _rrc_baseband(cfg, symbols)
-        i, q = baseband.real, baseband.imag
-    wave = cos * i
-    wave -= sin * q
-    wave *= cfg.amplitude
-    return wave.reshape(-1)
-
-
 def _phase_from_freq(cfg: SchemeConfig, inst_freq: np.ndarray) -> np.ndarray:
     # continuous phase: integrate instantaneous frequency along the last axis
     return 2 * np.pi * np.cumsum(inst_freq, axis=-1) / cfg.sample_rate
@@ -395,7 +340,12 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
 
 
 def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    return _quadrature_passband(cfg, constellation(cfg.scheme)[labels])
+    """An alphabet row on rrc pulses: its formula with I(t) and Q(t) bound
+    to the shaped baseband. On rect pulses the row sends its formula."""
+    baseband = _rrc_baseband(cfg, constellation(cfg.scheme)[labels])
+    expr, ctx, t = formula_context(cfg, labels)
+    signals = {"I(t)": baseband.real, "Q(t)": baseband.imag}
+    return evaluate(expr, EvalContext(ctx.constants, signals), t).samples
 
 
 def _cpm_drive(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
@@ -435,25 +385,25 @@ def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 class Scheme:
     """Every fact about one reference scheme.
 
-    bits_per_symbol is 0 for an analog scheme. A row has either a formula,
-    the text of the bundled corpus entry of its id, evaluated as a formula
-    scheme is, or a waveform(cfg, labels) builder for what the formula
-    language cannot write: rrc pulses, a filtered NRZ drive, a phase reset
-    at each symbol. alphabet is the
-    unit-average-energy constellation indexed by label, where there is
-    one; such a row sends alphabet[labels] with _qam_wave. receiver names
-    the bit decision rule in metrics. h is the continuous-phase index of a
-    _cpm_wave row: tones deviate h*Rs/2 and the discriminator passes
-    (h/2 + 1)*Rs. freq_pulse(cfg), where a row names one, gives the
-    (symbols spanned, sps) pulse table that shapes its NRZ drive. memory,
-    which such a row has, marks a waveform that depends on earlier symbols
-    and so rules out a per-symbol candidate bank.
+    bits_per_symbol is 0 for an analog scheme. A row has a formula, text
+    evaluated as a formula scheme is, or a waveform(cfg, labels) builder
+    for what the formula language cannot write: a filtered NRZ drive, a
+    phase reset at each symbol. alphabet is the unit-average-energy
+    constellation indexed by label, where there is one; such a row's
+    formula is the corpus qam text times A_c, which sends alphabet[labels]
+    on rect pulses, and its builder, _qam_wave, sends them on rrc pulses.
+    h is the continuous-phase index of a _cpm_wave row: tones deviate
+    h*Rs/2 and the discriminator passes (h/2 + 1)*Rs. freq_pulse(cfg),
+    where a row names one, gives the (symbols spanned, sps) pulse table
+    that shapes its NRZ drive. memory, which such a row has, marks a
+    waveform that depends on earlier symbols and so rules out a per-symbol
+    candidate bank; metrics.demodulate decides those rows with the
+    discriminator and every other digital row by correlation.
     """
 
     bits_per_symbol: int
     waveform: Callable[[SchemeConfig, np.ndarray], np.ndarray] | None = None
     alphabet: np.ndarray | None = None
-    receiver: str | None = None
     h: float | None = None
     freq_pulse: Callable[[SchemeConfig], np.ndarray] | None = None
     formula: str | None = None
@@ -464,25 +414,26 @@ class Scheme:
 
 
 _CORPUS = {entry.id: entry.formula for entry in load_corpus(bundled_corpus_path())}
+_QAM = f"({_CORPUS['qam']}) * A_c"  # an alphabet row's text
 
 SCHEMES: dict[str, Scheme] = {
     "am": Scheme(0, formula=_CORPUS["am"]),
     "fm": Scheme(0, formula=_CORPUS["fm"]),
     "pm": Scheme(0, formula=_CORPUS["pm"]),
     # average energy 1 with equiprobable on/off symbols
-    "ook": Scheme(1, _qam_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, "envelope"),
-    "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, "nearest"),
-    "qpsk": Scheme(2, _qam_wave, _psk_points(4), "nearest"),
-    "psk8": Scheme(3, _qam_wave, _psk_points(8), "nearest"),
-    "bfsk": Scheme(1, _cpm_wave, receiver="discriminator", h=1.0),
-    "fsk": Scheme(1, receiver="correlation", formula=_CORPUS["fsk"]),
-    "msk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5),
-    "gmsk": Scheme(1, _cpm_wave, receiver="discriminator", h=0.5, freq_pulse=_gaussian_freq_pulse),
-    "chirp": Scheme(1, _chirp_wave, receiver="correlation"),
-    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), "nearest"),
-    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), "nearest"),
-    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), "nearest"),
-    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), "nearest"),
+    "ook": Scheme(1, _qam_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, formula=_QAM),
+    "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, formula=_QAM),
+    "qpsk": Scheme(2, _qam_wave, _psk_points(4), formula=_QAM),
+    "psk8": Scheme(3, _qam_wave, _psk_points(8), formula=_QAM),
+    "bfsk": Scheme(1, _cpm_wave, h=1.0),
+    "fsk": Scheme(1, formula=_CORPUS["fsk"]),
+    "msk": Scheme(1, _cpm_wave, h=0.5),
+    "gmsk": Scheme(1, _cpm_wave, h=0.5, freq_pulse=_gaussian_freq_pulse),
+    "chirp": Scheme(1, _chirp_wave),
+    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), formula=_QAM),
+    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), formula=_QAM),
+    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), formula=_QAM),
+    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), formula=_QAM),
 }
 
 REFERENCE_SCHEMES = tuple(SCHEMES)
@@ -493,7 +444,12 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 
 
 def _sends_formula(cfg: SchemeConfig) -> bool:
-    return cfg.is_formula or SCHEMES[cfg.scheme].formula is not None
+    """A formula scheme, or a row with formula text, but an alphabet row
+    only on rect pulses."""
+    if cfg.is_formula:
+        return True
+    scheme = SCHEMES[cfg.scheme]
+    return scheme.formula is not None and (scheme.waveform is None or cfg.pulse == "rect")
 
 
 def formula_context(
@@ -600,43 +556,79 @@ def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.nd
     ])
 
 
-def candidate_basis(cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """A formula's candidates as a(t) + sum_j v_j·c_j(t), one column j per
-    label stream it reads and per feature.
+def candidate_basis(cfg: SchemeConfig) -> tuple[list, np.ndarray, np.ndarray] | None:
+    """A formula's candidates as (parts, weights, gram): label m sends
+    weights[m] @ parts; gram[k, l] is <parts[k], parts[l]> over each symbol.
 
-    dsl.ast.separable_in rewrites the formula as affine in those columns:
-    the streams, then the features h_j, trees of the streams alone such as
-    cos(pi*d(t)). The rewritten tree is evaluated once with the K columns
-    bound as (1 + K, 1) unit columns: all zeros, then one unit vector per
-    column. Row 0 is a(t) and row j is a(t) + c_j(t). The features are
-    evaluated once at the labels, on two samples of the grid, since they
-    read no time. Returns those rows and values, the (order, K) column
-    values of each label. Returns None, for the bank, when the formula is
-    not separable, or the basis or a feature has a non-finite value.
+    dsl.ast.separable_in rewrites the formula as affine in its label
+    streams and features, and dsl.ast.affine_terms splits that into terms
+    scalar·part·column. A part's weight for label m sums the scalars of its
+    terms, each times label m's value of the term's column, if it has one.
+    A label-invariant part is read from the grid store, where modulate's
+    evaluation kept it (the qam text's parts are the carrier pair); another
+    is evaluated, and kept unless a division guard fired. The Gram of
+    invariant parts is kept there too, for the next row that reads them.
+    Returns None, for the bank, for a row that sends no formula, a formula
+    that is not separable, or a non-finite part, scalar or feature.
     """
+    if not _sends_formula(cfg):
+        return None
     split = separable_in(cfg.formula)
     if split is None:
         return None
     expr, features = split
     order = 1 << cfg.bits_per_symbol
     _, ctx, t = formula_context(cfg, np.arange(order)[:, None])
-    names = reads(expr)[0]
     streams = {name: ctx.signals[name] for name in LABEL_STREAMS if name in ctx.signals}
-    columns = {name: streams[name] for name in streams if name in names}
-    for name, tree in features.items():
-        result = evaluate(tree, EvalContext(ctx.constants, streams), t[:2])
+    others = {name: value for name, value in ctx.signals.items() if name not in streams}
+    store = grid(cfg.n_samples, cfg.sample_rate)
+
+    def column(name: str) -> np.ndarray | None:
+        if name in streams:
+            return streams[name]
+        result = evaluate(features[name], EvalContext(ctx.constants, streams), t[:2])
+        return None if result.invalid_mask.any() else result.samples[:, :1]
+
+    def part(tree: Expr | None, key) -> np.ndarray | None:
+        if tree is None:
+            return np.broadcast_to(np.float64(1.0), t.shape)
+        kept = None if key is None else store.get(key)
+        if kept is not None:  # the evaluator keeps non-finite values too: see gram
+            return kept
+        result = evaluate(tree, EvalContext(ctx.constants, others), t)
         if result.invalid_mask.any():
             return None
-        columns[name] = result.samples[:, :1]
-    unit = np.eye(len(columns) + 1)[:, 1:]
-    signals = {name: value for name, value in ctx.signals.items() if name not in streams}
-    for j, name in enumerate(columns):
-        signals[name] = unit[:, [j]]
-    result = evaluate(expr, EvalContext(ctx.constants, signals), t)
-    if result.invalid_mask.any():
+        return result.samples if key is None or result.guard_count else store.put(key, result.samples)
+
+    terms = affine_terms(expr)
+    names = list(dict.fromkeys(name for *_, name in terms if name is not None))
+    columns = [column(name) for name in names]
+    scalars = {tree: scalar(tree, ctx.constants) for tree in dict.fromkeys(s for s, *_ in terms)}
+    if any(v is None for v in columns) or not np.isfinite(list(scalars.values())).all():
         return None
-    values = np.hstack([np.empty((order, 0)), *columns.values()])
-    return result.samples.reshape(len(columns) + 1, -1), values
+    trees = list(dict.fromkeys(tree for _, tree, _ in terms))
+    keys = ["1" if tree is None else invariant_key(tree, ctx.constants) for tree in trees]
+    parts = [part(tree, key) for tree, key in zip(trees, keys)]
+    if any(v is None for v in parts):
+        return None
+    weights = np.zeros((1 + len(names), len(trees)))  # row 0: a(t), row 1 + j: c_j(t)
+    for factor, tree, name in terms:
+        row = 0 if name is None else 1 + names.index(name)
+        weights[row, trees.index(tree)] += scalars[factor]
+    values = np.hstack([np.ones((order, 1)), *columns])
+
+    def inner_products() -> np.ndarray:
+        frames = [part.reshape(cfg.n_symbols, cfg.samples_per_symbol) for part in parts]
+        gram = mapped((len(parts), len(parts), cfg.n_symbols))
+        for k, p in enumerate(frames):
+            for m in range(k, len(frames)):
+                gram[k, m] = gram[m, k] = np.einsum("ij,ij->i", p, frames[m])
+        return gram
+
+    key = ("gram", cfg.samples_per_symbol, *keys)
+    gram = inner_products() if None in keys else store.value(key, inner_products)
+    # a non-finite stored part, or one whose energy overflows, takes the bank
+    return (parts, values @ weights, gram) if np.isfinite(gram).all() else None
 
 
 def normalize_power(signal: SampledSignal) -> SampledSignal:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from modwave import grid as grids
 from modwave.dsl import BinOp, Call, Const, Neg, Pow, Symbol
 from modwave.dsl.symbols import NAMES
+from modwave.metrics import extract_constellation
+from modwave.synth import constellation, labels_to_bits
 
 # derandomized: every run draws the same examples, so Tier-1 stays deterministic
 settings.register_profile(
@@ -152,3 +154,17 @@ def binomial_3sigma(p: float, n: int) -> float:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def oracle_demap_labels(points_rx, alphabet):
+    """The distance demapper: argmin |p - c| over every alphabet point c."""
+    return np.argmin(np.abs(points_rx[:, None] - alphabet), axis=1)
+
+
+def oracle_nearest_point_bits(received, config):
+    """The coherent receiver the alphabet rows had: the constellation
+    points, scaled by their blind RMS gain, to the nearest alphabet point."""
+    points = extract_constellation(received, config)
+    points /= np.sqrt(np.mean(np.abs(points) ** 2))
+    labels = oracle_demap_labels(points, constellation(config.scheme))
+    return labels_to_bits(labels, config.bits_per_symbol)

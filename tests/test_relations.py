@@ -3,12 +3,16 @@ numbers.
 
 The am, fm, pm and fsk reference rows are their bundled corpus formulas:
 synth.SCHEMES holds the corpus text, and modulate evaluates it as it does
-`formula:am` and the others. So a reference row and its `formula:` twin
-send the same samples, and every cell measured from the samples must
-agree bit for bit. fsk's tone rule reads a bit, so on a one-bit base,
-bpsk or ook, its label is that bit and its BER cell agrees too. The
-analog rows read no label: their formula twins measure a BER on base bits
-their waveform never carries, where the reference rows carry none.
+`formula:am` and the others. The alphabet rows, ook to qam256, send the
+corpus qam text times A_c, which at amplitude 1 is `formula:qam` on the
+row as its base. So a reference row and its `formula:` twin send the
+same samples, and every cell measured from the samples must agree bit
+for bit. Both are decided by the one rule of a memoryless row, so the BER
+cell of a twin that sends the row's labels agrees too: the alphabet
+rows', and fsk's, whose tone rule reads a bit, on a one-bit base, bpsk
+or ook. The analog rows read no label: their formula twins measure a BER
+on base bits their waveform never carries, where the reference rows
+carry none.
 
 Scaling a reference row's amplitude scales its samples, which
 normalize_power undoes before the channel, so the BER and the occupied
@@ -25,40 +29,47 @@ from modwave.synth import REFERENCE_SCHEMES, SchemeConfig, modulate
 
 CELLS = ("snr_db", "ber", "spectral_eff", "bandwidth_hz")
 CORPUS = {e.id: e.formula for e in load_corpus(bundled_corpus_path())}
-# each reference row and base scheme of its formula twin
-TWINS = [("am", "bpsk"), ("fm", "bpsk"), ("pm", "bpsk"), ("fsk", "bpsk"), ("fsk", "ook")]
+# each reference row, and the base scheme and corpus id of its formula twin
+ALPHABETS = ("ook", "bpsk", "qpsk", "psk8", "qam16", "qam64", "qam128", "qam256")
+TWINS = [
+    ("am", "bpsk", "am"), ("fm", "bpsk", "fm"), ("pm", "bpsk", "pm"),
+    ("fsk", "bpsk", "fsk"), ("fsk", "ook", "fsk"),
+    *((scheme, scheme, "qam") for scheme in ALPHABETS),
+]
+TWIN_IDS = [f"{scheme}-{base}" for scheme, base, _ in TWINS]
 # the realized SNR of a scaled row: normalize_power rounds its gain differently
 SNR_TOLERANCE_DB = 1e-12
 
 
-def twin(scheme, base, **kwargs):
+def twin(corpus_id, base, **kwargs):
     return SchemeConfig(
-        f"formula:{scheme}", formula_text=CORPUS[scheme], base_scheme=base, **kwargs
+        f"formula:{corpus_id}", formula_text=CORPUS[corpus_id], base_scheme=base, **kwargs
     )
 
 
-@pytest.mark.parametrize("scheme, base", TWINS)
-def test_reference_rows_send_their_corpus_formulas(scheme, base):
+@pytest.mark.parametrize("scheme, base, corpus_id", TWINS, ids=TWIN_IDS)
+def test_reference_rows_send_their_corpus_formulas(scheme, base, corpus_id):
     for n_symbols in (7, 2_000):
         reference = modulate(SchemeConfig(scheme, n_symbols=n_symbols, seed=3))
-        formula = modulate(twin(scheme, base, n_symbols=n_symbols, seed=3))
+        formula = modulate(twin(corpus_id, base, n_symbols=n_symbols, seed=3))
         assert reference.samples.tobytes() == formula.samples.tobytes(), n_symbols
 
 
 @pytest.mark.parametrize("snr_db", [-12.0, 2.0])
-@pytest.mark.parametrize("scheme, base", TWINS)
-def test_reference_and_corpus_formula_agree(scheme, base, snr_db):
-    configs = [SchemeConfig(scheme, n_symbols=4_000), twin(scheme, base, n_symbols=4_000)]
+@pytest.mark.parametrize("scheme, base, corpus_id", TWINS, ids=TWIN_IDS)
+def test_reference_and_corpus_formula_agree(scheme, base, corpus_id, snr_db):
+    configs = [SchemeConfig(scheme, n_symbols=4_000), twin(corpus_id, base, n_symbols=4_000)]
     reference, formula = (
         row.to_dict() for row in compare(configs, ChannelConfig(snr_db), master_seed=2024)
     )
     assert reference["error"] is None and formula["error"] is None
-    cells = CELLS if scheme == "fsk" else ("snr_db", "bandwidth_hz")
+    digital = SchemeConfig(scheme).bits_per_symbol > 0
+    cells = CELLS if digital else ("snr_db", "bandwidth_hz")
     assert {cell: formula[cell] for cell in cells} == {cell: reference[cell] for cell in cells}
     if scheme == "fsk":
         # the operating points differ in what they exercise: errors, or none
         assert (reference["ber"] > 0.1) == (snr_db < 0)
-    else:
+    elif not digital:
         assert reference["ber"] is None and 0.3 < formula["ber"] < 0.7
 
 

@@ -34,18 +34,14 @@ from modwave.synth import (
     SCHEMES,
     SampledSignal,
     SchemeConfig,
-    _CARRIER_TREES,
-    _carrier,
     _cpm_drive,
     _rrc_baseband,
     bits_to_labels,
     candidate_bank,
     candidate_basis,
     constellation,
-    demap_symbols,
     formula_context,
     gen_bits,
-    labels_to_bits,
     map_symbols,
     modulate,
     normalize_power,
@@ -57,22 +53,22 @@ from modwave.table import write_table
 
 from conftest import CPM_GEOMETRIES, CPM_GEOMETRY_IDS, SPECIAL, SPECIAL_F32, cold_store
 
+# the carrier pair is the value of these trees, and is keyed as they are
+CARRIER_TREES = (parse_formula("cos(2*pi*f_c*t)"), parse_formula("sin(2*pi*f_c*t)"))
+
+
+def stored_carrier(cfg):
+    """The (cos, sin) carrier pair of cfg's grid that the grid store keeps."""
+    store = grids.grid(cfg.n_samples, cfg.sample_rate)
+    return tuple(store.get(invariant_key(tree, {"f_c": cfg.carrier_freq})) for tree in CARRIER_TREES)
+
+
 # the special values a float32 dump can hold: the finite ones beyond its range raise
 WRITABLE = SPECIAL[~(np.isfinite(SPECIAL) & (np.abs(SPECIAL) > np.finfo(np.float32).max))]
 
 
 DIGITAL = [s for s in REFERENCE_SCHEMES if s not in ("am", "fm", "pm")]
 ALPHABETS = [name for name, s in SCHEMES.items() if s.alphabet is not None]
-
-
-def oracle_demap_labels(rx, points):
-    """The distance demapper: argmin |p - c| over every point c, in blocks."""
-    labels = np.empty(rx.size, dtype=np.int64)
-    step = max(1, (1 << 16) // points.size)
-    for start in range(0, rx.size, step):
-        block = rx[start : start + step, None]
-        labels[start : start + step] = np.argmin(np.abs(block - points), axis=1)
-    return labels
 
 
 def oracle_chirp_wave(cfg, labels):
@@ -240,42 +236,6 @@ class TestSymbolMaps:
                 gap = abs(points[a] - points[b])
                 if abs(gap - 2.0) < 1e-9:  # geometric nearest neighbors
                     assert bin(a ^ b).count("1") == 1
-
-    def test_demap_inverts_map(self):
-        for scheme in ("bpsk", "qpsk", "qam16", "qam64", "qam128", "qam256"):
-            bits = gen_bits(7 * 64 * 6, seed=3)  # divisible by every bps here
-            symbols = map_symbols(bits, scheme)
-            assert np.array_equal(demap_symbols(symbols, scheme), bits), scheme
-
-    @pytest.mark.parametrize("scheme", ALPHABETS)
-    def test_blocked_demap_decides_as_the_full_distance_table(self, scheme):
-        # 1,000,002 noisy points, a third each at 0, 10 and 20 dB: many
-        # blocks and a partial last one
-        rng = np.random.default_rng(11)
-        points = constellation(scheme)
-        for snr_db in (0.0, 10.0, 20.0):
-            sent = points[rng.integers(0, points.size, 333_334)]
-            noise = rng.standard_normal(2 * sent.size).view(complex)  # unit power per part
-            rx = sent + math.sqrt(10 ** (-snr_db / 10) / 2) * noise
-            labels = oracle_demap_labels(rx, points)
-            expected = labels_to_bits(labels, SCHEMES[scheme].bits_per_symbol)
-            assert np.array_equal(demap_symbols(rx, scheme), expected), (scheme, snr_db)
-        assert demap_symbols(rx[:0], scheme).size == 0
-
-    @given(
-        scheme=st.sampled_from(ALPHABETS),
-        coords=st.lists(
-            st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)), min_size=1, max_size=64
-        ),
-    )
-    def test_score_product_decides_as_the_distance_oracle(self, scheme, coords):
-        rx = np.array([complex(re, im) for re, im in coords])
-        points = constellation(scheme)
-        # two nearest points within rounding of each other are a tie either way
-        nearest = np.sort(np.abs(rx[:, None] - points) ** 2, axis=1)[:, :2]
-        rx = rx[nearest[:, 1] - nearest[:, 0] >= 1e-9 * nearest[:, 1]]
-        expected = labels_to_bits(oracle_demap_labels(rx, points), SCHEMES[scheme].bits_per_symbol)
-        assert np.array_equal(demap_symbols(rx, scheme), expected)
 
     def test_indivisible_bit_count_rejected(self):
         with pytest.raises(SignalError):
@@ -595,9 +555,10 @@ class TestCarrier:
 
     def test_cached_carrier_is_read_only(self):
         cfg = SchemeConfig("qam16", n_symbols=10)
-        pair = _carrier(cfg)
+        modulate(cfg)
+        pair = stored_carrier(cfg)
         store = grids.grid(cfg.n_samples, cfg.sample_rate)
-        for tree, array in zip(_CARRIER_TREES, pair):
+        for tree, array in zip(CARRIER_TREES, pair):
             assert store.get(invariant_key(tree, {"f_c": cfg.carrier_freq})) is array
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -619,13 +580,14 @@ class TestCarrier:
         with cold_store():
             compare(rows, ChannelConfig(target_snr_db=5.0))
             store = grids.last()
-            cos, sin = _carrier(qam16)
+            cos, sin = stored_carrier(qam16)
             # the formula read the pair qam16 scaled: a recomputed value
             # would have replaced the entry, not shared it
             assert sum(value is cos or value is sin for value in store.entries.values()) == 2
             wanted = {cos.tobytes(), sin.tobytes()}
             assert sum(value.tobytes() in wanted for value in store.entries.values()) == 2
-            assert len(store.entries) == 3  # cos, sin and the noise draw
+            # cos, sin, the noise draw and the pair's Gram over each symbol
+            assert len(store.entries) == 4
             labels = bits_to_labels(modulate(formula).origin_bits, 4)
             points = constellation("qam16")[labels]
             sps = formula.samples_per_symbol
@@ -716,7 +678,7 @@ class TestFormulaSynthesis:
         assert bank.shape == (4, cfg.n_samples)
         # a run whose labels are constant must equal the matching bank row
         labels = np.full(20, 2, dtype=np.int64)
-        assert np.array_equal(bank[2], SCHEMES["qpsk"].waveform(cfg, labels))
+        assert np.array_equal(bank[2], sent(cfg, labels))
 
 
 def sent(cfg, labels):
@@ -731,8 +693,13 @@ class TestSchemeTable:
     def test_a_row_is_a_formula_or_a_builder(self):
         corpus = {e.id: e.formula for e in load_corpus(bundled_corpus_path())}
         written = [name for name, s in SCHEMES.items() if s.formula is not None]
-        assert written == ["am", "fm", "pm", "fsk"]
+        assert sorted(written) == sorted(["am", "fm", "pm", "fsk", *ALPHABETS])
         for name, scheme in SCHEMES.items():
+            if scheme.alphabet is not None:
+                # the qam text sends rect pulses, the builder rrc ones
+                assert scheme.formula == f"({corpus['qam']}) * A_c", name
+                assert scheme.waveform is not None, name
+                continue
             assert (scheme.formula is None) != (scheme.waveform is None), name
             if scheme.formula is not None:
                 assert scheme.formula == corpus[name]
@@ -1024,9 +991,9 @@ def assert_basis_sound(formula, base_scheme="qam16"):
     assert (basis is not None) <= (separable_in(cfg.formula) is not None), formula
     if basis is None:
         return
-    rows, values = basis
-    assert rows.shape == (1 + values.shape[1], cfg.n_samples), formula
-    model = rows[0] + values @ (rows[1:] - rows[0])
+    parts, weights, _ = basis
+    assert weights.shape == (1 << cfg.bits_per_symbol, len(parts)), formula
+    model = weights @ np.array(parts)
     bank = candidate_bank(cfg)
     scale = max(1.0, float(np.abs(bank).max()))
     assert np.allclose(bank, model, rtol=1e-9, atol=1e-12 * scale), formula
@@ -1114,10 +1081,24 @@ class TestFormulaBasis:
                 assert_basis_sound(item.formula, "qpsk")
 
     def test_stream_free_formula_has_one_row(self):
+        # one part, the samples, which every label weighs by 1
         cfg = SchemeConfig("formula:tone", formula_text=f"A*{self.CARRIER}", n_symbols=4)
-        rows, values = candidate_basis(cfg)
-        assert rows.shape == (1, cfg.n_samples) and values.shape == (16, 0)
-        assert np.array_equal(rows[0], modulate(cfg).samples)
+        parts, weights, _ = candidate_basis(cfg)
+        assert len(parts) == 1 and np.array_equal(weights, np.ones((16, 1)))
+        assert np.array_equal(parts[0], modulate(cfg).samples)
+
+    @pytest.mark.parametrize("scheme", ALPHABETS)
+    def test_alphabet_rows_read_the_stored_carrier(self, scheme):
+        # the parts are the carrier pair modulate kept: no full-length copy,
+        # and the amplitude and the sign of sin are in the weights
+        cfg = SchemeConfig(scheme, n_symbols=40, amplitude=0.5)
+        modulate(cfg)
+        parts, weights, gram = candidate_basis(cfg)
+        cos, sin = stored_carrier(cfg)
+        assert len(parts) == 2 and parts[0] is cos and parts[1] is sin
+        points = constellation(scheme)
+        assert np.array_equal(weights, 0.5 * np.column_stack([points.real, -points.imag]))
+        assert candidate_basis(cfg)[2] is gram  # kept for the next row
 
     def test_non_finite_basis_is_none(self):
         # t^(-1) is inf at t = 0 in every candidate, so the basis is not used
