@@ -150,95 +150,10 @@ def _signed_sum(terms: list[tuple[int, Expr]]) -> Expr:
     return out
 
 
-def separable_in(expr: Expr) -> tuple[Expr, dict[str, Expr]] | None:
-    """The tree as a(t) + sum_j c_j(t)*h_j(labels), or None for the bank.
-
-    Returns (rewritten, features). rewritten is affine in the label streams
-    it reads and in feature streams named #0, #1, ..., and features maps
-    each name to h_j, a tree that reads label streams and otherwise only pi
-    and scalars. Bound to the h_j's values, rewritten equals the tree. A
-    tree affine in the streams comes back unchanged, with no features.
-
-    One bottom-up walk classes each subtree by whether it reads a label
-    stream and whether it reads time (t, m(t) or an undefined name):
-    - a maximal subtree that reads streams but not time becomes a feature,
-      unless it is affine in the streams, like (I - Q)/2, which stays;
-    - negations, sums and differences, products in which at most one
-      factor reads a stream, and division by a divisor that reads none
-      keep the tree affine;
-    - cos(a + b) and sin(a + b), where the additive terms of a read no
-      stream and those of b no time, become cos a*h_cos - sin a*h_sin
-      and sin a*h_cos + cos a*h_sin, with h_cos = cos b and h_sin = sin b.
-    Anything else is None: a product of two stream terms, a power of a
-    term that reads both, a stream times t inside a phase, and a stream
-    in a sum or integral. Names resolve as in reads, so a bare Q is Q(t).
-    """
-    features: dict[Expr, Symbol] = {}
-    seen: dict[int, tuple[bool, bool, bool]] = {}  # (stream, time, affine) by node id
-
-    def visit(node: Expr, bound: frozenset[str]) -> bool:
-        """Whether the node is separable; records its class in seen."""
-        if isinstance(node, (Const, Symbol)):
-            stream = time = False
-            if isinstance(node, Symbol) and node.name not in bound:
-                name = resolve(node.name)
-                stream = name in LABEL_STREAMS
-                time = not stream and (name is None or name == "t" or name.endswith("(t)"))
-            seen[id(node)] = stream, time, True
-            return True
-        scoped = _scoped(node, bound)
-        if not all(visit(kid, kid_bound) for kid, kid_bound in scoped):
-            return False
-        classes = [seen[id(kid)] for kid, _ in scoped]
-        stream = any(c[0] for c in classes)
-        time = any(c[1] for c in classes)
-        linear = True  # the node keeps its stream terms affine
-        if stream:
-            if isinstance(node, Call) and node.func in ("sum", "integral"):
-                return False
-            if isinstance(node, BinOp) and node.op == "*":
-                linear = not (classes[0][0] and classes[1][0])
-            elif isinstance(node, BinOp) and node.op == "/":
-                linear = not classes[1][0]
-            else:
-                linear = isinstance(node, (Neg, BinOp))
-        seen[id(node)] = stream, time, linear and all(c[2] for c in classes)
-        if not (stream and time):
-            return True
-        if isinstance(node, Call):  # sin or cos: no additive term may read both
-            return all(not all(seen[id(term)][:2]) for _, term in _terms(node.args[0]))
-        return linear
-
-    def feature(tree: Expr) -> Symbol:  # #j: a name no formula can spell
-        return features.setdefault(tree, Symbol(f"#{len(features)}"))
-
-    def rewrite(node: Expr) -> Expr:
-        stream, time, affine = seen[id(node)]
-        if not stream or (not time and affine):
-            return node
-        if not time:
-            return feature(node)
-        if isinstance(node, Neg):
-            return Neg(rewrite(node.operand))
-        if isinstance(node, BinOp):
-            return BinOp(node.op, rewrite(node.left), rewrite(node.right))
-        a, b = [], []
-        for sign, term in _terms(node.args[0]):
-            (b if seen[id(term)][0] else a).append((sign, term))
-        a, b = _signed_sum(a), _signed_sum(b)
-        h_cos, h_sin = feature(Call("cos", (b,))), feature(Call("sin", (b,)))
-        cos_a, sin_a = Call("cos", (a,)), Call("sin", (a,))
-        if node.func == "cos":
-            return BinOp("-", BinOp("*", cos_a, h_cos), BinOp("*", sin_a, h_sin))
-        return BinOp("+", BinOp("*", sin_a, h_cos), BinOp("*", cos_a, h_sin))
-
-    if not visit(expr, frozenset()):
-        return None
-    new = rewrite(expr)
-    return new, {symbol.name: tree for tree, symbol in features.items()}
-
-
 _ONE = Const(1.0)
+
+# scalar, part (None for 1) and column (None for 1) of one basis term
+Term = tuple[Expr, Expr | None, Expr | None]
 
 
 def _times(a: Expr | None, b: Expr | None) -> Expr | None:
@@ -248,41 +163,95 @@ def _times(a: Expr | None, b: Expr | None) -> Expr | None:
     return a if b is None or b == _ONE else BinOp("*", a, b)
 
 
-def affine_terms(expr: Expr) -> list[tuple[Expr, Expr | None, str | None]]:
-    """separable_in's rewritten tree as a sum of terms scalar·part·column.
+def basis_terms(expr: Expr) -> list[Term] | None:
+    """The tree as a sum of terms scalar·part·column, or None for the bank.
 
-    A column is a label stream or a feature #j; scalar reads only pi and
-    scalar names; part, None for 1, reads time. Only a node that reads a
-    column is split: a sum into its terms, a product into its factors, and
-    x / y into x times the subtree 1 / y. So each part is a maximal
-    column-free subtree, or a product of such, and the evaluator keeps the
-    same subtrees in the grid store under the same keys.
+    scalar reads only pi and scalar names; part reads time (t, m(t) or an
+    undefined name) and no label stream; column reads label streams and no
+    time. A column is a stream leaf, named as the namespace resolves it, so
+    I and I(t) are one column, or a feature h(labels) such as cos(pi*d) or
+    I*Q. One bottom-up walk classes each node once, by whether it reads a
+    stream, reads time and is affine in the streams, and makes its terms
+    from its children's:
+    - a node that reads no stream is one term, a part if it reads time and
+      a scalar if not, so each part is a maximal column-free subtree, or a
+      product of such, as the evaluator keys them in the grid store;
+    - a maximal subtree that reads streams but not time is one feature,
+      unless it is affine in the streams, like (I - Q)/2, and is split;
+    - negations, sums and differences, products in which at most one
+      factor reads a stream, and x / y with a divisor that reads none, as
+      x times the term 1 / y, are split into their children's terms;
+    - cos(a + b) and sin(a + b), where the additive terms of a read no
+      stream and those of b no time, are cos a*cos b - sin a*sin b and
+      sin a*cos b + cos a*sin b, with features cos b and sin b.
+    Anything else is None: a product of two stream terms, a power of a
+    term that reads both, a stream times t inside a phase, and a stream in
+    a sum or integral.
     """
+    seen: dict[int, tuple[bool, bool]] = {}  # (stream, time) by node id
 
-    def expand(node: Expr) -> list[tuple[Expr, Expr | None, str | None]]:
-        name = (resolve(node.name) or node.name) if isinstance(node, Symbol) else None
-        if name in LABEL_STREAMS or name and name.startswith("#"):
-            return [(_ONE, None, name)]
-        if isinstance(node, (Neg, BinOp)):
-            kids = [expand(kid) for kid in children(node)]
-            if any(column for terms in kids for *_, column in terms):
-                return split(node, *kids)
-            time = any(part is not None for terms in kids for _, part, _ in terms)
-        else:  # time as separable_in reads it: t, m(t) or an undefined name
-            time = any(resolve(n) in (None, "t") or n.endswith("(t)") for n in reads(node)[0])
+    def atom(node: Expr, time: bool) -> list[Term]:
         return [(_ONE, node, None)] if time else [(node, None, None)]
 
-    def split(node: Expr, *kids) -> list[tuple[Expr, Expr | None, str | None]]:
+    def visit(node: Expr, bound: frozenset[str]) -> tuple[bool, list[Term]] | None:
+        """(affine, terms) of a separable node, else None."""
+        if isinstance(node, (Const, Symbol)):  # a constant or bound index reads as pi
+            name = resolve(node.name) if isinstance(node, Symbol) and node.name not in bound else "pi"
+            stream = name in LABEL_STREAMS
+            time = not stream and (name is None or name == "t" or name.endswith("(t)"))
+            seen[id(node)] = stream, time
+            return True, [(_ONE, None, Symbol(name))] if stream else atom(node, time)
+        scoped = _scoped(node, bound)
+        kids = []
+        for kid, kid_bound in scoped:
+            if (kid := visit(kid, kid_bound)) is None:
+                return None
+            kids.append(kid)
+        classes = [seen[id(kid)] for kid, _ in scoped]
+        stream, time = any(c[0] for c in classes), any(c[1] for c in classes)
+        seen[id(node)] = stream, time
+        if not stream:
+            return True, atom(node, time)
+        if isinstance(node, BinOp) and node.op == "*":
+            linear = not (classes[0][0] and classes[1][0])
+        elif isinstance(node, BinOp) and node.op == "/":
+            linear = not classes[1][0]
+        else:
+            linear = isinstance(node, (Neg, BinOp))
+        affine = linear and all(a for a, _ in kids)
+        if isinstance(node, Call):
+            if node.func in ("sum", "integral"):
+                return None
+            if time:
+                return phase(node)
+        if not time and not affine:
+            return False, [(_ONE, None, node)]  # a feature
+        if not linear:
+            return None
         if isinstance(node, Neg):
-            return [(Neg(s), p, c) for s, p, c in kids[0]]
-        left, right = kids
+            return affine, [(Neg(s), p, c) for s, p, c in kids[0][1]]
+        (_, left), (_, right) = kids
         if node.op in "+-":
-            return left + (right if node.op == "+" else [(Neg(s), p, c) for s, p, c in right])
+            return affine, left + (right if node.op == "+" else [(Neg(s), p, c) for s, p, c in right])
         if node.op == "/":
-            right = expand(BinOp("/", _ONE, node.right))
-        return [(_times(s, z), _times(p, q), c or d) for s, p, c in left for z, q, d in right]
+            right = atom(BinOp("/", _ONE, node.right), classes[1][1])
+        return affine, [(_times(s, z), _times(p, q), c or d) for s, p, c in left for z, q, d in right]
 
-    return expand(expr)
+    def phase(node: Call) -> tuple[bool, list[Term]] | None:
+        a, b = [], []
+        for sign, term in _terms(node.args[0]):
+            stream, time = seen[id(term)]
+            if stream and time:
+                return None
+            (b if stream else a).append((sign, term))
+        a, b = _signed_sum(a), _signed_sum(b)
+        cos_a, sin_a, h_cos, h_sin = (Call(f, (x,)) for x in (a, b) for f in ("cos", "sin"))
+        if node.func == "cos":
+            return False, [(_ONE, cos_a, h_cos), (Neg(_ONE), sin_a, h_sin)]
+        return False, [(_ONE, sin_a, h_cos), (_ONE, cos_a, h_sin)]
+
+    split = visit(expr, frozenset())
+    return None if split is None else split[1]
 
 
 _PREC_ADD = 1

@@ -358,21 +358,16 @@ def demodulate(
     discriminator, every other digital row and every formula by the
     correlation receiver. The reference (the noiseless transmitted
     waveform) gives the gain that scales the candidates. A signal shorter
-    than one symbol raises DemodulationError, and so does an alphabet row
-    on any pulse but rect, whose candidates assume rectangular pulses.
+    than one symbol raises DemodulationError, and so does an rrc run,
+    whose label column synth.formula_context cannot shape.
     """
-    scheme = None if config.is_formula else SCHEMES[config.scheme]
     if not config.bits_per_symbol:
         raise DemodulationError(f"{config.scheme} carries no bit ground truth")
     if len(received) < config.samples_per_symbol:
         raise DemodulationError(
             f"{len(received)} samples hold no whole symbol of {config.samples_per_symbol}"
         )
-    if config.pulse != "rect" and scheme is not None and scheme.alphabet is not None:
-        raise DemodulationError(
-            f"{config.scheme} has no receiver for pulse {config.pulse!r}"
-        )
-    if scheme is not None and scheme.memory:
+    if not config.is_formula and SCHEMES[config.scheme].memory:
         return _discriminator_bits(received, config)
     return correlation_demodulate(received, config, reference)
 

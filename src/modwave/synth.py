@@ -8,10 +8,11 @@ SCHEMES (see Scheme). A row the formula language can write is a formula,
 evaluated as a formula scheme is: am, fm, pm and fsk their bundled corpus
 text, and a row with an alphabet the corpus qam text times A_c on the
 points constellation() returns. The other rows keep a builder.
-Rectangular pulse shaping is the default; root-raised-cosine shaping is
-available for the alphabet rows behind a config flag for bandwidth
-studies, through a builder, but their receivers assume rectangular
-pulses, so demodulating an rrc run raises.
+Rectangular pulse shaping is the default. Root-raised-cosine shaping is
+a config flag for bandwidth studies, and a config error on a row without
+an alphabet: it binds I(t) and Q(t) to the shaped baseband instead of the
+held symbols. The receivers assume rectangular pulses, so demodulating an
+rrc run raises.
 """
 
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsl.ast import Expr, affine_terms, reads, separable_in
+from .dsl.ast import BinOp, Expr, Symbol, basis_terms, reads
 from .dsl.corpus import bundled_corpus_path, load_corpus
 from .dsl.evaluation import EvalContext, evaluate, invariant_key, scalar
 from .dsl.parser import parse_formula
@@ -94,7 +95,7 @@ class SchemeConfig:
     phase_dev: float = 1.0         # PM rad per message unit
     message_freq: float = 200.0    # analog message tone, Hz
     gmsk_bt: float = 0.3
-    pulse: str = "rect"            # "rect" or "rrc" (schemes with an alphabet)
+    pulse: str = "rect"            # "rect" or "rrc" (reference rows with an alphabet)
     rrc_rolloff: float = 0.35
     formula_text: str | None = None
     base_scheme: str = "qam16"     # symbol source for formula waveforms
@@ -129,6 +130,9 @@ class SchemeConfig:
             raise SignalError(f"unknown scheme {self.scheme!r}")
         if self.formula_text is not None and not self.is_formula:
             raise SignalError(f"formula_text is for a formula:<id> scheme, not {self.scheme!r}")
+        # a row without an alphabet sent its rect samples under rrc
+        if self.pulse == "rrc" and (self.is_formula or SCHEMES[self.scheme].alphabet is None):
+            raise SignalError(f"pulse 'rrc' is for a reference row with an alphabet, not {self.scheme!r}")
         if self.is_formula and not self.bits_per_symbol:
             raise SignalError(f"base scheme {self.base_scheme!r} carries no bits")
         # main lobe of the widest scheme must clear the Nyquist frequency
@@ -149,13 +153,15 @@ class SchemeConfig:
         return self.scheme.startswith("formula:")
 
     @cached_property
-    def formula(self) -> Expr:
-        """The tree this config sends, parsed once per config object:
-        formula_text for a formula scheme, else its row's formula."""
-        text = self.formula_text if self.is_formula else SCHEMES[self.scheme].formula
-        if not text:
+    def formula(self) -> Expr | None:
+        """The tree this config sends: a formula scheme's formula_text,
+        parsed once per config object, else its row's tree, None for a row
+        with a builder."""
+        if not self.is_formula:
+            return SCHEMES[self.scheme].formula
+        if not self.formula_text:
             raise SignalError(f"scheme {self.scheme!r} has no formula text")
-        return parse_formula(text)
+        return parse_formula(self.formula_text)
 
     @property
     def sample_rate(self) -> float:
@@ -339,15 +345,6 @@ def _message(cfg: SchemeConfig, t: np.ndarray) -> np.ndarray:
     return np.cos(2 * np.pi * cfg.message_freq * t)
 
 
-def _qam_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
-    """An alphabet row on rrc pulses: its formula with I(t) and Q(t) bound
-    to the shaped baseband. On rect pulses the row sends its formula."""
-    baseband = _rrc_baseband(cfg, constellation(cfg.scheme)[labels])
-    expr, ctx, t = formula_context(cfg, labels)
-    signals = {"I(t)": baseband.real, "Q(t)": baseband.imag}
-    return evaluate(expr, EvalContext(ctx.constants, signals), t).samples
-
-
 def _cpm_drive(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
     """The NRZ drive of a _cpm_wave row: the held ±1 symbols, or with a
     pulse table p, Σ_k a_k·p(t - kT) centred on each symbol. Each symbol's
@@ -385,20 +382,21 @@ def _chirp_wave(cfg: SchemeConfig, labels: np.ndarray) -> np.ndarray:
 class Scheme:
     """Every fact about one reference scheme.
 
-    bits_per_symbol is 0 for an analog scheme. A row has a formula, text
-    evaluated as a formula scheme is, or a waveform(cfg, labels) builder
-    for what the formula language cannot write: a filtered NRZ drive, a
-    phase reset at each symbol. alphabet is the unit-average-energy
-    constellation indexed by label, where there is one; such a row's
-    formula is the corpus qam text times A_c, which sends alphabet[labels]
-    on rect pulses, and its builder, _qam_wave, sends them on rrc pulses.
-    h is the continuous-phase index of a _cpm_wave row: tones deviate
-    h*Rs/2 and the discriminator passes (h/2 + 1)*Rs. freq_pulse(cfg),
-    where a row names one, gives the (symbols spanned, sps) pulse table
-    that shapes its NRZ drive. memory, which such a row has, marks a
-    waveform that depends on earlier symbols and so rules out a per-symbol
-    candidate bank; metrics.demodulate decides those rows with the
-    discriminator and every other digital row by correlation.
+    bits_per_symbol is 0 for an analog scheme. A row has a formula, a
+    tree parsed once and evaluated as a formula scheme's is, or a
+    waveform(cfg, labels) builder for what the formula language cannot
+    write: a filtered NRZ drive, a phase reset at each symbol. alphabet is
+    the unit-average-energy constellation indexed by label, where there is
+    one; such a row's formula is the corpus qam tree times A_c, which sends
+    alphabet[labels] on rect pulses and their rrc-shaped baseband on rrc
+    pulses (see formula_context). h is the continuous-phase index of a
+    _cpm_wave row: tones deviate h*Rs/2 and the discriminator passes
+    (h/2 + 1)*Rs. freq_pulse(cfg), where a row names one, gives the
+    (symbols spanned, sps) pulse table that shapes its NRZ drive. memory,
+    which such a row has, marks a waveform that depends on earlier symbols
+    and so rules out a per-symbol candidate bank; metrics.demodulate
+    decides those rows with the discriminator and every other digital row
+    by correlation.
     """
 
     bits_per_symbol: int
@@ -406,34 +404,34 @@ class Scheme:
     alphabet: np.ndarray | None = None
     h: float | None = None
     freq_pulse: Callable[[SchemeConfig], np.ndarray] | None = None
-    formula: str | None = None
+    formula: Expr | None = None
 
     @property
     def memory(self) -> bool:
         return self.h is not None
 
 
-_CORPUS = {entry.id: entry.formula for entry in load_corpus(bundled_corpus_path())}
-_QAM = f"({_CORPUS['qam']}) * A_c"  # an alphabet row's text
+_CORPUS = {entry.id: parse_formula(entry.formula) for entry in load_corpus(bundled_corpus_path())}
+_QAM = BinOp("*", _CORPUS["qam"], Symbol("A_c"))  # an alphabet row's tree
 
 SCHEMES: dict[str, Scheme] = {
     "am": Scheme(0, formula=_CORPUS["am"]),
     "fm": Scheme(0, formula=_CORPUS["fm"]),
     "pm": Scheme(0, formula=_CORPUS["pm"]),
     # average energy 1 with equiprobable on/off symbols
-    "ook": Scheme(1, _qam_wave, np.array([0.0, np.sqrt(2.0)]) + 0j, formula=_QAM),
-    "bpsk": Scheme(1, _qam_wave, np.array([1.0, -1.0]) + 0j, formula=_QAM),
-    "qpsk": Scheme(2, _qam_wave, _psk_points(4), formula=_QAM),
-    "psk8": Scheme(3, _qam_wave, _psk_points(8), formula=_QAM),
+    "ook": Scheme(1, alphabet=np.array([0.0, np.sqrt(2.0)]) + 0j, formula=_QAM),
+    "bpsk": Scheme(1, alphabet=np.array([1.0, -1.0]) + 0j, formula=_QAM),
+    "qpsk": Scheme(2, alphabet=_psk_points(4), formula=_QAM),
+    "psk8": Scheme(3, alphabet=_psk_points(8), formula=_QAM),
     "bfsk": Scheme(1, _cpm_wave, h=1.0),
     "fsk": Scheme(1, formula=_CORPUS["fsk"]),
     "msk": Scheme(1, _cpm_wave, h=0.5),
     "gmsk": Scheme(1, _cpm_wave, h=0.5, freq_pulse=_gaussian_freq_pulse),
     "chirp": Scheme(1, _chirp_wave),
-    "qam16": Scheme(4, _qam_wave, _square_qam_points(16), formula=_QAM),
-    "qam64": Scheme(6, _qam_wave, _square_qam_points(64), formula=_QAM),
-    "qam128": Scheme(7, _qam_wave, _cross_qam128_points(), formula=_QAM),
-    "qam256": Scheme(8, _qam_wave, _square_qam_points(256), formula=_QAM),
+    "qam16": Scheme(4, alphabet=_square_qam_points(16), formula=_QAM),
+    "qam64": Scheme(6, alphabet=_square_qam_points(64), formula=_QAM),
+    "qam128": Scheme(7, alphabet=_cross_qam128_points(), formula=_QAM),
+    "qam256": Scheme(8, alphabet=_square_qam_points(256), formula=_QAM),
 }
 
 REFERENCE_SCHEMES = tuple(SCHEMES)
@@ -441,15 +439,6 @@ REFERENCE_SCHEMES = tuple(SCHEMES)
 
 # ---------------------------------------------------------------------------
 # formula bindings, modulate and the candidate bank
-
-
-def _sends_formula(cfg: SchemeConfig) -> bool:
-    """A formula scheme, or a row with formula text, but an alphabet row
-    only on rect pulses."""
-    if cfg.is_formula:
-        return True
-    scheme = SCHEMES[cfg.scheme]
-    return scheme.formula is not None and (scheme.waveform is None or cfg.pulse == "rect")
 
 
 def formula_context(
@@ -460,23 +449,31 @@ def formula_context(
     The quadrature, data and frequency streams come from the Gray-labeled
     symbols of cfg.label_scheme: the base scheme of a formula scheme, the
     row itself for a reference row. A 1-D labels array is one label per
-    symbol, held over that symbol's samples; a (rows, 1) column binds one
-    row per label, which broadcasts against the grid. Each stream, and
-    m(t), is bound only when the formula reads it, so an analog row takes
-    labels None. Scalars come from the config. Returns cfg.formula, its
-    context and the time grid, evaluate's three arguments.
+    symbol, held over that symbol's samples, or on rrc pulses shaped into
+    I(t) and Q(t); a (rows, 1) column binds one row per label, which
+    broadcasts against the grid, and has no rrc form: it raises
+    DemodulationError. Each stream, and m(t), is bound only when the
+    formula reads it, so an analog row takes labels None. Scalars come
+    from the config. Returns cfg.formula, its context and the time grid,
+    evaluate's three arguments.
     """
     expr = cfg.formula
     names = reads(expr)[0]
-    streams = {
-        "I(t)": lambda: constellation(cfg.label_scheme)[labels].real,
-        "Q(t)": lambda: constellation(cfg.label_scheme)[labels].imag,
-        "d(t)": lambda: labels.astype(float),
-        "f(t)": lambda: cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
-    }
-    signals = {name: make() for name, make in streams.items() if name in names}
-    if labels is not None and labels.ndim == 1:
-        signals = {name: np.repeat(v, cfg.samples_per_symbol) for name, v in signals.items()}
+    if cfg.pulse == "rrc":  # an alphabet row, whose formula reads I(t) and Q(t)
+        if labels.ndim != 1:
+            raise DemodulationError(f"{cfg.scheme} has no receiver for pulse 'rrc'")
+        baseband = _rrc_baseband(cfg, constellation(cfg.label_scheme)[labels])
+        signals = {"I(t)": baseband.real, "Q(t)": baseband.imag}
+    else:
+        streams = {
+            "I(t)": lambda: constellation(cfg.label_scheme)[labels].real,
+            "Q(t)": lambda: constellation(cfg.label_scheme)[labels].imag,
+            "d(t)": lambda: labels.astype(float),
+            "f(t)": lambda: cfg.carrier_freq + cfg.symbol_rate * (2.0 * (labels % 2) - 1.0),
+        }
+        signals = {name: make() for name, make in streams.items() if name in names}
+        if labels is not None and labels.ndim == 1:
+            signals = {name: np.repeat(v, cfg.samples_per_symbol) for name, v in signals.items()}
     t = grid(cfg.n_samples, cfg.sample_rate).t
     if "m(t)" in names:
         signals["m(t)"] = _message(cfg, t)
@@ -505,7 +502,7 @@ def modulate(cfg: SchemeConfig) -> SampledSignal:
     bps = cfg.bits_per_symbol
     bits = gen_bits(cfg.n_symbols * bps, cfg.seed) if bps else None
     labels = None if bits is None else bits_to_labels(bits, bps)
-    if not _sends_formula(cfg):
+    if cfg.formula is None:
         samples = SCHEMES[cfg.scheme].waveform(cfg, labels)
         return SampledSignal(samples, cfg.sample_rate, bits, cfg.symbol_rate)
     result = evaluate(*formula_context(cfg, labels))
@@ -525,7 +522,8 @@ def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.nd
     Row i holds the full-length waveform synthesized with every symbol
     fixed to labels[i], or to label i when labels is None. Valid for
     schemes without cross-symbol memory, so a formula that integrates a
-    label stream raises DemodulationError. A formula's rows are one
+    label stream raises DemodulationError, and so does an rrc row (see
+    formula_context). A formula's rows are one
     evaluation: the label streams are bound as one row per label, so
     label-invariant parts such as the carrier and m(t) are computed once
     per call, and each row is bit-identical to evaluating the formula with
@@ -535,7 +533,7 @@ def candidate_bank(cfg: SchemeConfig, labels: np.ndarray | None = None) -> np.nd
     if not cfg.bits_per_symbol:
         raise DemodulationError("analog schemes have no symbol candidates")
     labels = np.arange(1 << cfg.bits_per_symbol) if labels is None else labels
-    if _sends_formula(cfg):
+    if cfg.formula is not None:
         memory = reads(cfg.formula)[1] & set(LABEL_STREAMS)
         if memory:
             raise DemodulationError(
@@ -560,33 +558,30 @@ def candidate_basis(cfg: SchemeConfig) -> tuple[list, np.ndarray, np.ndarray] | 
     """A formula's candidates as (parts, weights, gram): label m sends
     weights[m] @ parts; gram[k, l] is <parts[k], parts[l]> over each symbol.
 
-    dsl.ast.separable_in rewrites the formula as affine in its label
-    streams and features, and dsl.ast.affine_terms splits that into terms
-    scalar·part·column. A part's weight for label m sums the scalars of its
-    terms, each times label m's value of the term's column, if it has one.
-    A label-invariant part is read from the grid store, where modulate's
+    dsl.ast.basis_terms splits the formula into terms scalar·part·column
+    in one pass. A part's weight for label m sums the scalars of its terms,
+    each times label m's value of the term's column, if it has one: a
+    stream's bound value, or a feature evaluated at the labels. A
+    label-invariant part is read from the grid store, where modulate's
     evaluation kept it (the qam text's parts are the carrier pair); another
     is evaluated, and kept unless a division guard fired. The Gram of
     invariant parts is kept there too, for the next row that reads them.
     Returns None, for the bank, for a row that sends no formula, a formula
     that is not separable, or a non-finite part, scalar or feature.
     """
-    if not _sends_formula(cfg):
+    terms = None if cfg.formula is None else basis_terms(cfg.formula)
+    if terms is None:
         return None
-    split = separable_in(cfg.formula)
-    if split is None:
-        return None
-    expr, features = split
     order = 1 << cfg.bits_per_symbol
     _, ctx, t = formula_context(cfg, np.arange(order)[:, None])
     streams = {name: ctx.signals[name] for name in LABEL_STREAMS if name in ctx.signals}
     others = {name: value for name, value in ctx.signals.items() if name not in streams}
     store = grid(cfg.n_samples, cfg.sample_rate)
 
-    def column(name: str) -> np.ndarray | None:
-        if name in streams:
-            return streams[name]
-        result = evaluate(features[name], EvalContext(ctx.constants, streams), t[:2])
+    def column(tree: Expr) -> np.ndarray | None:
+        if isinstance(tree, Symbol):
+            return streams[tree.name]
+        result = evaluate(tree, EvalContext(ctx.constants, streams), t[:2])
         return None if result.invalid_mask.any() else result.samples[:, :1]
 
     def part(tree: Expr | None, key) -> np.ndarray | None:
@@ -600,22 +595,21 @@ def candidate_basis(cfg: SchemeConfig) -> tuple[list, np.ndarray, np.ndarray] | 
             return None
         return result.samples if key is None or result.guard_count else store.put(key, result.samples)
 
-    terms = affine_terms(expr)
-    names = list(dict.fromkeys(name for *_, name in terms if name is not None))
-    columns = [column(name) for name in names]
+    columns = list(dict.fromkeys(c for *_, c in terms if c is not None))
+    at_labels = [column(c) for c in columns]
     scalars = {tree: scalar(tree, ctx.constants) for tree in dict.fromkeys(s for s, *_ in terms)}
-    if any(v is None for v in columns) or not np.isfinite(list(scalars.values())).all():
+    if any(v is None for v in at_labels) or not np.isfinite(list(scalars.values())).all():
         return None
     trees = list(dict.fromkeys(tree for _, tree, _ in terms))
     keys = ["1" if tree is None else invariant_key(tree, ctx.constants) for tree in trees]
     parts = [part(tree, key) for tree, key in zip(trees, keys)]
     if any(v is None for v in parts):
         return None
-    weights = np.zeros((1 + len(names), len(trees)))  # row 0: a(t), row 1 + j: c_j(t)
-    for factor, tree, name in terms:
-        row = 0 if name is None else 1 + names.index(name)
+    weights = np.zeros((1 + len(columns), len(trees)))  # row 0: a(t), row 1 + j: c_j(t)
+    for factor, tree, c in terms:
+        row = 0 if c is None else 1 + columns.index(c)
         weights[row, trees.index(tree)] += scalars[factor]
-    values = np.hstack([np.ones((order, 1)), *columns])
+    values = np.hstack([np.ones((order, 1)), *at_labels])
 
     def inner_products() -> np.ndarray:
         frames = [part.reshape(cfg.n_symbols, cfg.samples_per_symbol) for part in parts]

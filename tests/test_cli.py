@@ -298,6 +298,16 @@ class TestCompareCommand:
         assert err == "config error: am: formula_text is for a formula:<id> scheme, not 'am'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scheme", ["msk", "am", "chirp", "formula:qam"])
+    def test_rrc_on_a_row_without_an_alphabet_is_config_error(self, tmp_path, capsys, scheme):
+        # each of these rows sent its rect samples under rrc, bit for bit
+        config = write_config(tmp_path, schemes=["ook", {"scheme": scheme, "pulse": "rrc"}])
+        assert main(["compare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        message = f"pulse 'rrc' is for a reference row with an alphabet, not '{scheme}'"
+        assert err == f"config error: {scheme}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "content",
         [b"id,name\n", b"id,name,formula\nfm,FM,cos(2*pi*f_c*t) \xff\n"],

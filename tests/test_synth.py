@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modwave
@@ -23,7 +23,7 @@ from modwave.dsl import (
 )
 from modwave.channel import CHANNEL_PRESETS, ChannelConfig, add_awgn
 from modwave.dsl import to_text
-from modwave.dsl.ast import reads, separable_in
+from modwave.dsl.ast import Symbol, basis_terms, reads
 from modwave.dsl.evaluation import invariant_key
 from modwave.dsl.symbols import NAMES
 from modwave.errors import DemodulationError, NyquistError, SignalError, ZeroPowerError
@@ -51,7 +51,16 @@ from modwave.synth import (
 )
 from modwave.table import write_table
 
-from conftest import CPM_GEOMETRIES, CPM_GEOMETRY_IDS, SPECIAL, SPECIAL_F32, cold_store
+from conftest import (
+    CPM_GEOMETRIES,
+    CPM_GEOMETRY_IDS,
+    FORMULA_TREES,
+    SPECIAL,
+    SPECIAL_F32,
+    cold_store,
+    oracle_basis_terms,
+    stream_affine,
+)
 
 # the carrier pair is the value of these trees, and is keyed as they are
 CARRIER_TREES = (parse_formula("cos(2*pi*f_c*t)"), parse_formula("sin(2*pi*f_c*t)"))
@@ -276,6 +285,26 @@ class TestSchemeConfig:
             "carrier_freq", "symbol_rate", "amplitude", "mod_index", "freq_dev",
             "phase_dev", "message_freq", "gmsk_bt", "rrc_rolloff",
         }
+
+    @pytest.mark.parametrize(
+        "scheme", [name for name, s in SCHEMES.items() if s.alphabet is None] + ["formula:qam"]
+    )
+    def test_rrc_is_for_a_reference_row_with_an_alphabet(self, scheme):
+        # a row without an alphabet sent its rect samples under rrc
+        text = "I(t)*cos(2*pi*f_c*t)" if scheme.startswith("formula:") else None
+        message = f"pulse 'rrc' is for a reference row with an alphabet, not '{scheme}'"
+        with pytest.raises(SignalError, match=message):
+            SchemeConfig(scheme, pulse="rrc", formula_text=text)
+        SchemeConfig(scheme, formula_text=text)
+
+    def test_an_rrc_label_column_has_no_receiver(self):
+        # rrc shapes a label stream; a (rows, 1) column binds no stream to shape
+        cfg = SchemeConfig("qpsk", n_symbols=8, pulse="rrc")
+        assert modulate(cfg).samples.shape == (cfg.n_samples,)
+        calls = (candidate_bank, candidate_basis, lambda c: formula_context(c, np.arange(4)[:, None]))
+        for call in calls:
+            with pytest.raises(DemodulationError, match="^qpsk has no receiver for pulse 'rrc'$"):
+                call(cfg)
 
     def test_formula_text_is_for_formula_schemes(self):
         # a reference row sends its own waveform, and ignored a text given with it
@@ -695,18 +724,14 @@ class TestSchemeTable:
         written = [name for name, s in SCHEMES.items() if s.formula is not None]
         assert sorted(written) == sorted(["am", "fm", "pm", "fsk", *ALPHABETS])
         for name, scheme in SCHEMES.items():
-            if scheme.alphabet is not None:
-                # the qam text sends rect pulses, the builder rrc ones
-                assert scheme.formula == f"({corpus['qam']}) * A_c", name
-                assert scheme.waveform is not None, name
-                continue
             assert (scheme.formula is None) != (scheme.waveform is None), name
             if scheme.formula is not None:
-                assert scheme.formula == corpus[name]
-                assert SchemeConfig(name).formula == parse_formula(corpus[name])
+                # the tree parsed once, which every config of the row sends
+                text = corpus[name] if scheme.alphabet is None else f"({corpus['qam']}) * A_c"
+                assert scheme.formula == parse_formula(text), name
+                assert SchemeConfig(name).formula is scheme.formula, name
             else:
-                with pytest.raises(SignalError, match="has no formula text"):
-                    SchemeConfig(name).formula
+                assert SchemeConfig(name).formula is None, name
 
     def test_memory_is_a_continuous_phase_index(self):
         # memory follows from h, and only the gmsk row shapes its drive
@@ -982,13 +1007,15 @@ class TestFormulaBank:
 
 
 def assert_basis_sound(formula, base_scheme="qam16"):
-    """Whenever separable_in rewrites the formula, every bank row is
-    a + sum_j v_j*c_j of its basis."""
+    """basis_terms gives the two-walk oracle's terms, and whenever it splits
+    the formula, every bank row is a + sum_j v_j*c_j of its basis."""
     cfg = SchemeConfig(
         "formula:oracle", formula_text=formula, n_symbols=6, base_scheme=base_scheme
     )
+    terms = basis_terms(cfg.formula)
+    assert terms == oracle_basis_terms(cfg.formula), formula
     basis = candidate_basis(cfg)
-    assert (basis is not None) <= (separable_in(cfg.formula) is not None), formula
+    assert (basis is not None) <= (terms is not None), formula
     if basis is None:
         return
     parts, weights, _ = basis
@@ -1010,8 +1037,7 @@ class TestFormulaBasis:
     ])
     def test_never_affine(self, formula):
         # not affine in the streams alone: a feature, or the bank
-        split = separable_in(parse_formula(formula))
-        assert split is None or split[1]
+        assert not stream_affine(parse_formula(formula))
 
     @pytest.mark.parametrize("formula", [
         "I/2", f"-(I)*{CARRIER}", f"(I+1)*{CARRIER}", f"A*{CARRIER}",
@@ -1019,37 +1045,60 @@ class TestFormulaBasis:
         "sum(I, I, 1, n)", f"{CARRIER}^2 + integral(m(t), t)*I",
     ])
     def test_affine(self, formula):
-        # an affine tree comes back as it is, so its basis keeps its bits
-        expr = parse_formula(formula)
-        assert separable_in(expr) == (expr, {})
+        # every column is a label stream: no feature is evaluated
+        assert stream_affine(parse_formula(formula))
 
-    @pytest.mark.parametrize("formula, rewritten, features", [
-        ("A_c*cos(2*pi*f_c*t + (pi/2)*d(t))",
-         "A_c * (cos(2 * pi * f_c * t) * #0 - sin(2 * pi * f_c * t) * #1)",
-         ["cos(pi / 2 * d(t))", "sin(pi / 2 * d(t))"]),
-        ("sin(2*pi*f_c*t - pi*d + phi)",
-         "sin(2 * pi * f_c * t + phi) * #0 + cos(2 * pi * f_c * t + phi) * #1",
-         ["cos(-(pi * d))", "sin(-(pi * d))"]),
-        ("A*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t)^2/n)",
-         "A * (cos(2 * pi * f_c * t + k_f * integral(m(t), t)) * #0"
-         " - sin(2 * pi * f_c * t + k_f * integral(m(t), t)) * #1)",
-         ["cos(pi * d(t)^2 / n)", "sin(pi * d(t)^2 / n)"]),
-        # a maximal stream-only subtree is one feature; an affine one stays
-        (f"I(t)*Q(t)*{CARRIER} + (I - Q)/2*{CARRIER}",
-         "#0 * cos(2 * pi * f_c * t) + (I - Q) / 2 * cos(2 * pi * f_c * t)", ["I(t) * Q(t)"]),
-        (f"Q/(d + 1)*{CARRIER}", "#0 * cos(2 * pi * f_c * t)", ["Q / (d + 1)"]),
-        ("I*Q", "#0", ["I * Q"]),
+    @pytest.mark.parametrize("formula, terms", [
+        ("A_c*cos(2*pi*f_c*t + (pi/2)*d(t))", [
+            ("A_c", "cos(2 * pi * f_c * t)", "cos(pi / 2 * d(t))"),
+            ("A_c * -1", "sin(2 * pi * f_c * t)", "sin(pi / 2 * d(t))"),
+        ]),
+        ("sin(2*pi*f_c*t - pi*d + phi)", [
+            ("1", "sin(2 * pi * f_c * t + phi)", "cos(-(pi * d))"),
+            ("1", "cos(2 * pi * f_c * t + phi)", "sin(-(pi * d))"),
+        ]),
+        ("A*cos(2*pi*f_c*t + k_f*integral(m(t), t) + pi*d(t)^2/n)", [
+            ("A", "cos(2 * pi * f_c * t + k_f * integral(m(t), t))", "cos(pi * d(t)^2 / n)"),
+            ("A * -1", "sin(2 * pi * f_c * t + k_f * integral(m(t), t))", "sin(pi * d(t)^2 / n)"),
+        ]),
+        # a maximal stream-only subtree is one feature; an affine one is split
+        (f"I(t)*Q(t)*{CARRIER} + (I - Q)/2*{CARRIER}", [
+            ("1", "cos(2 * pi * f_c * t)", "I(t) * Q(t)"),
+            ("1 / 2", "cos(2 * pi * f_c * t)", "I(t)"),
+            ("-1 * (1 / 2)", "cos(2 * pi * f_c * t)", "Q(t)"),
+        ]),
+        (f"Q/(d + 1)*{CARRIER}", [("1", "cos(2 * pi * f_c * t)", "Q / (d + 1)")]),
+        ("I*Q", [("1", None, "I * Q")]),
+        ("(I - Q)*(A + m)/2", [
+            ("(A + m) * (1 / 2)", None, "I(t)"),
+            ("-1 * (A + m) * (1 / 2)", None, "Q(t)"),
+        ]),
         # a repeated feature is one column
-        ("cos(2*pi*f_c*t + pi*d) + sin(2*pi*f_m*t + pi*d)",
-         "cos(2 * pi * f_c * t) * #0 - sin(2 * pi * f_c * t) * #1"
-         " + (sin(2 * pi * f_m * t) * #0 + cos(2 * pi * f_m * t) * #1)",
-         ["cos(pi * d)", "sin(pi * d)"]),
+        ("cos(2*pi*f_c*t + pi*d) + sin(2*pi*f_m*t + pi*d)", [
+            ("1", "cos(2 * pi * f_c * t)", "cos(pi * d)"),
+            ("-1", "sin(2 * pi * f_c * t)", "sin(pi * d)"),
+            ("1", "sin(2 * pi * f_m * t)", "cos(pi * d)"),
+            ("1", "cos(2 * pi * f_m * t)", "sin(pi * d)"),
+        ]),
     ])
-    def test_separable(self, formula, rewritten, features):
-        expr, trees = separable_in(parse_formula(formula))
-        assert to_text(expr) == rewritten
-        assert list(trees) == [f"#{j}" for j in range(len(features))]
-        assert [to_text(tree) for tree in trees.values()] == features
+    def test_separable(self, formula, terms):
+        text = [
+            tuple(None if tree is None else to_text(tree) for tree in term)
+            for term in basis_terms(parse_formula(formula))
+        ]
+        assert text == terms
+        assert_basis_sound(formula)
+
+    def test_a_stream_and_its_bare_name_are_one_column(self):
+        # I and I(t) resolve to one stream: one column, one weight row
+        formula = f"I*{self.CARRIER} + I(t)*sin(2*pi*f_c*t) - Q/2"
+        columns = [column for *_, column in basis_terms(parse_formula(formula))]
+        assert columns == [Symbol("I(t)"), Symbol("I(t)"), Symbol("Q(t)")]
+        cfg = SchemeConfig("formula:bare", formula_text=formula, n_symbols=4)
+        parts, weights, _ = candidate_basis(cfg)
+        points = constellation("qam16")
+        assert len(parts) == 3
+        assert np.array_equal(weights, np.column_stack([points.real, points.real, -points.imag / 2]))
         assert_basis_sound(formula)
 
     @pytest.mark.parametrize("formula", [
@@ -1058,7 +1107,7 @@ class TestFormulaBasis:
         f"integral(d, t)*{CARRIER}", f"cos(2*pi*f_c*t + I*{CARRIER})",
     ])
     def test_takes_the_bank(self, formula):
-        assert separable_in(parse_formula(formula)) is None
+        assert basis_terms(parse_formula(formula)) is None
 
     @pytest.mark.parametrize("formula", _bundled_formulas())
     @pytest.mark.parametrize("base", ["qpsk", "qam16", "qam256"])
@@ -1072,9 +1121,24 @@ class TestFormulaBasis:
             if item.classification == CLASS_VALID:
                 assert_basis_sound(item.formula)
 
+    @settings(max_examples=200)
+    @given(tree=FORMULA_TREES)
+    def test_one_pass_gives_the_two_walks_terms(self, tree):
+        # None exactly when the oracle is None, else its terms in its order
+        assert basis_terms(tree) == oracle_basis_terms(tree)
+
     @pytest.mark.parametrize("temperature", [0.5, 0.8, 1.2])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_rewritten_candidates_match_the_bank(self, temperature, seed):
+    def test_sampled_trees_give_the_two_walks_terms(self, temperature, seed):
+        # every sampled formula that parses, valid or not
+        grammar = replace(load_grammar(temperature=temperature), seed=seed)
+        for item in generate_batch(8, grammar).items:
+            if item.report.expr is not None:
+                assert basis_terms(item.report.expr) == oracle_basis_terms(item.report.expr)
+
+    @pytest.mark.parametrize("temperature", [0.5, 0.8, 1.2])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_split_candidates_match_the_bank(self, temperature, seed):
         grammar = replace(load_grammar(temperature=temperature), seed=seed)
         for item in generate_batch(4, grammar).items:
             if item.classification == CLASS_VALID:
@@ -1104,12 +1168,12 @@ class TestFormulaBasis:
         # t^(-1) is inf at t = 0 in every candidate, so the basis is not used
         text = f"I(t)*{self.CARRIER} + t^(-1)"
         cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4)
-        assert separable_in(cfg.formula) is not None
+        assert basis_terms(cfg.formula) is not None
         assert candidate_basis(cfg) is None
 
     def test_non_finite_feature_is_none(self):
         # I^(-1) is inf at I = 0, in the feature alone
         text = f"I(t)^(-1)*{self.CARRIER}"
         cfg = SchemeConfig("formula:pole", formula_text=text, n_symbols=4, base_scheme="ook")
-        assert separable_in(cfg.formula) is not None
+        assert basis_terms(cfg.formula) is not None
         assert candidate_basis(cfg) is None
